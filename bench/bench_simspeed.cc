@@ -9,9 +9,9 @@
 // from a hardcoded instruction count, which silently rots when a program or
 // the pipeline model changes.
 //
-// The *FastStep / *StepCycle pairs measure the same program under both
-// stepping modes (CoreConfig::fast_step on and off); CI computes the speedup
-// ratio from the JSON output and gates regressions against
+// The *StepCycle rows measure the same program with CoreConfig::fast_step
+// off (per-cycle stepping); CI computes the traced-over-per-cycle speedup
+// ratios from the JSON output and gates regressions against
 // bench/baseline_simspeed.json.
 #include <benchmark/benchmark.h>
 
@@ -41,7 +41,7 @@ const char* kAluLoop = R"(
 // Memory-bound rows: the superblock memory slots (docs/performance.md) keep
 // these loops inside traces, so their throughput tracks the trace tier's
 // dcache/TLB fast path rather than the ALU ceiling. CI gates the ratio of
-// BM_MemCopyLoop over its --no-superblocks twin (memloop_superblock_speedup).
+// BM_MemCopyLoop over its per-cycle twin (memloop_superblock_speedup).
 const char* kMemCopyLoop = R"(
   _start:
     la t5, src
@@ -131,15 +131,8 @@ void RunLoopProgram(benchmark::State& state, const char* source,
 }
 
 void BM_AluLoop(benchmark::State& state) {
-  RunLoopProgram(state, kAluLoop, CoreConfig{});  // fast_step + superblocks on
+  RunLoopProgram(state, kAluLoop, CoreConfig{});  // fast_step on: traced
 }
-
-void BM_AluLoopNoSuperblocks(benchmark::State& state) {
-  CoreConfig config;
-  config.superblocks = false;  // the plain fast-step window, no trace tier
-  RunLoopProgram(state, kAluLoop, config);
-}
-BENCHMARK(BM_AluLoopNoSuperblocks)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AluLoop)->Unit(benchmark::kMillisecond);
 
 void BM_AluLoopStepCycle(benchmark::State& state) {
@@ -154,12 +147,12 @@ void BM_MemCopyLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MemCopyLoop)->Unit(benchmark::kMillisecond);
 
-void BM_MemCopyLoopNoSuperblocks(benchmark::State& state) {
+void BM_MemCopyLoopStepCycle(benchmark::State& state) {
   CoreConfig config;
-  config.superblocks = false;
+  config.fast_step = false;
   RunLoopProgram(state, kMemCopyLoop, config);
 }
-BENCHMARK(BM_MemCopyLoopNoSuperblocks)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemCopyLoopStepCycle)->Unit(benchmark::kMillisecond);
 
 void BM_StridedStoreLoop(benchmark::State& state) {
   RunLoopProgram(state, kStridedStoreLoop, CoreConfig{});
@@ -242,53 +235,43 @@ double MeasureInstrPerSec(const char* source, const CoreConfig& config, int reps
 // as a plain google-benchmark main.
 int RunBenchReport(int argc, char** argv) {
   BenchReport report("simspeed", "engineering throughput (not a paper experiment)");
-  CoreConfig fast_config;  // defaults: fast_step on, superblocks on
-  CoreConfig nosb_config;
-  nosb_config.superblocks = false;
+  CoreConfig fast_config;  // defaults: fast_step on (traced)
   CoreConfig slow_config;
   slow_config.fast_step = false;
   const int kReps = 10;
   const double fast = MeasureInstrPerSec(kAluLoop, fast_config, kReps);
-  const double nosb = MeasureInstrPerSec(kAluLoop, nosb_config, kReps);
   const double slow = MeasureInstrPerSec(kAluLoop, slow_config, kReps);
   const double observed = MeasureInstrPerSec(kAluLoop, fast_config, kReps,
                                              /*observed=*/true);
   const double memcopy = MeasureInstrPerSec(kMemCopyLoop, fast_config, kReps);
-  const double memcopy_nosb = MeasureInstrPerSec(kMemCopyLoop, nosb_config, kReps);
+  const double memcopy_slow = MeasureInstrPerSec(kMemCopyLoop, slow_config, kReps);
   const double strided = MeasureInstrPerSec(kStridedStoreLoop, fast_config, kReps);
   const double mixed = MeasureInstrPerSec(kMixedAluMemLoop, fast_config, kReps);
-  std::printf("BM_AluLoop                %12.0f sim-instr/s (superblocks on)\n", fast);
-  std::printf("BM_AluLoopNoSuperblocks   %12.0f sim-instr/s (plain fast-step window)\n",
-              nosb);
+  std::printf("BM_AluLoop                %12.0f sim-instr/s (traced)\n", fast);
   std::printf("BM_AluLoopStepCycle       %12.0f sim-instr/s (fast_step off)\n", slow);
-  std::printf("BM_AluLoopObserved        %12.0f sim-instr/s (superblocks on + span sink)\n",
+  std::printf("BM_AluLoopObserved        %12.0f sim-instr/s (traced + span sink)\n",
               observed);
   std::printf("BM_MemCopyLoop            %12.0f sim-instr/s (lw/sw trace fast path)\n",
               memcopy);
-  std::printf("BM_MemCopyLoopNoSuperblocks%11.0f sim-instr/s (plain fast-step window)\n",
-              memcopy_nosb);
+  std::printf("BM_MemCopyLoopStepCycle   %12.0f sim-instr/s (fast_step off)\n",
+              memcopy_slow);
   std::printf("BM_StridedStoreLoop       %12.0f sim-instr/s (sw/sh/sb/lbu widths)\n",
               strided);
   std::printf("BM_MixedAluMemLoop        %12.0f sim-instr/s (interleaved ALU + mem)\n",
               mixed);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
-  std::printf("speedup (superblock/window)%11.2fx\n", nosb > 0.0 ? fast / nosb : 0.0);
-  std::printf("speedup (memloop sb/window)%11.2fx\n",
-              memcopy_nosb > 0.0 ? memcopy / memcopy_nosb : 0.0);
+  std::printf("speedup (memloop traced/stepcycle) %6.2fx\n",
+              memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
   report.AddRow("BM_AluLoop").Field("sim_instr_per_sec", fast);
-  report.AddRow("BM_AluLoopNoSuperblocks").Field("sim_instr_per_sec", nosb);
   report.AddRow("BM_AluLoopStepCycle").Field("sim_instr_per_sec", slow);
   report.AddRow("BM_AluLoopObserved").Field("sim_instr_per_sec", observed);
   report.AddRow("BM_MemCopyLoop").Field("sim_instr_per_sec", memcopy);
-  report.AddRow("BM_MemCopyLoopNoSuperblocks").Field("sim_instr_per_sec", memcopy_nosb);
+  report.AddRow("BM_MemCopyLoopStepCycle").Field("sim_instr_per_sec", memcopy_slow);
   report.AddRow("BM_StridedStoreLoop").Field("sim_instr_per_sec", strided);
   report.AddRow("BM_MixedAluMemLoop").Field("sim_instr_per_sec", mixed);
   report.AddRow("speedup").Field("fast_over_stepcycle", slow > 0.0 ? fast / slow : 0.0);
-  report.AddRow("superblock_speedup")
-      .Field("superblock_over_window", nosb > 0.0 ? fast / nosb : 0.0);
   report.AddRow("memloop_superblock_speedup")
-      .Field("superblock_over_window",
-             memcopy_nosb > 0.0 ? memcopy / memcopy_nosb : 0.0);
+      .Field("traced_over_stepcycle", memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
   return report.WriteIfRequested(argc, argv) ? 0 : 1;
 }
 

@@ -99,17 +99,17 @@ class Core {
   // Advances one clock cycle.
   void StepCycle();
 
-  // Hot-path stepping (docs/performance.md): commits whole cycles of
-  // straight-line non-Metal code without per-cycle device polling or latch
-  // shuffling, falling back (returning) as soon as anything interesting —
-  // a load/store, a Metal transition, an icache miss, a pending device event,
-  // a deliverable interrupt — would enter the pipeline. Cycle-exact: after N
-  // committed cycles the machine state is byte-identical to N StepCycle
-  // calls (enforced by `msim replay --compare --b-no-fast-step` and the
-  // mfuzz "faststep" oracle). Returns the number of cycles committed; 0 when
-  // the current state is not eligible (caller falls back to StepCycle).
-  // `max_retires` (0 = unlimited) additionally bounds the number of retired
-  // instructions, for retire-granular lockstep drivers.
+  // Hot-path stepping (docs/performance.md): from an empty pipeline, runs
+  // non-Metal code through superblock traces (cpu/superblock.h) without
+  // per-cycle device polling or latch shuffling, returning as soon as a
+  // trace exit leaves an op latched or anything interesting — a Metal
+  // transition, an icache miss, a slow memory access, a pending device
+  // event — is next. Cycle-exact: after N committed cycles the machine state
+  // is byte-identical to N StepCycle calls (enforced by `msim replay
+  // --b-no-fast-step` and the mfuzz "faststep" oracle). Returns the number of
+  // cycles committed; 0 when the current state is not eligible (caller falls
+  // back to StepCycle). `max_retires` (0 = unlimited) additionally bounds the
+  // number of retired instructions, for retire-granular lockstep drivers.
   uint64_t StepFast(uint64_t max_cycles, uint64_t max_retires = 0);
 
   // Runs until halt, fatal error or the cycle budget is exhausted. Uses
@@ -307,12 +307,6 @@ class Core {
   // Squashes the fetch unit and points it at `pc` (the shared primitive
   // behind SetPc, FlushFrontend and the decode-stage replacement chain).
   void ResetFetch(uint32_t pc);
-
-  // True if executing `op` in EX would redirect fetch (taken branch/jump).
-  // Pure: reads the register file only. Must agree with ExecuteAluOp for
-  // every hot-path instruction kind (StepFast relies on this to decide
-  // whether the same cycle also fetches).
-  bool AluRedirects(const Decoded& d) const;
 
   // Fetch helpers.
   struct FetchResult {

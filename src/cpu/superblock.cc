@@ -8,7 +8,7 @@
 
 namespace msim {
 
-bool WindowSafeInstr(InstrKind kind) {
+bool TraceSafeInstr(InstrKind kind) {
   switch (kind) {
     case InstrKind::kLui:
     case InstrKind::kAuipc:
@@ -48,14 +48,6 @@ bool WindowSafeInstr(InstrKind kind) {
     case InstrKind::kDivu:
     case InstrKind::kRem:
     case InstrKind::kRemu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool TraceSafeInstr(InstrKind kind) {
-  switch (kind) {
     case InstrKind::kLb:
     case InstrKind::kLh:
     case InstrKind::kLw:
@@ -66,7 +58,7 @@ bool TraceSafeInstr(InstrKind kind) {
     case InstrKind::kSw:
       return true;
     default:
-      return WindowSafeInstr(kind);
+      return false;
   }
 }
 
@@ -126,9 +118,8 @@ namespace {
 // A word the fetch unit could pull speculatively: aligned and below the MMIO
 // aperture (which also excludes the MRAM code range at 0xFFFF0000). Physical
 // bounds are checked separately on the RESOLVED address — with paging on the
-// two differ. Mirrors the per-cycle fetch eligibility check in
-// Core::StepFast (minus the icache probe, which is dynamic and verified at
-// every segment entry instead).
+// two differ. The icache probe is dynamic and runs at every segment entry
+// instead (Core::StepFast).
 bool FetchableVa(uint32_t addr) { return (addr & 3) == 0 && addr < kMmioBase; }
 
 bool FetchablePa(uint32_t paddr, uint32_t dram_size) {
@@ -162,9 +153,8 @@ bool SbAddrSpace::Resolve(uint32_t vaddr, uint32_t* paddr) const {
   return true;
 }
 
-SuperblockCache::SuperblockCache(bool enabled, uint32_t max_len)
-    : max_len_(max_len) {
-  if (!enabled || max_len < kSuperblockMinLen) {
+SuperblockCache::SuperblockCache(bool enabled) {
+  if (!enabled) {
     return;
   }
   traces_.resize(kSuperblockEntries);
@@ -272,7 +262,7 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
     }
     return *pa - va == delta;
   };
-  while (slots->size() - base < max_len_) {
+  while (slots->size() - base < kSuperblockMaxLen) {
     uint32_t pa = 0;
     if (!resolve(addr, &pa)) {
       break;
@@ -355,7 +345,7 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
 }
 
 void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
-                                const SbAddrSpace& as, uint32_t max_trees) {
+                                const SbAddrSpace& as) {
   if (!sb.grow_pending) {
     return;
   }
@@ -365,7 +355,7 @@ void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
       sb.slots[slot_index].taken_seg != kSbSegUnlinked) {
     return;
   }
-  if (sb.segs.size() - 1 >= max_trees ||
+  if (sb.segs.size() - 1 >= kSuperblockMaxTrees ||
       sb.segs.size() >= kSuperblockMaxRestoreSegs ||
       sb.segs.size() > static_cast<uint32_t>(INT16_MAX)) {
     // Over budget: freeze the branch's counters so it never re-arms growth.
@@ -402,7 +392,7 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
   registry.Register("superblock", "builds", &stats_.builds,
                     "superblock traces constructed");
   registry.Register("superblock", "executions", &stats_.executions,
-                    "trace executions entered from the hot-path window");
+                    "trace executions entered at a pipeline refill point");
   registry.Register("superblock", "chains", &stats_.chains,
                     "taken branches chained directly into a cached trace");
   registry.Register("superblock", "instructions", &stats_.instructions,

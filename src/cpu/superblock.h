@@ -1,19 +1,17 @@
 // Superblock translation tier: chained decoded traces over the predecode
-// cache (the next rung of the interpreter -> DBT ladder after batched
-// stepping; docs/performance.md).
+// cache, the one fast tier above per-cycle stepping (docs/performance.md).
 //
 // A superblock is a straight-line run of trace-safe DRAM instructions
 // starting at a pipeline refill point (a branch target or a cold entry),
 // extended THROUGH not-taken conditional branches and terminated by an
 // unconditional jump (jal/jalr), the first trace-unsafe or unfetchable
-// word, the DRAM/MMIO segment boundary, or CoreConfig::superblock_max_len.
+// word, the DRAM/MMIO segment boundary, or kSuperblockMaxLen.
 // Core::StepFast executes whole traces with a computed-goto inner loop over
 // pre-extracted operand fields, dispatching once per instruction instead of
-// re-deciding window safety, branch direction and decode per cycle; a taken
-// branch whose target starts another cached trace chains directly into it.
+// re-deciding branch direction and decode per cycle; a taken branch whose
+// target starts another cached trace chains directly into it.
 //
-// Rung 2 (this tier's second iteration) widens trace safety beyond the plain
-// window in two ways:
+// Beyond plain ALU/branch work, traces carry two more kinds of slot:
 //   * Memory-op slots. lw/lh/lhu/lb/lbu/sw/sh/sb join traces. At execution
 //     time a memory slot takes the fast path only when the access is
 //     TLB-resident with the required permission (paging on), a dcache hit,
@@ -31,22 +29,22 @@
 //     in-trace (the architectural two-cycle flush still happens — trees buy
 //     immunity from trace-cache conflict eviction and skip the per-chain
 //     cache lookup, not pipeline cycles). Growth is bounded by
-//     CoreConfig::superblock_max_trees and happens only outside the
-//     executor (slot storage may reallocate).
+//     kSuperblockMaxTrees and happens only outside the executor (slot
+//     storage may reallocate).
 //
-// Byte-exactness is the contract, exactly as for the predecode cache and
-// batched stepping below it: N cycles through a superblock leave machine
-// state byte-identical to N Core::StepCycle calls (enforced by
-// `msim replay --b-no-superblocks`, the mfuzz "superblock" oracle and the
-// superblock_test digest matrix). Three mechanisms carry the contract:
-//   * Entry guards. Traces run only inside a StepFast window, so every
-//     window-entry guard (no fault engine, not Metal, no pending interrupt,
-//     device-event horizon) is already established; trace entry additionally
-//     requires both pipeline latches empty (the refill state), every icache
-//     line spanning the entered segment resident, and — with paging on — a
-//     single consistent virtual-to-physical delta for the segment's pages.
-//     The horizon stays valid across a whole trace because device state is
-//     MMIO-only and memory slots are DRAM-only.
+// Byte-exactness is the contract, exactly as for the predecode cache below
+// it: N cycles through a superblock leave machine state byte-identical to N
+// Core::StepCycle calls (enforced by `msim replay --b-no-fast-step`, the
+// mfuzz "faststep" oracle and the superblock_test digest matrix). Three
+// mechanisms carry the contract:
+//   * Entry guards. StepFast starts a trace only on an empty pipeline (both
+//     latches invalid, MEM and the fetch unit idle — the refill state) with
+//     no fault engine, not Metal, no pending interrupt, and the device-event
+//     horizon ahead; it also requires every icache line spanning the
+//     entered segment resident and — with paging on — a single consistent
+//     virtual-to-physical delta for the segment's pages. The horizon stays
+//     valid across a whole trace because device state is MMIO-only and
+//     memory slots are DRAM-only.
 //   * Per-fetch revalidation. Each trace slot records the raw word it was
 //     built from. Every simulated fetch still consults the predecode cache
 //     (side-effect-free Peek before the cycle commits, the counting
@@ -54,7 +52,7 @@
 //     per-cycle run exactly, and a slot whose raw word no longer matches the
 //     backing store invalidates the whole trace before any cycle commits.
 //   * Generation-driven invalidation. The Peek/Verify pair keys on
-//     PhysicalMemory::write_generation. In-trace stores bump it mid-window:
+//     PhysicalMemory::write_generation. In-trace stores bump it mid-trace:
 //     the cycle that completes a pending store checks the fetched word
 //     against the post-store bytes (merging the store into the backing word
 //     BEFORE committing), so a store into the executing trace's own backing
@@ -87,17 +85,9 @@ class Mmu;
 class SnapWriter;
 class SnapReader;
 
-// True for the instruction kinds the StepFast window admits: faultless
-// 1-cycle ALU/branch work with no D-side access and no Metal state. Shared
-// by the per-cycle window check in Core::StepFast and the superblock build
-// walk (both must agree, or a trace could contain a cycle the window would
-// have refused).
-bool WindowSafeInstr(InstrKind kind);
-
-// True for the kinds the superblock BUILD walk admits: WindowSafeInstr plus
-// the DRAM loads/stores the trace executor models with a pending MEM op.
-// The generic (non-trace) window loop still refuses these — only the
-// executor carries the completion machinery.
+// True for the kinds the superblock build walk admits: faultless 1-cycle
+// ALU/branch work with no Metal state, plus the DRAM loads/stores the trace
+// executor models with a pending MEM op.
 bool TraceSafeInstr(InstrKind kind);
 
 // True if the decoded instruction reads GPR `reg`. This is the load-use
@@ -208,7 +198,7 @@ struct Superblock {
 
 struct SuperblockStats {
   uint64_t builds = 0;         // traces constructed (build walk succeeded)
-  uint64_t executions = 0;     // trace entries from the generic window loop
+  uint64_t executions = 0;     // trace entries at a pipeline refill point
   uint64_t chains = 0;         // taken branches that chained trace-to-trace
   uint64_t instructions = 0;   // instructions retired inside traces
   uint64_t invalidations = 0;  // traces killed (stale raw word, InvalidateAll)
@@ -242,10 +232,9 @@ class SuperblockCache {
  public:
   // Geometry is fixed (kSuperblockEntries); `enabled` off constructs an
   // empty cache that Lookup/Build treat as permanently cold.
-  SuperblockCache(bool enabled, uint32_t max_len);
+  explicit SuperblockCache(bool enabled);
 
   bool enabled() const { return !traces_.empty(); }
-  uint32_t max_len() const { return max_len_; }
 
   // Trace lookup for `pc`. No counters are touched: executions/chains are
   // counted by the executor, which may still reject the trace (icache lines
@@ -269,11 +258,10 @@ class SuperblockCache {
 
   // Applies a pending tree growth: builds the successor segment at the
   // biased branch's target and links the branch to it. Bounded by
-  // `max_trees` grown segments per trace; a refused or failed growth marks
-  // the branch kSbSegNoGrow so it is never retried. Reallocates sb.slots —
-  // must not be called while executor slot pointers are live.
-  void MaybeGrow(Superblock& sb, const PhysicalMemory& dram, const SbAddrSpace& as,
-                 uint32_t max_trees);
+  // kSuperblockMaxTrees grown segments per trace; a refused or failed growth
+  // marks the branch kSbSegNoGrow so it is never retried. Reallocates
+  // sb.slots — must not be called while executor slot pointers are live.
+  void MaybeGrow(Superblock& sb, const PhysicalMemory& dram, const SbAddrSpace& as);
 
   // Kills one stale trace (raw word changed under a bumped generation).
   void Invalidate(Superblock& sb) {
@@ -305,8 +293,8 @@ class SuperblockCache {
   // SERIALIZED raw words — not current DRAM — so a trace that had gone stale
   // in the checkpointed machine restores equally stale and dies at the same
   // future fetch, keeping restored-run counters byte-identical to the
-  // straight run. Traces longer than this cache's max_len restore intact
-  // (max_len gates new builds only). Reads both the rung-1 (v1) and the
+  // straight run. Traces longer than kSuperblockMaxLen restore intact (the
+  // bound gates new builds only). Reads both the rung-1 (v1) and the
   // segmented rung-2 (v2) section formats; always writes v2.
   void SaveState(SnapWriter& w) const;
   Status RestoreState(SnapReader& r);
@@ -330,7 +318,6 @@ class SuperblockCache {
 
   std::vector<Superblock> traces_;
   uint32_t mask_ = 0;
-  uint32_t max_len_ = 0;
   SuperblockStats stats_;
 };
 
@@ -339,6 +326,11 @@ inline constexpr uint32_t kSuperblockEntries = 1024;
 // Refilling the two pipeline latches costs two in-trace cycles before the
 // first slot reaches EX, so a shorter trace could never execute anything.
 inline constexpr uint32_t kSuperblockMinLen = 2;
+// Maximum executable instructions per trace segment.
+inline constexpr uint32_t kSuperblockMaxLen = 64;
+// Maximum tree segments grown past strongly biased conditional branches,
+// per trace.
+inline constexpr uint32_t kSuperblockMaxTrees = 8;
 // Restore-time sanity bound on serialized trace length (corrupt snapshots).
 inline constexpr uint32_t kSuperblockMaxRestoreLen = 4096;
 // Restore-time sanity bound on segments per trace.

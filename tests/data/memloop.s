@@ -1,8 +1,8 @@
 # Memory-heavy CI guest: a load/store-dense copy loop plus mixed-width
-# stores, used by the determinism ladder to compare the per-cycle, plain
-# fast-step window and superblock stepping tiers byte-for-byte on a workload
-# that lives on the trace tier's memory-slot fast path. Halts with the final
-# self-checked checksum (0 on success) so every tier's result is checked, too.
+# stores, used by the determinism ladder to compare per-cycle and traced
+# stepping byte-for-byte on a workload that lives on the trace tier's
+# memory-slot fast path. Halts with the final self-checked checksum (0 on
+# success) so both stepping modes' results are checked, too.
 _start:
   la t5, src
   la t6, dst

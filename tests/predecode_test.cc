@@ -3,7 +3,7 @@
 // Two properties are under test, both "invisible by construction":
 //   1. StepFast is cycle- and byte-exact: after the same number of cycles a
 //      fast_step core serializes to the identical SaveState stream as a
-//      per-cycle core.
+//      per-cycle core, on plain loops and on the paper's Metal guests.
 //   2. The predecode cache never changes behavior: for every invalidation
 //      source in the coherence matrix (mst/loader writes, MRAMSCRUB,
 //      fault-engine flips behind the write path, self-modifying DRAM stores,
@@ -17,6 +17,8 @@
 
 #include "cpu/core.h"
 #include "cpu/creg.h"
+#include "ext/cpt.h"
+#include "ext/stm.h"
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/snapshot.h"
@@ -67,8 +69,8 @@ CoreConfig ReferenceConfig() {
 // StepFast byte-exactness.
 // ---------------------------------------------------------------------------
 
-// ALU/branch loop interleaved with loads and stores: windows open over the
-// inner loop and break on every memory access and at the taken-branch refills.
+// ALU/branch loop interleaved with loads and stores: traces run the inner
+// loop and its loads/stores, and chain on the taken back edges.
 constexpr const char* kMixedProgram = R"(
   _start:
     la s2, counter
@@ -93,41 +95,216 @@ constexpr const char* kMixedProgram = R"(
     .word 0
 )";
 
-TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
-  CoreConfig fast_config;  // defaults: fast_step on, predecode on
-  Core fast(fast_config);
-  CoreConfig slow_config = fast_config;
-  slow_config.fast_step = false;  // same predecode geometry, per-cycle stepping
-  Core slow(slow_config);
-  const Program program = MustAssemble(kMixedProgram);
-  ASSERT_OK(fast.LoadProgram(program));
-  ASSERT_OK(slow.LoadProgram(program));
+void BootMixed(MetalSystem& system) {
+  ASSERT_OK(system.LoadProgramSource(kMixedProgram));
+  ASSERT_OK(system.Boot());
+}
 
-  std::vector<Retire> fast_retires, slow_retires;
-  RecordRetires(fast, &fast_retires);
-  RecordRetires(slow, &slow_retires);
+// The paper's STM transfer guest (ext_stm_test TransferPreservesTotal):
+// transactions whose loads and stores are intercepted into mroutines,
+// joined by plain non-Metal loop code the trace tier runs.
+void BootStmTransfer(MetalSystem& system) {
+  constexpr uint32_t kShared = 0x00600000;
+  ASSERT_OK(StmExtension::Install(system, /*clock_addr=*/0x00700000,
+                                  /*vtbl_addr=*/0x00704000, /*vtbl_words=*/1024));
+  ASSERT_OK(system.LoadProgramSource(R"(
+    .equ A, 0x00600000
+    .equ B, 0x00600004
+    _start:
+      li s0, 20
+    again:
+      la a0, on_abort
+      menter 24
+      li t5, A
+      lw t6, 0(t5)
+      addi t6, t6, -10
+      sw t6, 0(t5)
+      li t5, B
+      lw t6, 0(t5)
+      addi t6, t6, 10
+      sw t6, 0(t5)
+      menter 27
+      addi s0, s0, -1
+      bnez s0, again
+      li t5, A
+      lw t0, 0(t5)
+      li t5, B
+      lw t1, 0(t5)
+      add a0, t0, t1
+      halt a0
+    on_abort:
+      j again
+  )"));
+  ASSERT_OK(system.Boot());
+  ASSERT_TRUE(system.core().bus().dram().Write32(kShared, 500));
+  ASSERT_TRUE(system.core().bus().dram().Write32(kShared + 4, 500));
+}
 
-  // Deliberately awkward chunk sizes so sync points land inside windows, on
-  // taken branches and mid-refill. CoreConfigHash excludes fast_step, so the
-  // SaveState streams (and hence digests) are comparable across the pair.
-  const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
-  uint64_t at = 0;
-  for (const uint64_t chunk : kChunks) {
-    fast.Run(chunk);
-    slow.Run(chunk);
-    at += chunk;
-    ASSERT_EQ(fast.cycle(), slow.cycle()) << "after " << at << " cycles";
-    ASSERT_EQ(fast.StateDigest(/*include_dram=*/true),
-              slow.StateDigest(/*include_dram=*/true))
-        << "state diverged by cycle " << at;
+// The custom-page-table guest (examples/custom_page_tables.cc): paged
+// non-Metal code whose first touch of each heap page faults into an OS
+// handler that calls frame-allocator and page-mapper mroutines, with the
+// mcode walker refilling the TLB on every miss.
+void BootCustomPageTables(MetalSystem& system) {
+  constexpr uint32_t kTableRegion = 0x00400000;
+  constexpr uint32_t kFramePool = 0x00500000;
+  const Program program = MustAssemble(R"(
+      .equ HEAP, 0x40000000
+    _start:
+      li s0, 8
+      li s1, HEAP
+      li s2, 0
+    fill:
+      sw s2, 0(s1)
+      li t0, 0x10000
+      add s1, s1, t0
+      addi s2, s2, 1
+      addi s0, s0, -1
+      bnez s0, fill
+      li s0, 8
+      li s1, HEAP
+      li a0, 0
+    sum:
+      lw t1, 0(s1)
+      add a0, a0, t1
+      li t0, 0x10000
+      add s1, s1, t0
+      addi s0, s0, -1
+      bnez s0, sum
+      halt a0
+    os_fault:
+      mv s6, a0
+      mv s7, a1
+      menter 4
+      mv a1, a0
+      mv a0, s6
+      menter 5
+      jr s7
+  )");
+  ASSERT_OK(CustomPageTable::Install(system, program.symbols.at("os_fault")));
+  system.AddMcode(R"(
+      .mentry 4, os_alloc_frame
+    os_alloc_frame:
+      mld t0, 16(zero)
+      mv a0, t0
+      li t1, 1024
+    zero_loop:
+      psw zero, 0(t0)
+      addi t0, t0, 4
+      addi t1, t1, -1
+      bnez t1, zero_loop
+      mld t0, 16(zero)
+      li t1, 4096
+      add t0, t0, t1
+      mst t0, 16(zero)
+      mexit
+
+      .mentry 5, os_map_page
+    os_map_page:
+      mld t0, 20(zero)
+      srli t1, a0, 22
+      slli t1, t1, 2
+      add t0, t0, t1
+      plw t2, 0(t0)
+      andi t3, t2, 1
+      bnez t3, have_l2
+      mld t2, 16(zero)
+      mv t4, t2
+      li t5, 1024
+    zero_l2:
+      psw zero, 0(t4)
+      addi t4, t4, 4
+      addi t5, t5, -1
+      bnez t5, zero_l2
+      mld t4, 16(zero)
+      li t5, 4096
+      add t4, t4, t5
+      mst t4, 16(zero)
+      ori t2, t2, 1
+      psw t2, 0(t0)
+    have_l2:
+      li t3, -4096
+      and t2, t2, t3
+      srli t1, a0, 12
+      andi t1, t1, 0x3FF
+      slli t1, t1, 2
+      add t2, t2, t1
+      li t3, -4096
+      and t1, a1, t3
+      ori t1, t1, 0x19
+      psw t1, 0(t2)
+      mld t0, 24(zero)
+      addi t0, t0, 1
+      mst t0, 24(zero)
+      mexit
+  )");
+  ASSERT_OK(system.LoadProgram(program));
+  ASSERT_OK(system.Boot());
+  Core& core = system.core();
+  CustomPageTable cpt(core, kTableRegion, 0x00100000);
+  const auto root = cpt.CreateAddressSpace();
+  ASSERT_OK(root.status());
+  for (uint32_t page = 0; page < 16; ++page) {
+    ASSERT_OK(cpt.Map(*root, page * 4096, page * 4096, kPteR | kPteW | kPteX));
   }
-  const RunResult fr = fast.Run(2'000'000);
-  const RunResult sr = slow.Run(2'000'000);
-  EXPECT_EQ(fr.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(sr.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(fr.exit_code, sr.exit_code);
-  EXPECT_EQ(fast.StateDigest(true), slow.StateDigest(true));
-  ExpectSameRetires(fast_retires, slow_retires);
+  for (uint32_t page = 0; page < 4; ++page) {
+    const uint32_t addr = 0x00100000 + page * 4096;
+    ASSERT_OK(cpt.Map(*root, addr, addr, kPteR | kPteW));
+  }
+  ASSERT_OK(cpt.Activate(*root));
+  ASSERT_TRUE(core.mram().WriteData32(16, kFramePool));
+  ASSERT_TRUE(core.mram().WriteData32(20, *root));
+  ASSERT_TRUE(core.mram().WriteData32(24, 0));
+  core.metal().WriteCreg(kCrPgEnable, 1);
+}
+
+TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
+  const struct {
+    const char* name;
+    void (*boot)(MetalSystem&);
+  } kGuests[] = {{"mixed", BootMixed},
+                 {"stm_transfer", BootStmTransfer},
+                 {"custom_page_tables", BootCustomPageTables}};
+  for (const auto& guest : kGuests) {
+    SCOPED_TRACE(guest.name);
+    CoreConfig fast_config;  // defaults: fast_step on, predecode on
+    MetalSystem fast_system(fast_config);
+    CoreConfig slow_config = fast_config;
+    slow_config.fast_step = false;  // same predecode geometry, per-cycle stepping
+    MetalSystem slow_system(slow_config);
+    guest.boot(fast_system);
+    guest.boot(slow_system);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    Core& fast = fast_system.core();
+    Core& slow = slow_system.core();
+
+    std::vector<Retire> fast_retires, slow_retires;
+    RecordRetires(fast, &fast_retires);
+    RecordRetires(slow, &slow_retires);
+
+    // Deliberately awkward chunk sizes so sync points land mid-trace, on
+    // taken branches and mid-refill. CoreConfigHash excludes fast_step, so
+    // the SaveState streams (and hence digests) are comparable.
+    const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
+    uint64_t at = 0;
+    for (const uint64_t chunk : kChunks) {
+      fast.Run(chunk);
+      slow.Run(chunk);
+      at += chunk;
+      ASSERT_EQ(fast.cycle(), slow.cycle()) << "after " << at << " cycles";
+      ASSERT_EQ(fast.StateDigest(/*include_dram=*/true),
+                slow.StateDigest(/*include_dram=*/true))
+          << "state diverged by cycle " << at;
+    }
+    const RunResult fr = fast.Run(2'000'000);
+    const RunResult sr = slow.Run(2'000'000);
+    EXPECT_EQ(fr.reason, RunResult::Reason::kHalted);
+    EXPECT_EQ(sr.reason, RunResult::Reason::kHalted);
+    EXPECT_EQ(fr.exit_code, sr.exit_code);
+    EXPECT_EQ(fast.StateDigest(true), slow.StateDigest(true));
+    ExpectSameRetires(fast_retires, slow_retires);
+    // Not vacuous: the trace tier ran on every guest.
+    EXPECT_GT(fast.superblocks().stats().executions, 0u);
+  }
 }
 
 // Counts timer interrupts in MRAM data[0] (same handler as interrupt_test).
@@ -225,8 +402,8 @@ TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
   // Horizon audit regression: pump the fast core ONE cycle at a time
   // (StepFast(1) with the StepCycle fallback, exactly the diverge-pump
   // shape) against a per-cycle core, with a short-interval timer so device
-  // horizons land on every possible window phase — mid-trace, on chained
-  // back edges, during refills. A window or trace that commits even one
+  // horizons land on every possible trace phase — mid-trace, on chained
+  // back edges, during refills. A trace that commits even one
   // cycle at or past its horizon shows up as a digest mismatch at that
   // exact cycle instead of a smeared end-of-run failure.
   auto boot = [](Core& core) {
@@ -245,7 +422,7 @@ TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
     core.timer().Write32(4, 97);
     core.timer().Write32(8, 1);
   };
-  Core fast;  // defaults: fast_step + superblocks
+  Core fast;  // defaults: fast_step on
   CoreConfig slow_config;
   slow_config.fast_step = false;
   Core slow(slow_config);

@@ -2,15 +2,17 @@
 //
 // The tier is "invisible by construction", one rung above the predecode
 // cache: N cycles through chained trace execution must leave machine state
-// byte-identical to N cycles of the plain fast-step window AND to N
-// Core::StepCycle calls. The tests mirror predecode_test.cc's structure —
+// byte-identical to N Core::StepCycle calls. The tests mirror predecode_test.cc's structure —
 // digest matrices at awkward sync points, an invalidation matrix against
 // every coherence source, and snapshot round trips — with the superblock
 // cache's own counters checked on the side so none of the parity checks can
 // pass vacuously with the tier disabled.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "metal/system.h"
 #include "snap/snapshot.h"
 #include "snap/snapstream.h"
+#include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
 
 namespace msim {
@@ -56,13 +59,7 @@ void ExpectSameRetires(const std::vector<Retire>& a, const std::vector<Retire>& 
 }
 
 // Identical geometry everywhere so SaveState streams (and digests) compare;
-// only the stepping tier under test varies.
-CoreConfig NoSuperblockConfig() {
-  CoreConfig config;
-  config.superblocks = false;
-  return config;
-}
-
+// only the stepping mode under test varies.
 CoreConfig PerCycleConfig() {
   CoreConfig config;
   config.fast_step = false;
@@ -96,50 +93,40 @@ constexpr const char* kMixedProgram = R"(
 )";
 
 // ---------------------------------------------------------------------------
-// Byte-exactness across all three stepping tiers.
+// Byte-exactness against the per-cycle reference.
 // ---------------------------------------------------------------------------
 
-TEST(SuperblockTest, ByteExactAgainstWindowAndPerCycleAtManySyncPoints) {
-  Core traced;  // defaults: superblocks on
-  Core window(NoSuperblockConfig());
+TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
+  Core traced;  // defaults: fast_step on
   Core percycle(PerCycleConfig());
   const Program program = MustAssemble(kMixedProgram);
-  for (Core* core : {&traced, &window, &percycle}) {
+  for (Core* core : {&traced, &percycle}) {
     ASSERT_OK(core->LoadProgram(program));
   }
-  std::vector<Retire> a, b, c;
+  std::vector<Retire> a, c;
   RecordRetires(traced, &a);
-  RecordRetires(window, &b);
   RecordRetires(percycle, &c);
 
   // Deliberately awkward chunk sizes so sync points land mid-trace, on
-  // chained back edges and inside the two-cycle refill. Neither superblocks
-  // nor fast_step joins CoreConfigHash, so the digests are comparable.
+  // chained back edges and inside the two-cycle refill. fast_step does not
+  // join CoreConfigHash, so the digests are comparable.
   const uint64_t kChunks[] = {1, 2, 3, 7, 64, 129, 1000, 4096, 977, 50000};
   uint64_t at = 0;
   for (const uint64_t chunk : kChunks) {
     traced.Run(chunk);
-    window.Run(chunk);
     percycle.Run(chunk);
     at += chunk;
-    ASSERT_EQ(traced.cycle(), window.cycle()) << "after " << at << " cycles";
     ASSERT_EQ(traced.cycle(), percycle.cycle()) << "after " << at << " cycles";
     ASSERT_EQ(traced.StateDigest(/*include_dram=*/true),
-              window.StateDigest(/*include_dram=*/true))
-        << "trace tier diverged from the window by cycle " << at;
-    ASSERT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
+              percycle.StateDigest(/*include_dram=*/true))
         << "trace tier diverged from per-cycle by cycle " << at;
   }
   const RunResult rt = traced.Run(2'000'000);
-  const RunResult rw = window.Run(2'000'000);
   const RunResult rp = percycle.Run(2'000'000);
   EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rw.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rt.exit_code, rw.exit_code);
   EXPECT_EQ(rt.exit_code, rp.exit_code);
-  EXPECT_EQ(traced.StateDigest(true), window.StateDigest(true));
-  ExpectSameRetires(a, b);
+  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
   ExpectSameRetires(a, c);
 
   // The parity above actually exercised the tier: traces built, executed,
@@ -150,8 +137,7 @@ TEST(SuperblockTest, ByteExactAgainstWindowAndPerCycleAtManySyncPoints) {
   EXPECT_GT(stats.chains, 0u);
   EXPECT_GT(stats.instructions, 0u);
   EXPECT_LE(stats.instructions, traced.stats().instret);
-  // And the control cores never ran it.
-  EXPECT_EQ(window.superblocks().stats().executions, 0u);
+  // And the control core never ran it.
   EXPECT_EQ(percycle.superblocks().stats().executions, 0u);
 }
 
@@ -173,10 +159,9 @@ constexpr const char* kTimerHandler = R"(
 )";
 
 TEST(SuperblockTest, ByteExactWithTimerInterruptsAcrossHorizons) {
-  // Satellite regression for the horizon audit: a chained trace must never
-  // commit a cycle at or past the device-event horizon computed at window
-  // entry, so every interrupt is taken at exactly the cycle the plain
-  // window (and per-cycle core) takes it.
+  // Horizon audit regression: a chained trace must never commit a cycle at
+  // or past the device-event horizon computed at StepFast entry, so every
+  // interrupt is taken at exactly the cycle the per-cycle core takes it.
   auto boot = [](Core& core) {
     MustLoadMcodeRaw(core, kTimerHandler);
     ASSERT_OK(core.LoadProgram(MustAssemble(R"(
@@ -194,46 +179,59 @@ TEST(SuperblockTest, ByteExactWithTimerInterruptsAcrossHorizons) {
     core.timer().Write32(8, 1);     // enable
   };
   Core traced;
-  Core window(NoSuperblockConfig());
+  Core percycle(PerCycleConfig());
   boot(traced);
-  boot(window);
+  boot(percycle);
 
   const uint64_t kChunks[] = {500, 333, 1024, 10000, 50000};
   for (const uint64_t chunk : kChunks) {
     traced.Run(chunk);
-    window.Run(chunk);
-    ASSERT_EQ(traced.cycle(), window.cycle());
-    ASSERT_EQ(traced.StateDigest(true), window.StateDigest(true))
+    percycle.Run(chunk);
+    ASSERT_EQ(traced.cycle(), percycle.cycle());
+    ASSERT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
         << "diverged by cycle " << traced.cycle();
   }
   const RunResult rt = traced.Run(2'000'000);
-  const RunResult rw = window.Run(2'000'000);
+  const RunResult rp = percycle.Run(2'000'000);
   EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(rw.reason, RunResult::Reason::kHalted);
-  EXPECT_EQ(traced.stats().interrupts, window.stats().interrupts);
+  EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(traced.stats().interrupts, percycle.stats().interrupts);
   EXPECT_GE(traced.stats().interrupts, 10u);
-  EXPECT_EQ(traced.StateDigest(true), window.StateDigest(true));
+  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
   EXPECT_GT(traced.superblocks().stats().chains, 0u);
 }
 
-TEST(SuperblockTest, MaxLenKnobGatesAndBoundsTraces) {
-  // Below kSuperblockMinLen the tier shuts off entirely; at the minimum it
-  // still runs. Either way behavior is byte-exact (guaranteed by the matrix
-  // above; here the knob wiring itself is under test).
-  CoreConfig off_config;
-  off_config.superblock_max_len = 1;
-  Core off(off_config);
-  CoreConfig tiny_config;
-  tiny_config.superblock_max_len = 2;
-  Core tiny(tiny_config);
-  const Program program = MustAssemble(kMixedProgram);
-  ASSERT_OK(off.LoadProgram(program));
-  ASSERT_OK(tiny.LoadProgram(program));
-  MustHalt(off, 400);
-  MustHalt(tiny, 400);
-  EXPECT_FALSE(off.superblocks().enabled());
-  EXPECT_EQ(off.superblocks().stats().executions, 0u);
-  EXPECT_GT(tiny.superblocks().stats().executions, 0u);
+// A loop body of 150 straight-line instructions: longer than one segment.
+std::string LongStraightLineProgram() {
+  std::string source = "_start:\n  li s0, 20\nloop:\n";
+  for (int i = 0; i < 150; ++i) {
+    source += "  addi a0, a0, 1\n";
+  }
+  source += "  addi s0, s0, -1\n  bnez s0, loop\n  halt a0\n";
+  return source;
+}
+
+TEST(SuperblockTest, SegmentsAreBoundedByMaxLen) {
+  // The build walk stops at kSuperblockMaxLen executable slots; the rest of
+  // the body runs per cycle after the trace exits, byte-exact as ever.
+  Core traced;
+  Core percycle(PerCycleConfig());
+  const Program program = MustAssemble(LongStraightLineProgram());
+  std::vector<Retire> a, b;
+  RecordRetires(traced, &a);
+  RecordRetires(percycle, &b);
+  for (Core* core : {&traced, &percycle}) {
+    ASSERT_OK(core->LoadProgram(program));
+    MustHalt(*core, 20 * 150);
+  }
+  ExpectSameRetires(a, b);
+  const Superblock* sb = traced.superblocks().Lookup(program.symbols.at("loop"));
+  ASSERT_NE(sb, nullptr);
+  EXPECT_EQ(sb->exec_len, kSuperblockMaxLen);
+  for (const SbSegment& seg : sb->segs) {
+    EXPECT_LE(seg.exec_len, kSuperblockMaxLen);
+  }
+  EXPECT_GT(traced.superblocks().stats().executions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,15 +264,15 @@ constexpr const char* kSelfModifyingProgram = R"(
 
 TEST(SuperblockInvalidationTest, SelfModifyingStoreKillsAffectedTrace) {
   Core traced;  // defaults
-  Core window(NoSuperblockConfig());
+  Core percycle(PerCycleConfig());
   ASSERT_OK(traced.LoadProgram(MustAssemble(kSelfModifyingProgram)));
-  ASSERT_OK(window.LoadProgram(MustAssemble(kSelfModifyingProgram)));
+  ASSERT_OK(percycle.LoadProgram(MustAssemble(kSelfModifyingProgram)));
   std::vector<Retire> a, b;
   RecordRetires(traced, &a);
-  RecordRetires(window, &b);
+  RecordRetires(percycle, &b);
   // 3 iterations of +1, then the patched +5 for the remaining 3.
   MustHalt(traced, 18);
-  MustHalt(window, 18);
+  MustHalt(percycle, 18);
   ExpectSameRetires(a, b);
   // The store bumped the DRAM write generation; the per-fetch raw-word
   // revalidation must have caught the stale slot and killed its trace.
@@ -312,26 +310,23 @@ constexpr const char* kStoreAheadProgram = R"(
 
 TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
   Core traced;  // defaults
-  Core window(NoSuperblockConfig());
   Core percycle(PerCycleConfig());
   const Program program = MustAssemble(kStoreAheadProgram);
-  std::vector<Retire> a, b, c;
+  std::vector<Retire> a, c;
   RecordRetires(traced, &a);
-  RecordRetires(window, &b);
   RecordRetires(percycle, &c);
   std::vector<RunResult> results;
-  for (Core* core : {&traced, &window, &percycle}) {
+  for (Core* core : {&traced, &percycle}) {
     ASSERT_OK(core->LoadProgram(program));
     results.push_back(core->Run(100000));
   }
   // The per-cycle machine defines whether the patched word is visible on the
-  // patching iteration itself; the tiers must agree byte-for-byte rather
+  // patching iteration itself; the tier must agree byte-for-byte rather
   // than match a hand-computed constant.
   for (const RunResult& r : results) {
     EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
-  ExpectSameRetires(a, b);
   ExpectSameRetires(a, c);
   EXPECT_GT(traced.superblocks().stats().executions, 0u);
   EXPECT_GT(traced.superblocks().stats().mem_fast_hits, 0u);
@@ -342,7 +337,7 @@ TEST(SuperblockInvalidationTest, StoreIntoExecutingTraceAheadOfPcIsByteExact) {
 // mapping, so the next trace entry reaches its lw slot with ProbeTranslate
 // missing — the memory slot must force a slow exit (uncommitted) and replay
 // per-cycle, where the architectural TLB miss fires and the delegated
-// handler refills. Byte-exact against the window and per-cycle references.
+// handler refills. Byte-exact against the per-cycle reference.
 constexpr const char* kTlbEvictMcode = R"(
     .mentry 10, tlb_miss
   tlb_miss:
@@ -384,17 +379,13 @@ constexpr const char* kTlbEvictProgram = R"(
 )";
 
 TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
-  CoreConfig traced_config;
-  CoreConfig window_config = NoSuperblockConfig();
-  CoreConfig percycle_config = PerCycleConfig();
-  MetalSystem traced(traced_config);
-  MetalSystem window(window_config);
-  MetalSystem percycle(percycle_config);
-  std::vector<Retire> a, b, c;
-  std::vector<Retire>* streams[] = {&a, &b, &c};
-  MetalSystem* systems[] = {&traced, &window, &percycle};
+  MetalSystem traced;
+  MetalSystem percycle(PerCycleConfig());
+  std::vector<Retire> a, c;
+  std::vector<Retire>* streams[] = {&a, &c};
+  MetalSystem* systems[] = {&traced, &percycle};
   std::vector<RunResult> results;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     MetalSystem& s = *systems[i];
     s.AddMcode(kTlbEvictMcode);
     ASSERT_OK(s.LoadProgramSource(kTlbEvictProgram));
@@ -411,7 +402,6 @@ TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
     EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
     EXPECT_EQ(r.exit_code, results[0].exit_code);
   }
-  ExpectSameRetires(a, b);
   ExpectSameRetires(a, c);
   // The hot spin loop's memory slots ran the fast path between evictions and
   // hit the missing-translation slow exit right after each one.
@@ -459,18 +449,18 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
   // retire streams identical with and without the tier.
   CoreConfig traced_config;
   traced_config.mram_parity = false;
-  CoreConfig window_config = NoSuperblockConfig();
-  window_config.mram_parity = false;
+  CoreConfig percycle_config = PerCycleConfig();
+  percycle_config.mram_parity = false;
   MetalSystem traced(traced_config);
-  MetalSystem window(window_config);
-  for (MetalSystem* s : {&traced, &window}) {
+  MetalSystem percycle(percycle_config);
+  for (MetalSystem* s : {&traced, &percycle}) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
     ASSERT_OK(s->Boot());
   }
   std::vector<Retire> a, b;
   RecordRetires(traced.core(), &a);
-  RecordRetires(window.core(), &b);
+  RecordRetires(percycle.core(), &b);
   auto drive = [](MetalSystem& s) -> RunResult {
     s.Run(1500);
     // Flip `add t0, t0, a0` (second mroutine word) into `sub`.
@@ -480,7 +470,7 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
     return s.Run(2'000'000);
   };
   const RunResult ra = drive(traced);
-  const RunResult rb = drive(window);
+  const RunResult rb = drive(percycle);
   EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
@@ -490,10 +480,10 @@ TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
 
 TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
   // An attached fault engine can flip any word at any cycle, behind every
-  // generation counter. StepFast refuses the whole window in that case —
-  // and the superblock tier with it. Regression for the entry guard: the
+  // generation counter. StepFast refuses to start in that case, so no trace
+  // ever runs. Regression for the entry guard: the
   // counters must stay zero and behavior must match the per-cycle reference.
-  MetalSystem traced;  // defaults: superblocks on
+  MetalSystem traced;  // defaults: fast_step on
   MetalSystem reference(PerCycleConfig());
   FaultEngine traced_engine(/*seed=*/7);
   FaultEngine reference_engine(/*seed=*/7);
@@ -526,8 +516,8 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
   // portable across stepping modes); restore invalidates the cache and the
   // tier rebuilds deterministically. The continuation retire stream of the
   // restored machine must equal the uninterrupted one — including into a
-  // core with the tier off, and a per-cycle core.
-  Core original;  // defaults: superblocks on
+  // per-cycle core.
+  Core original;  // defaults: fast_step on
   ASSERT_OK(original.LoadProgram(MustAssemble(kMixedProgram)));
   original.Run(1234);  // mid-loop, trace cache warm
   const std::vector<uint8_t> image = SaveSnapshot(original);
@@ -550,7 +540,6 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
     ExpectSameRetires(rest_of_original, rest);
   };
   resume(CoreConfig{});
-  resume(NoSuperblockConfig());
   resume(PerCycleConfig());
 }
 
@@ -568,17 +557,17 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
   core.superblocks().SaveState(first);
   const std::vector<uint8_t> bytes = first.TakeBytes();
 
-  SuperblockCache restored(/*enabled=*/true, /*max_len=*/64);
+  SuperblockCache restored(/*enabled=*/true);
   SnapReader reader(bytes);
   ASSERT_OK(restored.RestoreState(reader));
   SnapWriter second;
   restored.SaveState(second);
   EXPECT_EQ(second.TakeBytes(), bytes);
 
-  // Restoring into a core with the tier disabled keeps the counters (the
+  // Restoring into a per-cycle core (tier disabled) keeps the counters (the
   // executor never runs, so --stats-json stays byte-identical) but drops
   // the traces.
-  SuperblockCache disabled(/*enabled=*/false, /*max_len=*/64);
+  SuperblockCache disabled(/*enabled=*/false);
   SnapReader reader2(bytes);
   ASSERT_OK(disabled.RestoreState(reader2));
   EXPECT_EQ(disabled.stats().builds, core.superblocks().stats().builds);
@@ -588,7 +577,7 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
 }
 
 TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
-  SuperblockCache cache(/*enabled=*/true, /*max_len=*/64);
+  SuperblockCache cache(/*enabled=*/true);
   {
     // Trace count past the cache geometry.
     SnapWriter w;
@@ -609,18 +598,51 @@ TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
     EXPECT_FALSE(cache.RestoreState(r).ok());
   }
   {
-    // An executable slot whose raw word is not window-safe (a load).
+    // An executable slot whose raw word is not trace-safe.
     SnapWriter w;
     w.U32(1);
     w.U32(0x1000);      // start
     w.U32(2);           // exec_len
     w.U32(2);           // len
     w.U32(0x00000013);  // addi x0, x0, 0 — fine
-    w.U32(0x00002003);  // lw x0, 0(x0) — untranslatable
+    w.U32(0x00000073);  // ecall — untranslatable
     const std::vector<uint8_t> bytes = w.TakeBytes();
     SnapReader r(bytes);
     EXPECT_FALSE(cache.RestoreState(r).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// CLI: fast_step is the one stepping flag; the removed tier flags and the
+// removed mfuzz oracle are usage errors (exit 2), never silently ignored.
+// ---------------------------------------------------------------------------
+
+int RunShell(const std::string& command) {
+  const int raw = std::system(command.c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(StepFlagCliTest, RemovedTierFlagsExitUsage) {
+  const std::string program = testing::TempDir() + "/step_flags_halt.s";
+  {
+    std::ofstream out(program);
+    out << "_start:\n  halt zero\n";
+  }
+  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " ";
+  const std::string replay =
+      std::string(MSIM_CLI_PATH) + " replay " + program + " --until-divergence ";
+  const std::string quiet = " 2>/dev/null";
+  EXPECT_EQ(RunShell(run + "--no-fast-step" + quiet), kExitOk);
+  EXPECT_EQ(RunShell(replay + "--b-no-fast-step" + quiet), kExitOk);
+  EXPECT_EQ(RunShell(run + "--no-superblocks" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(run + "--superblock-max-trees 4" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(run + "--superblock-max-trees 4294967297" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(replay + "--no-superblocks" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(replay + "--b-superblocks" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(replay + "--b-no-superblocks" + quiet), kExitUsage);
+  EXPECT_EQ(RunShell(std::string(MFUZZ_CLI_PATH) + " --oracle superblock --runs 1 --out " +
+                     testing::TempDir() + "/step_flags_mfuzz" + quiet),
+            kExitUsage);
 }
 
 }  // namespace

@@ -36,11 +36,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "cli_util.h"
 #include "cpu/trap.h"
 #include "metal/system.h"
 #include "support/exit_codes.h"
@@ -63,30 +63,6 @@ int Usage() {
   return kExitUsage;
 }
 
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
-}
-
-bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
-  if (mode == "mram") {
-    *out = MroutineStorage::kMram;
-  } else if (mode == "dram-cached") {
-    *out = MroutineStorage::kDramCached;
-  } else if (mode == "dram-uncached") {
-    *out = MroutineStorage::kDramUncached;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool ParseTarget(const std::string& name, FaultTarget* out) {
   for (const FaultTarget target :
        {FaultTarget::kMramCode, FaultTarget::kMramData, FaultTarget::kMreg, FaultTarget::kTlb,
@@ -97,16 +73,6 @@ bool ParseTarget(const std::string& name, FaultTarget* out) {
     }
   }
   return false;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 // Final path component, for naming guest copies inside SDC repro dirs.

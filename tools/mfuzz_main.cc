@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "cli_util.h"
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
@@ -68,21 +69,9 @@ int Usage() {
   std::fprintf(stderr,
                "usage: mfuzz [--seed N] [--runs N] [--time-budget-seconds N] "
                "[--max-cycles N]\n"
-               "             [--oracle all|determinism|storage|fast|faststep|superblock|"
-               "injection]\n"
+               "             [--oracle all|determinism|storage|fast|faststep|injection]\n"
                "             [--no-parity] [--out DIR]\n");
   return kExitUsage;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,22 +312,12 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
     oracles.push_back(o);
   }
   if (which == "all" || which == "faststep") {
-    // Hot-path stepping vs per-cycle reference. No canonicalization: StepFast
-    // is byte-exact, so every retire (cycle included) must match. Retire
-    // granularity because the per-cycle driver would never run the hot path.
+    // Traced stepping vs the per-cycle reference. No canonicalization:
+    // StepFast is byte-exact, so every retire (cycle included) must match.
+    // Retire granularity because the per-cycle driver would never run the
+    // trace tier.
     Oracle o{"faststep", base, base, {}};
     o.config_b.fast_step = false;
-    o.options.granularity = CompareGranularity::kRetire;
-    o.options.max_cycles = max_cycles;
-    oracles.push_back(o);
-  }
-  if (which == "all" || which == "superblock") {
-    // Superblock trace execution vs the plain fast-step window. Byte-exact
-    // like faststep: no canonicalization, every retire (cycle included) must
-    // match. Catches trace-build, chaining and invalidation bugs that the
-    // faststep oracle would attribute to the whole hot path.
-    Oracle o{"superblock", base, base, {}};
-    o.config_b.superblocks = false;
     o.options.granularity = CompareGranularity::kRetire;
     o.options.max_cycles = max_cycles;
     oracles.push_back(o);
@@ -424,8 +403,6 @@ int WriteArtifacts(const std::string& out_dir, uint64_t seed, const char* oracle
     b_flags = " --b-no-fast";
   } else if (std::strcmp(oracle_name, "faststep") == 0) {
     b_flags = " --b-no-fast-step";
-  } else if (std::strcmp(oracle_name, "superblock") == 0) {
-    b_flags = " --b-no-superblocks";
   }
   repro += StrFormat(
       "exec msim replay program.s --mcode mcode.s --until-divergence%s --max-cycles %llu\n",
@@ -604,11 +581,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--oracle" && i + 1 < args.size()) {
       oracle_name = args[++i];
       if (oracle_name != "all" && oracle_name != "determinism" && oracle_name != "storage" &&
-          oracle_name != "fast" && oracle_name != "faststep" && oracle_name != "superblock" &&
-          oracle_name != "injection") {
+          oracle_name != "fast" && oracle_name != "faststep" && oracle_name != "injection") {
         std::fprintf(stderr,
-                     "unknown oracle '%s' (want all, determinism, storage, fast, faststep, "
-                     "superblock or injection)\n",
+                     "unknown oracle '%s' (want all, determinism, storage, fast, faststep "
+                     "or injection)\n",
                      oracle_name.c_str());
         return 2;
       }

@@ -46,8 +46,8 @@
 //   msim replay <program.s> [run options] --until-divergence [replay options]
 //     runs configuration A (the shared run options) in lockstep against a
 //     second configuration B derived from it (--b-storage / --b-fast /
-//     --b-no-fast / --b-inject / --b-fault-seed) and reports the first
-//     divergence. Exit: 0 = identical, 10 = divergence, 2 = usage, 1 = error.
+//     --b-no-fast / --b-no-fast-step / --b-inject / --b-fault-seed) and
+//     reports the first divergence. Exit: 0 = identical, 10 = divergence, 2 = usage, 1 = error.
 //
 // Malformed numeric arguments exit with status 2. The program's exit code
 // (from `halt rs1`) becomes the process exit code; every other outcome uses
@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "asm/assembler.h"
+#include "cli_util.h"
 #include "cpu/core.h"
 #include "fault/crash_dump.h"
 #include "fault/fault.h"
@@ -101,8 +102,7 @@ int Usage() {
                "usage:\n"
                "  msim run <program.s> [--mcode file.s]... [--storage mram|dram-cached|"
                "dram-uncached]\n"
-               "           [--no-fast] [--no-fast-step] [--no-superblocks]\n"
-               "           [--superblock-max-trees N] [--max-cycles N]\n"
+               "           [--no-fast] [--no-fast-step] [--max-cycles N]\n"
                "           [--trace-stats] [--trace [N]]\n"
                "           [--stats-json FILE] [--trace-json FILE] [--profile-mroutines]\n"
                "           [--inject SPEC]... [--list-fault-targets] [--fault-seed N]\n"
@@ -113,38 +113,11 @@ int Usage() {
                "  msim replay <program.s> [run options] --until-divergence\n"
                "           [--compare auto|cycle|retire] [--b-storage MODE] [--b-fast|"
                "--b-no-fast]\n"
-               "           [--b-fast-step|--b-no-fast-step] [--b-superblocks|--b-no-superblocks]\n"
+               "           [--b-fast-step|--b-no-fast-step]\n"
                "           [--b-inject SPEC]... [--b-fault-seed N] [--divergence-json FILE]\n"
                "  msim asm <file.s>\n"
                "  msim table2\n");
   return kExitUsage;
-}
-
-// Strict numeric flag parsing (support/strings.h ParseInt): rejects trailing
-// junk ("100abc"), bare garbage and values that overflow, instead of the
-// strtoull behaviour of silently yielding 0 or saturating.
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
-}
-
-bool ParseStorageMode(const std::string& mode, MroutineStorage* out) {
-  if (mode == "mram") {
-    *out = MroutineStorage::kMram;
-  } else if (mode == "dram-cached") {
-    *out = MroutineStorage::kDramCached;
-  } else if (mode == "dram-uncached") {
-    *out = MroutineStorage::kDramUncached;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const char* ReasonName(RunResult::Reason reason) {
@@ -179,16 +152,6 @@ void InstallStopHandlers() {
 // results (the CI determinism job proves chunked == straight byte-for-byte),
 // so this only bounds stop latency, ~1 ms of host time per chunk.
 constexpr uint64_t kSignalPollCycles = 1u << 16;
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 // Enumerates the core's MetricRegistry instead of hand-copying struct fields;
 // every counter any component registered shows up here automatically. Written
@@ -296,14 +259,6 @@ int CmdRun(const std::vector<std::string>& args) {
       config.fast_transition = false;
     } else if (arg == "--no-fast-step") {
       config.fast_step = false;
-    } else if (arg == "--no-superblocks") {
-      config.superblocks = false;
-    } else if (arg == "--superblock-max-trees" && i + 1 < args.size()) {
-      uint64_t trees = 0;
-      if (!ParseU64Flag("--superblock-max-trees", args[++i], &trees)) {
-        return 2;
-      }
-      config.superblock_max_trees = static_cast<uint32_t>(trees);
     } else if (arg == "--max-cycles" && i + 1 < args.size()) {
       if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
         return 2;
@@ -773,7 +728,6 @@ int CmdReplay(const std::vector<std::string>& args) {
   MroutineStorage b_storage = MroutineStorage::kMram;
   int b_fast = -1;  // -1 = inherit A's setting, 0 = slow, 1 = fast
   int b_fast_step = -1;  // same convention, for CoreConfig::fast_step
-  int b_superblocks = -1;  // same convention, for CoreConfig::superblocks
   std::vector<std::string> inject_b;
   uint64_t fault_seed_b = 0;
   bool b_seed_set = false;
@@ -794,14 +748,6 @@ int CmdReplay(const std::vector<std::string>& args) {
       config_a.fast_transition = false;
     } else if (arg == "--no-fast-step") {
       config_a.fast_step = false;
-    } else if (arg == "--no-superblocks") {
-      config_a.superblocks = false;
-    } else if (arg == "--superblock-max-trees" && i + 1 < args.size()) {
-      uint64_t trees = 0;
-      if (!ParseU64Flag("--superblock-max-trees", args[++i], &trees)) {
-        return 2;
-      }
-      config_a.superblock_max_trees = static_cast<uint32_t>(trees);
     } else if (arg == "--max-cycles" && i + 1 < args.size()) {
       if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
         return 2;
@@ -842,10 +788,6 @@ int CmdReplay(const std::vector<std::string>& args) {
       b_fast_step = 1;
     } else if (arg == "--b-no-fast-step") {
       b_fast_step = 0;
-    } else if (arg == "--b-superblocks") {
-      b_superblocks = 1;
-    } else if (arg == "--b-no-superblocks") {
-      b_superblocks = 0;
     } else if (arg == "--b-inject" && i + 1 < args.size()) {
       inject_b.push_back(args[++i]);
     } else if (arg == "--b-fault-seed" && i + 1 < args.size()) {
@@ -876,9 +818,6 @@ int CmdReplay(const std::vector<std::string>& args) {
   if (b_fast_step != -1) {
     config_b.fast_step = (b_fast_step == 1);
   }
-  if (b_superblocks != -1) {
-    config_b.superblocks = (b_superblocks == 1);
-  }
 
   // Cycle-granularity lockstep compares full per-cycle state digests, which
   // only lines up when both machines have identical timing. Fault injection
@@ -890,8 +829,7 @@ int CmdReplay(const std::vector<std::string>& args) {
   // cycle-granularity driver steps both cores per cycle and would never run
   // the hot path at all — a fast-vs-slow compare only means something at
   // retire granularity, where A is pumped through StepFast.
-  const bool same_stepping = config_b.fast_step == config_a.fast_step &&
-                             config_b.superblocks == config_a.superblocks;
+  const bool same_stepping = config_b.fast_step == config_a.fast_step;
   LockstepOptions options;
   if (compare_mode == "cycle") {
     if (!same_timing) {
@@ -903,8 +841,7 @@ int CmdReplay(const std::vector<std::string>& args) {
     if (!same_stepping) {
       std::fprintf(stderr,
                    "--compare cycle steps both machines per cycle and would not exercise "
-                   "fast_step/superblocks; use --compare retire with --b-no-fast-step or "
-                   "--b-no-superblocks\n");
+                   "fast_step; use --compare retire with --b-no-fast-step\n");
       return 2;
     }
     options.granularity = CompareGranularity::kCycle;

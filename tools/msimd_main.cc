@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.h"
 #include "fleet/manifest.h"
 #include "fleet/report.h"
 #include "fleet/scheduler.h"
@@ -41,19 +42,6 @@ int Usage() {
                "--msim defaults to an 'msim' binary next to msimd; --fleet-json defaults\n"
                "to <out-dir>/fleet.json ('-' writes the report to stdout).\n");
   return kExitUsage;
-}
-
-// Strict numeric flag parsing, same contract as msim's: trailing junk, bare
-// garbage and overflow are errors, never silently 0.
-bool ParseU64Flag(const char* flag, const std::string& text, uint64_t* out) {
-  const auto value = ParseInt(text);
-  if (!value || *value < 0) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (want a non-negative integer)\n", flag,
-                 text.c_str());
-    return false;
-  }
-  *out = static_cast<uint64_t>(*value);
-  return true;
 }
 
 // Default worker binary: 'msim' in the directory msimd was invoked from.
