@@ -130,18 +130,30 @@ void Core::ResetStats() {
   metal_.ResetStats();
 }
 
-RunResult Core::Run(uint64_t max_cycles) {
+RunResult Core::Run(uint64_t max_cycles, uint64_t max_retires) {
   if (max_cycles == 0) {
     max_cycles = config_.default_max_cycles;
   }
   const uint64_t start_cycle = cycle_;
-  while (!halted_ && !has_fatal_ && cycle_ - start_cycle < max_cycles) {
-    if (config_.fast_step &&
-        StepFast(max_cycles - (cycle_ - start_cycle)) != 0) {
+  const uint64_t start_instret = stats_.instret;
+  if (config_.fast_step) {
+    // Host-side device calls (SchedulePacket, register pokes, a restore) may
+    // have moved the next event since the last Run.
+    device_horizon_ = bus_.NextDeviceEventCycle(cycle_);
+  }
+  while (!halted_ && !has_fatal_ && cycle_ - start_cycle < max_cycles &&
+         (max_retires == 0 || stats_.instret - start_instret < max_retires)) {
+    if (config_.fast_step && FastStepMayStart() &&
+        StepFast(max_cycles - (cycle_ - start_cycle),
+                 max_retires == 0 ? 0 : max_retires - (stats_.instret - start_instret)) != 0) {
       continue;
     }
     StepCycle();
   }
+  // Return with the devices current, so host code sees the same state as
+  // after the per-cycle reference; outside Run every cycle ticks again.
+  CatchUpDevices();
+  device_horizon_ = 0;
   RunResult result;
   result.cycles = cycle_ - start_cycle;
   result.instret = stats_.instret;
@@ -189,7 +201,15 @@ void Core::StepCycle() {
       return;
     }
   }
-  bus_.TickDevices(cycle_, intc_);
+  if (cycle_ >= device_horizon_) {
+    bus_.TickDevices(cycle_, intc_);
+    owed_device_tick_ = 0;
+    if (device_horizon_ != 0) {
+      device_horizon_ = bus_.NextDeviceEventCycle(cycle_);
+    }
+  } else {
+    owed_device_tick_ = cycle_;
+  }
   redirect_this_cycle_ = false;
   ex_load_this_cycle_ = false;
   StageMem();
@@ -237,18 +257,11 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // the per-cycle machinery, which then counts the miss and raises the
   // fault. bus_fault_armed_ is normally implied by fault_engine_, but can
   // survive it via checkpoint restore — the armed corruption must land
-  // through the per-cycle MEM stage.
-  if (fault_engine_ != nullptr || arch_metal_ || frontend_metal_ ||
-      inflight_mode_ops_ != 0 || in_machine_check_ || bus_fault_armed_ ||
-      metal_.AnyInterceptEnabled() || (intc_.pending() & metal_.ienable()) != 0 ||
-      config_.cache_hit_latency != 1) {
-    return 0;
-  }
-  // Pipeline shape: empty — both latches invalid, MEM and the fetch unit
-  // idle. That is the refill state after a taken branch or a cold start, and
-  // the only state a trace can start from.
-  if (id_ex_.valid || if_id_.valid || ex_mem_.valid || fetch_inflight_ ||
-      fetch_wait_ != 0 || fetch_buffer_.valid) {
+  // through the per-cycle MEM stage. FastStepMayStart adds non-Metal mode
+  // and the pipeline shape.
+  if (!FastStepMayStart() || fault_engine_ != nullptr || in_machine_check_ ||
+      bus_fault_armed_ || metal_.AnyInterceptEnabled() ||
+      (intc_.pending() & metal_.ienable()) != 0 || config_.cache_hit_latency != 1) {
     return 0;
   }
 
@@ -256,8 +269,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // First cycle at which any device tick has an effect; cycles strictly below
   // it need no TickDevices call. Stable across traces: their memory traffic
   // is DRAM-only (MMIO is excluded from every memory slot), so no store can
-  // move a device's next event.
-  const uint64_t horizon = bus_.NextDeviceEventCycle(cycle_);
+  // move a device's next event. Inside Run it is the cached horizon.
+  const uint64_t horizon =
+      device_horizon_ != 0 ? device_horizon_ : bus_.NextDeviceEventCycle(cycle_);
   const uint32_t dram_size = bus_.dram().size();
   // Translation context. Stable across traces: PGENABLE/ASID/KEYPERM and the
   // TLB itself move only under Metal-only instructions, which no trace holds.
@@ -1084,12 +1098,16 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     dcache_.CreditHits(dcache_hits);
     mmu_.tlb().CreditHits(tlb_hits);
     fetch_pc_ = pc;
-    // Catch the devices up to the current cycle in one tick. Sound because no
+    // The devices owe one tick at the current cycle. Sound because no
     // committed cycle reached the horizon: the tick observes the new cycle
     // count (e.g. the timer's COUNT register) but cannot fire anything, and
     // it is the FIRST tick at cycle_, so non-idempotent fire paths (periodic
-    // timer re-arm) are never re-run.
-    bus_.TickDevices(cycle_, intc_);
+    // timer re-arm) are never re-run. Inside Run it waits for the next
+    // catch-up point; a direct call pays it here.
+    owed_device_tick_ = cycle_;
+    if (device_horizon_ == 0) {
+      CatchUpDevices();
+    }
   }
   return committed;
 }
@@ -1271,12 +1289,18 @@ void Core::StageMem() {
       break;
     }
     case MemOp::Target::kMmio: {
+      // The device must see this cycle's tick before the access, and the
+      // access may move its next event.
+      CatchUpDevices();
       if (op.is_store) {
         ok = bus_.Write32(op.paddr, op.store_value);
       } else {
         const auto value = bus_.Read32(op.paddr);
         ok = value.has_value();
         loaded = value.value_or(0);
+      }
+      if (device_horizon_ != 0) {
+        device_horizon_ = bus_.NextDeviceEventCycle(cycle_);
       }
       break;
     }
@@ -2048,7 +2072,10 @@ void Core::StageId() {
       }
     }
 
-    IdReplacementChain(op);
+    // Only menter/mexit start a replacement chain; skip the call otherwise.
+    if (op.d.kind == InstrKind::kMenter || op.d.kind == InstrKind::kMexit) {
+      IdReplacementChain(op);
+    }
   }
 
   if_id_.valid = false;
@@ -2073,10 +2100,11 @@ Core::FetchResult Core::AccessFetch(uint32_t pc, bool metal_frontend, bool timin
       r.fault_addr = pc;
       return r;
     }
-    // Predecoded MRAM fetch. A generation hit means no MRAM write, scrub or
-    // injected corruption since the fill, so the cached word is the backing
-    // word and the parity re-check (which passed at fill time) is skipped —
-    // parity state cannot change without the generation changing.
+    // Predecoded MRAM fetch. A generation hit means no code write, scrub or
+    // injected code corruption since the fill, so the cached word is the
+    // backing word and the parity re-check (which passed at fill time) is
+    // skipped — code parity state cannot change without the generation
+    // changing. Data-segment traffic (mst) leaves the generation alone.
     const uint64_t gen = mram_.generation();
     if (const Decoded* hit = predecode_.Find(pc, gen)) {
       mram_.NoteCachedFetch(pc);  // count + trace exactly like FetchWord
@@ -2429,6 +2457,12 @@ Status Core::RestoreState(SnapReader& r) {
   MSIM_RETURN_IF_ERROR(timer_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(nic_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(console_.RestoreState(r));
+  // The restored devices are current at the restored cycle; their next
+  // event is whatever the restored state says.
+  owed_device_tick_ = 0;
+  if (device_horizon_ != 0) {
+    device_horizon_ = bus_.NextDeviceEventCycle(cycle_);
+  }
 
   const bool has_dram = r.Bool();
   MSIM_RETURN_IF_ERROR(r.ToStatus("core dram flag"));

@@ -96,7 +96,9 @@ class Core {
   // Loads a program's sections into DRAM and points fetch at its entry.
   Status LoadProgram(const Program& program);
 
-  // Advances one clock cycle.
+  // Advances one clock cycle. Called directly it ticks the devices every
+  // cycle — the naive per-cycle reference; inside a fast_step Run it ticks
+  // them only at their event horizon.
   void StepCycle();
 
   // Hot-path stepping (docs/performance.md): from an empty pipeline, runs
@@ -109,12 +111,17 @@ class Core {
   // --b-no-fast-step` and the mfuzz "faststep" oracle). Returns the number of
   // cycles committed; 0 when the current state is not eligible (caller falls
   // back to StepCycle). `max_retires` (0 = unlimited) additionally bounds the
-  // number of retired instructions, for retire-granular lockstep drivers.
+  // number of retired instructions, for Run's retire bound.
   uint64_t StepFast(uint64_t max_cycles, uint64_t max_retires = 0);
 
-  // Runs until halt, fatal error or the cycle budget is exhausted. Uses
-  // StepFast when config().fast_step is set.
-  RunResult Run(uint64_t max_cycles = 0);
+  // Runs until halt, fatal error or the cycle budget is exhausted, or — when
+  // `max_retires` is non-zero — until at least that many instructions have
+  // retired (reported as kCycleLimit; a per-cycle step may overshoot the
+  // retire bound by the one extra retire its cycle completes). With
+  // config().fast_step set it steps through StepFast where eligible and ticks
+  // the devices only at their event horizon (docs/performance.md); the
+  // state it returns in is byte-identical to the per-cycle reference's.
+  RunResult Run(uint64_t max_cycles = 0, uint64_t max_retires = 0);
 
   // --- component access ---
   const CoreConfig& config() const { return config_; }
@@ -277,6 +284,27 @@ class Core {
     enum class Target { kDram, kMmio, kMramData } target = Target::kDram;
   };
 
+  // Runs the owed device tick, if any: a tick below the horizon, so it only
+  // brings cycle-derived device state (timer COUNT) up to date.
+  void CatchUpDevices() {
+    if (owed_device_tick_ != 0) {
+      bus_.TickDevices(owed_device_tick_, intc_);
+      owed_device_tick_ = 0;
+    }
+  }
+
+  // StepFast's cheapest entry conditions, inline so Run skips the
+  // out-of-line call on the per-cycle path, where StepFast would refuse:
+  // non-Metal mode with no transition in flight, and an empty pipeline —
+  // both latches invalid, MEM and the fetch unit idle. That is the refill
+  // state after a taken branch or a cold start, and the only state a trace
+  // can start from.
+  bool FastStepMayStart() const {
+    return !arch_metal_ && !frontend_metal_ && inflight_mode_ops_ == 0 && !id_ex_.valid &&
+           !if_id_.valid && !ex_mem_.valid && !fetch_inflight_ && fetch_wait_ == 0 &&
+           !fetch_buffer_.valid;
+  }
+
   // --- stage logic ---
   void StageMem();
   void StageEx();
@@ -343,6 +371,17 @@ class Core {
 
   std::array<uint32_t, 32> regs_{};
   uint64_t cycle_ = 0;
+
+  // Device event horizon (docs/performance.md, "Per-cycle path under
+  // fast_step"). Inside a fast_step Run: the first cycle whose device tick
+  // may have an effect, recomputed after every firing tick and MMIO access.
+  // 0 outside Run, so direct StepCycle calls tick every cycle.
+  uint64_t device_horizon_ = 0;
+  // The last cycle whose device tick was skipped below the horizon and has
+  // not been caught up yet; 0 when none is owed. Ticks below the horizon
+  // only move cycle-derived state, so one catch-up tick at this cycle
+  // replaces all the skipped ones.
+  uint64_t owed_device_tick_ = 0;
 
   // Fetch unit.
   uint32_t fetch_pc_ = 0;

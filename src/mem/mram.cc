@@ -76,7 +76,6 @@ bool Mram::WriteData32(uint32_t offset, uint32_t value) {
   StoreWord(data_, offset, value);
   StoreWord(data_shadow_, offset, value);
   data_parity_[offset / 4] = WordParity(value);
-  ++generation_;
   return true;
 }
 
@@ -120,7 +119,6 @@ bool Mram::CorruptDataWord(uint32_t offset, uint32_t and_mask, uint32_t xor_mask
   }
   StoreWord(data_, offset, (LoadWord(data_, offset) & and_mask) ^ xor_mask);
   ++stats_.words_corrupted;
-  ++generation_;
   return true;
 }
 

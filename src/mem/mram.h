@@ -69,11 +69,13 @@ class Mram {
     }
   }
 
-  // Monotonic mutation counter covering BOTH segments: bumped by code/data
-  // writes (loader, mst), corruption behind the write path, scrubs, Clear
-  // and RestoreState. The predecode cache keys decoded mroutine words on it,
-  // so any MRAM mutation forces a re-fetch + parity re-check before a cached
-  // decode is trusted again.
+  // Monotonic mutation counter covering the CODE segment: bumped by loader
+  // code writes, code corruption behind the write path, scrubs, Clear and
+  // RestoreState. The predecode cache keys decoded mroutine words on it, so
+  // any code mutation forces a re-fetch + parity re-check before a cached
+  // decode is trusted again. Data-segment writes (mst) and data corruption
+  // leave it alone: no decode depends on data, and every mld re-checks data
+  // parity itself.
   uint64_t generation() const { return generation_; }
 
   // Loader-side write into the code segment (offset from kMramCodeBase).

@@ -176,19 +176,14 @@ Result<DivergenceReport> RunRetireLockstep(MetalSystem& sys_a, MetalSystem& sys_
 
   const uint64_t start_a = a.cycle();
   const uint64_t start_b = b.cycle();
-  // A fast_step core is pumped through StepFast so the compare actually
-  // exercises the hot path (that is the whole point of the fast-vs-slow
-  // oracle); max_retires bounds how far past the first retirement it can run
-  // so the record deques stay small. StepFast refuses ineligible states, so
-  // the StepCycle fallback below stays the reference.
+  // Each core advances through Core::Run, so a fast_step core takes exactly
+  // the stepping path of a plain run (traces and the device horizon — that
+  // is the whole point of the fast-vs-slow oracle) and a per-cycle core
+  // stays the reference. The retire bound keeps the record deques small.
   auto pump = [max_cycles](Core& core, std::deque<RetireRecord>& records,
                            uint64_t start) {
     while (records.empty() && !Finished(core) && core.cycle() - start < max_cycles) {
-      if (core.config().fast_step &&
-          core.StepFast(max_cycles - (core.cycle() - start), /*max_retires=*/1024) != 0) {
-        continue;
-      }
-      core.StepCycle();
+      core.Run(max_cycles - (core.cycle() - start), /*max_retires=*/1024);
     }
     return !records.empty();
   };

@@ -5,7 +5,7 @@
 //      fast_step core serializes to the identical SaveState stream as a
 //      per-cycle core, on plain loops and on the paper's Metal guests.
 //   2. The predecode cache never changes behavior: for every invalidation
-//      source in the coherence matrix (mst/loader writes, MRAMSCRUB,
+//      source in the coherence matrix (loader code writes, MRAMSCRUB,
 //      fault-engine flips behind the write path, self-modifying DRAM stores,
 //      snapshot restore) the retire stream matches a no-cache reference core
 //      cycle for cycle.
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/core.h"
@@ -21,7 +22,9 @@
 #include "ext/stm.h"
 #include "fault/fault.h"
 #include "metal/system.h"
+#include "snap/diverge.h"
 #include "snap/snapshot.h"
+#include "snap/snapstream.h"
 #include "tests/sim_test_util.h"
 
 namespace msim {
@@ -446,6 +449,163 @@ TEST(FastStepTest, SingleCycleLockstepHoldsAtEveryHorizonBoundary) {
   EXPECT_GE(fast.stats().interrupts, 10u);
 }
 
+// kTimerHandler plus an mroutine that reads timer COUNT over MMIO and
+// folds it into MRAM data[4].
+std::string TimerSampleMcode() {
+  return std::string(kTimerHandler) + R"(
+    .mentry 2, sample
+  sample:
+    li t0, 0xF0001000
+    lw t1, 0(t0)
+    mld t2, 4(zero)
+    slli t3, t2, 1
+    xor t2, t3, t1
+    mst t2, 4(zero)
+    mexit
+)";
+}
+
+constexpr const char* kTimerSampleProgram = R"(
+  _start:
+    li s0, 300
+  outer:
+    menter 2
+    li s1, 6
+  inner:
+    addi s2, s2, 3
+    xor s2, s2, s1
+    addi s1, s1, -1
+    bne s1, zero, inner
+    addi s0, s0, -1
+    bne s0, zero, outer
+    halt zero
+)";
+
+void StartSampleTimer(Core& core) {
+  core.metal().DelegateIrq(1);
+  core.metal().WriteCreg(kCrIenable, 1u << kIrqTimer);
+  core.timer().Write32(12, 61);  // periodic; odd, so fires land on every phase
+  core.timer().Write32(4, 61);
+  core.timer().Write32(8, 1);
+}
+
+void BootTimerSample(Core& core) {
+  MustLoadMcodeRaw(core, TimerSampleMcode());
+  ASSERT_OK(core.LoadProgram(MustAssemble(kTimerSampleProgram)));
+  StartSampleTimer(core);
+}
+
+std::vector<uint8_t> StateBytes(const Core& core) {
+  SnapWriter w;
+  core.SaveState(w, /*include_dram=*/false);
+  return w.TakeBytes();
+}
+
+TEST(FastStepTest, DeviceHorizonMatchesPerCycleAcrossRunChunksAndRestore) {
+  // Inside Run, a fast_step core ticks the devices only at their event
+  // horizon and catches them up before every MMIO access and on return.
+  // The mroutine reads timer COUNT over MMIO, so a missing or doubled
+  // catch-up tick changes the folded sample; the periodic timer moves the
+  // horizon at every fire. Run chunks of every length 1..97 put the return
+  // catch-up on every phase, and a snapshot taken between two fires must
+  // resume on the horizon path exactly.
+  CoreConfig slow_config;
+  slow_config.fast_step = false;
+  Core fast;  // defaults: fast_step on
+  Core slow(slow_config);
+  BootTimerSample(fast);
+  BootTimerSample(slow);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+
+  // The SaveState stream without DRAM after every chunk; the full digest
+  // (a 16 MiB scan) once per sweep of chunk lengths — the guest never
+  // stores to DRAM.
+  auto expect_same = [](const Core& a, const Core& b, const char* what, bool with_dram) {
+    ASSERT_EQ(a.cycle(), b.cycle()) << what;
+    ASSERT_TRUE(StateBytes(a) == StateBytes(b)) << what << ": diverged by cycle " << a.cycle();
+    if (with_dram) {
+      ASSERT_EQ(a.StateDigest(/*include_dram=*/true), b.StateDigest(/*include_dram=*/true))
+          << what << ": at cycle " << a.cycle();
+    }
+  };
+
+  uint64_t chunk = 1;
+  auto run_chunks = [&](std::vector<Core*> cores, uint64_t until) {
+    while (!cores[0]->halted() && cores[0]->cycle() < until) {
+      for (Core* core : cores) {
+        core->Run(chunk);
+      }
+      for (size_t i = 1; i < cores.size(); ++i) {
+        expect_same(*cores[i], *cores[0], i == 1 ? "fast" : "restored", chunk == 97);
+        if (testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+      chunk = chunk % 97 + 1;
+    }
+  };
+
+  run_chunks({&slow, &fast}, 9000);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+  ASSERT_FALSE(fast.halted());
+  // Mid-horizon: the next timer event is still ahead.
+  ASSERT_GT(fast.bus().NextDeviceEventCycle(fast.cycle()), fast.cycle() + 1);
+  Core restored;  // defaults: fast_step on
+  ASSERT_OK(RestoreSnapshot(restored, SaveSnapshot(fast)));
+  expect_same(restored, slow, "restored", /*with_dram=*/true);
+  run_chunks({&slow, &fast, &restored}, UINT64_MAX);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+
+  EXPECT_TRUE(slow.halted());
+  EXPECT_TRUE(fast.halted());
+  EXPECT_TRUE(restored.halted());
+  expect_same(fast, slow, "fast", /*with_dram=*/true);
+  expect_same(restored, slow, "restored", /*with_dram=*/true);
+  // Not vacuous: traces ran, the timer fired into the handler, and every
+  // mroutine call sampled COUNT.
+  EXPECT_GT(fast.superblocks().stats().executions, 0u);
+  EXPECT_GE(fast.stats().interrupts, 50u);
+  EXPECT_EQ(fast.stats().interrupts, slow.stats().interrupts);
+  EXPECT_NE(*fast.mram().ReadData32(4), 0u);
+}
+
+TEST(FastStepTest, LockstepPumpIsCleanOnPaperAndTimerGuests) {
+  // The retire-granular lockstep pump advances both machines through
+  // Core::Run, so the fast_step side takes the traced and device-horizon
+  // path of a plain run and the other side is the every-cycle reference
+  // (msim replay --b-no-fast-step). No canonicalization: same cycles, same
+  // retire stream.
+  const struct {
+    const char* name;
+    void (*boot)(MetalSystem&);
+  } kGuests[] = {{"stm_transfer", BootStmTransfer},
+                 {"custom_page_tables", BootCustomPageTables},
+                 {"timer_sample", [](MetalSystem& system) {
+                    system.AddMcode(TimerSampleMcode());
+                    ASSERT_OK(system.LoadProgramSource(kTimerSampleProgram));
+                    ASSERT_OK(system.Boot());
+                    StartSampleTimer(system.core());
+                  }}};
+  for (const auto& guest : kGuests) {
+    SCOPED_TRACE(guest.name);
+    CoreConfig slow_config;
+    slow_config.fast_step = false;
+    MetalSystem fast_system;  // defaults: fast_step on
+    MetalSystem slow_system(slow_config);
+    guest.boot(fast_system);
+    guest.boot(slow_system);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    LockstepOptions options;
+    options.granularity = CompareGranularity::kRetire;
+    const auto report = RunLockstep(fast_system, slow_system, options);
+    ASSERT_OK(report.status());
+    EXPECT_FALSE(report->diverged) << report->summary;
+    EXPECT_TRUE(report->a_finished);
+    EXPECT_GT(report->retire_index, 1000u);
+    EXPECT_EQ(fast_system.core().StateDigest(true), slow_system.core().StateDigest(true));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invalidation matrix: every coherence source vs the no-cache reference.
 // ---------------------------------------------------------------------------
@@ -489,8 +649,8 @@ TEST(PredecodeInvalidationTest, SelfModifyingStoreMatchesNoCacheReference) {
   EXPECT_GT(cached.predecode().stats().hits, 0u);
 }
 
-// Accumulates into MRAM data with mld/mst: every mst bumps the shared MRAM
-// generation, so cached decodes of the mroutine's own code must re-verify.
+// Accumulates into MRAM data with mld/mst. The MRAM generation covers the
+// code segment only, so the mst does not evict the mroutine's own decodes.
 constexpr const char* kCounterMcode = R"(
     .mentry 1, count_add
   count_add:
@@ -514,22 +674,38 @@ constexpr const char* kCounterProgram = R"(
     halt s1
 )";
 
-TEST(PredecodeInvalidationTest, MstGenerationBumpKeepsMramDecodesCoherent) {
+constexpr uint32_t kCounterMcodeWords = 5;
+
+TEST(PredecodeInvalidationTest, MstKeepsMramGenerationAndDecodesWarm) {
   MetalSystem cached;  // defaults
   MetalSystem reference(ReferenceConfig());
   for (MetalSystem* s : {&cached, &reference}) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kCounterProgram));
+    ASSERT_OK(s->Boot());
   }
   std::vector<Retire> a, b;
   RecordRetires(cached.core(), &a);
   RecordRetires(reference.core(), &b);
+  const uint64_t gen_at_boot = cached.core().mram().generation();
   MustHalt(cached, 70);
   MustHalt(reference, 70);
   ExpectSameRetires(a, b);
-  // The generation bumps forced re-verification, not silent stale hits:
-  // verified hits happened, and the caches agree on the architectural result.
-  EXPECT_GT(cached.core().predecode().stats().verified_hits, 0u);
+  // Ten mst commits moved neither generation.
+  EXPECT_EQ(cached.core().mram().stats().data_writes, 10u);
+  EXPECT_EQ(cached.core().mram().generation(), gen_at_boot);
+  EXPECT_EQ(reference.core().mram().generation(), gen_at_boot);
+  // So every mroutine word decoded on the first call is still a generation
+  // hit after the last mst, and later calls were served by Find hits
+  // instead of re-verification.
+  const Mram& mram = cached.core().mram();
+  for (uint32_t i = 0; i < kCounterMcodeWords; ++i) {
+    EXPECT_NE(cached.core().predecode().Peek(kMramCodeBase + 4 * i, mram.generation()),
+              nullptr)
+        << "mroutine word " << i;
+  }
+  EXPECT_EQ(cached.core().predecode().stats().verified_hits, 0u);
+  EXPECT_GE(cached.core().predecode().stats().hits, 9 * kCounterMcodeWords);
 }
 
 // 400 invocations (exit 2800): long enough that mid-run corruption at a few
@@ -546,6 +722,63 @@ constexpr const char* kLongCounterProgram = R"(
     bne s0, zero, loop
     halt s1
 )";
+
+TEST(PredecodeInvalidationTest, CodeCorruptionAndLoaderWriteInvalidateMramDecodes) {
+  // The code-segment mutators still move the generation: with parity off a
+  // flip behind the write path (add -> sub at bit 30) must replace the warm
+  // decode, and a loader WriteCodeWord restoring the word must replace it
+  // again — on the cached core exactly as on the no-cache reference.
+  CoreConfig cached_config;
+  cached_config.mram_parity = false;
+  CoreConfig reference_config = ReferenceConfig();
+  reference_config.mram_parity = false;
+  MetalSystem cached(cached_config);
+  MetalSystem reference(reference_config);
+  for (MetalSystem* s : {&cached, &reference}) {
+    s->AddMcode(kCounterMcode);
+    ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
+    ASSERT_OK(s->Boot());
+  }
+  std::vector<Retire> a, b;
+  RecordRetires(cached.core(), &a);
+  RecordRetires(reference.core(), &b);
+
+  constexpr uint32_t kAddWord = kMramCodeBase + 4;
+  auto drive = [](MetalSystem& s, bool check_decodes) -> RunResult {
+    Mram& mram = s.core().mram();
+    s.Run(1500);  // invocations fill the predecode cache
+    const uint32_t add_raw = *mram.FetchWord(kAddWord);
+    uint64_t gen = mram.generation();
+    EXPECT_TRUE(mram.CorruptCodeWord(4, 0xFFFFFFFFu, 1u << 30));
+    EXPECT_GT(mram.generation(), gen);
+    if (check_decodes) {
+      EXPECT_EQ(s.core().predecode().Peek(kAddWord, mram.generation()), nullptr);
+    }
+    s.Run(1500);  // the corrupted decode is fetched, cached and executed
+    if (check_decodes) {
+      const Decoded* sub = s.core().predecode().Peek(kAddWord, mram.generation());
+      EXPECT_NE(sub, nullptr);
+      if (sub != nullptr) {
+        EXPECT_EQ(sub->raw, add_raw ^ (1u << 30));
+      }
+    }
+    gen = mram.generation();
+    EXPECT_TRUE(mram.WriteCodeWord(4, add_raw));
+    EXPECT_GT(mram.generation(), gen);
+    if (check_decodes) {
+      EXPECT_EQ(s.core().predecode().Peek(kAddWord, mram.generation()), nullptr);
+    }
+    return s.Run(2'000'000);
+  };
+  const RunResult ra = drive(cached, /*check_decodes=*/true);
+  const RunResult rb = drive(reference, /*check_decodes=*/false);
+  EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(ra.exit_code, rb.exit_code);
+  // The sub ran for a while, then the restored add again.
+  EXPECT_NE(ra.exit_code, 2800u);
+  ExpectSameRetires(a, b);
+}
 
 TEST(PredecodeInvalidationTest, ScrubRestoresCorruptedDecodeIdentically) {
   // With parity off, a bit flipped behind the write path silently decodes to

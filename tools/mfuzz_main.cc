@@ -12,7 +12,10 @@
 //                stream (Metal-mode pc-insensitive): storage mode must be
 //                architecturally invisible;
 //   fast         fast vs. slow menter/mexit transitions, compared by retire
-//                stream with transition retires canonicalized away.
+//                stream with transition retires canonicalized away;
+//   faststep     fast_step on vs. off (traces and the device horizon vs. the
+//                per-cycle reference), compared by retire stream and exit
+//                code; its cases also program and sample the timer.
 //
 // A fourth oracle, `injection` (not part of `all` — it tests the machine's
 // fault detection, not the simulator's determinism), runs each generated
@@ -113,12 +116,46 @@ void EmitAlu(Rng& rng, std::string& out) {
   }
 }
 
+// Timer MMIO traffic (dev/timer.h), for cases whose oracle compares two
+// machines with identical timing: s8 holds the timer base, and every COUNT,
+// COMPARE or interrupt-controller PENDING read is folded into s9, which
+// feeds the exit code — so a device tick skipped, doubled or caught up at
+// the wrong cycle changes the outcome. Programs COMPARE relative to the
+// current COUNT, INTERVAL short or zero (one-shot), and CTRL on or off;
+// interrupts stay masked (IENABLE is 0), so firing is observed through
+// PENDING.
+void EmitTimerAccess(Rng& rng, std::string& out) {
+  const char* reg = PickReg(rng);
+  switch (rng.Below(5)) {
+    case 0:  // COUNT, or COMPARE (a periodic fire advances it)
+      out += StrFormat("  lw %s, %u(s8)\n  xor s9, s9, %s\n", reg, rng.Chance(1, 2) ? 0u : 4u,
+                       reg);
+      break;
+    case 1:
+      out += StrFormat("  lw %s, 0(s8)\n  addi %s, %s, %u\n  sw %s, 4(s8)\n", reg, reg, reg,
+                       (unsigned)rng.Range(1, 64), reg);
+      break;
+    case 2:
+      out += StrFormat("  li %s, %u\n  sw %s, 12(s8)\n", reg,
+                       rng.Chance(1, 3) ? 0u : (unsigned)rng.Range(1, 40), reg);
+      break;
+    case 3:
+      out += StrFormat("  li %s, %u\n  sw %s, 8(s8)\n", reg, rng.Chance(3, 4) ? 1u : 0u, reg);
+      break;
+    default:
+      out += StrFormat("  li %s, 0xF0000000\n  lw %s, 0(%s)\n  xor s9, s9, %s\n", reg, reg, reg,
+                       reg);
+      break;
+  }
+}
+
 // One instruction of an mroutine body. Biased toward the Metal register file
 // and MRAM data segment; rcr sticks to the always-safe trap-context cregs
 // (reading cycle/instret would make timing architecturally visible and
-// legitimately diverge across storage modes).
-void EmitMetalInstr(Rng& rng, std::string& out) {
-  switch (rng.Below(10)) {
+// legitimately diverge across storage modes). With `timer`, one case in
+// eleven is timer MMIO traffic instead.
+void EmitMetalInstr(Rng& rng, std::string& out, bool timer) {
+  switch (rng.Below(timer ? 11 : 10)) {
     case 0:
     case 1:
       out += StrFormat("  rmr %s, m%u\n", PickReg(rng), (unsigned)rng.Below(32));
@@ -151,13 +188,19 @@ void EmitMetalInstr(Rng& rng, std::string& out) {
           break;
       }
       break;
+    case 10:
+      EmitTimerAccess(rng, out);
+      break;
     default:
       EmitAlu(rng, out);
       break;
   }
 }
 
-GeneratedCase Generate(uint64_t seed) {
+// With `timer`, a generated case also programs and reads the timer from
+// normal and Metal mode (EmitTimerAccess); without it, the case is exactly
+// what the seed always generated.
+GeneratedCase Generate(uint64_t seed, bool timer) {
   Rng rng(seed);
   GeneratedCase result;
   result.num_entries = (unsigned)rng.Range(2, 4);
@@ -175,7 +218,7 @@ GeneratedCase Generate(uint64_t seed) {
     }
     const unsigned body = (unsigned)rng.Range(4, 12);
     for (unsigned i = 0; i < body; ++i) {
-      EmitMetalInstr(rng, result.mcode);
+      EmitMetalInstr(rng, result.mcode, timer);
     }
     if (use_intercept && rng.Chance(1, 4)) {
       result.mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
@@ -185,10 +228,13 @@ GeneratedCase Generate(uint64_t seed) {
   }
 
   result.program += "_start:\n  la t6, scratch\n";
+  if (timer) {
+    result.program += "  li s8, 0xF0001000\n  li s9, 0\n";
+  }
   const unsigned blocks = (unsigned)rng.Range(5, 12);
   unsigned next_label = 0;
   for (unsigned b = 0; b < blocks; ++b) {
-    switch (rng.Below(7)) {
+    switch (rng.Below(timer ? 8 : 7)) {
       case 0: {  // bounded loop, body may re-enter Metal mode (the hot path)
         const unsigned label = next_label++;
         result.program += StrFormat("  li s11, %u\nloop%u:\n", (unsigned)rng.Range(2, 8), label);
@@ -254,6 +300,34 @@ GeneratedCase Generate(uint64_t seed) {
                                     PickReg(rng), offset);
         break;
       }
+      case 7: {  // timer programming, then a bounded loop that samples
+                 // PENDING and COMPARE every iteration, so fires are visible
+        const char* reg = PickReg(rng);
+        result.program += StrFormat(
+            "  lw %s, 0(s8)\n  addi %s, %s, %u\n  sw %s, 4(s8)\n"
+            "  li %s, %u\n  sw %s, 12(s8)\n  li %s, %u\n  sw %s, 8(s8)\n",
+            reg, reg, reg, (unsigned)rng.Range(1, 32), reg, reg,
+            rng.Chance(1, 3) ? 0u : (unsigned)rng.Range(1, 24), reg, reg,
+            rng.Chance(7, 8) ? 1u : 0u, reg);
+        const unsigned label = next_label++;
+        result.program +=
+            StrFormat("  li s11, %u\nloop%u:\n", (unsigned)rng.Range(2, 12), label);
+        EmitAlu(rng, result.program);
+        if (rng.Chance(1, 2)) {
+          EmitTimerAccess(rng, result.program);
+        }
+        result.program += StrFormat(
+            "  li %s, 0xF0000000\n  lw %s, 0(%s)\n  xor s9, s9, %s\n"
+            "  lw %s, 4(s8)\n  add s9, s9, %s\n"
+            "  addi s11, s11, -1\n  bnez s11, loop%u\n",
+            reg, reg, reg, reg, reg, reg, label);
+        if (rng.Chance(1, 2)) {  // acknowledge, so a later fire is visible
+          result.program += StrFormat("  li %s, 0xF0000000\n  li t6, -1\n  sw t6, 8(%s)\n"
+                                      "  la t6, scratch\n",
+                                      reg, reg);
+        }
+        break;
+      }
       default: {
         const unsigned count = (unsigned)rng.Range(1, 3);
         for (unsigned i = 0; i < count; ++i) {
@@ -263,7 +337,11 @@ GeneratedCase Generate(uint64_t seed) {
       }
     }
   }
-  result.program += StrFormat("  li a0, %u\n  halt a0\n", (unsigned)rng.Below(256));
+  result.program += StrFormat("  li a0, %u\n", (unsigned)rng.Below(256));
+  if (timer) {
+    result.program += "  xor a0, a0, s9\n";
+  }
+  result.program += "  halt a0\n";
   result.program += ".data\nscratch:\n";
   for (int i = 0; i < 16; ++i) {
     result.program += StrFormat("  .word 0x%08x\n", rng.Next32());
@@ -280,6 +358,9 @@ struct Oracle {
   CoreConfig config_a;
   CoreConfig config_b;
   LockstepOptions options;
+  // Runs the timer-traffic variant of each case (Generate). Only sound when
+  // A and B have identical timing: the cases make the cycle count visible.
+  bool timer = false;
 };
 
 std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& base,
@@ -312,14 +393,16 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
     oracles.push_back(o);
   }
   if (which == "all" || which == "faststep") {
-    // Traced stepping vs the per-cycle reference. No canonicalization:
-    // StepFast is byte-exact, so every retire (cycle included) must match.
-    // Retire granularity because the per-cycle driver would never run the
-    // trace tier.
+    // Traced stepping and the device horizon vs the per-cycle reference.
+    // No canonicalization: both sides run the same cycles, so every retire
+    // must match, and the timer traffic folds COUNT, COMPARE and PENDING
+    // reads into the compared exit code. Retire granularity because
+    // cycle-granular lockstep would never run the trace tier.
     Oracle o{"faststep", base, base, {}};
     o.config_b.fast_step = false;
     o.options.granularity = CompareGranularity::kRetire;
     o.options.max_cycles = max_cycles;
+    o.timer = true;
     oracles.push_back(o);
   }
   return oracles;
@@ -619,9 +702,9 @@ int main(int argc, char** argv) {
   uint64_t executed = 0;
   for (uint64_t i = 0; (runs == 0 || i < runs) && !out_of_budget(); ++i) {
     const uint64_t seed = base_seed + i;
-    const GeneratedCase c = Generate(seed);
+    const GeneratedCase plain = Generate(seed, /*timer=*/false);
     if (injection) {
-      auto found = RunInjectionCase(seed, c, base_config, max_cycles, out_dir);
+      auto found = RunInjectionCase(seed, plain, base_config, max_cycles, out_dir);
       if (!found.ok()) {
         std::fprintf(stderr, "[mfuzz] seed %llu oracle injection: %s\n",
                      (unsigned long long)seed, found.status().ToString().c_str());
@@ -636,7 +719,9 @@ int main(int argc, char** argv) {
       }
       continue;
     }
+    const GeneratedCase timed = Generate(seed, /*timer=*/true);
     for (const Oracle& oracle : oracles) {
+      const GeneratedCase& c = oracle.timer ? timed : plain;
       MetalSystem a(oracle.config_a);
       MetalSystem b(oracle.config_b);
       if (Status status = BuildSystem(a, c); !status.ok()) {
