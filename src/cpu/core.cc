@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "fault/fault.h"
+#include "isa/semantics.h"
 #include "snap/snapstream.h"
 #include "support/log.h"
 
@@ -18,6 +19,42 @@ uint32_t LowestSetBit(uint32_t mask) {
     }
   }
   return 0;
+}
+
+// The DRAM side of a load or store of `kind`, shared by StageMem and the
+// trace executor's MEM slice: InstrInfo gives the access width, and a
+// narrow load's sign or zero extension. nullopt/false on a bus error.
+[[gnu::always_inline]] inline std::optional<uint32_t> DramLoad(Bus& bus, InstrKind kind,
+                                                          uint32_t paddr) {
+  const InstrInfo& info = GetInstrInfo(kind);
+  std::optional<uint32_t> value;
+  switch (info.mem_size) {
+    case 1:
+      value = bus.Read8(paddr);
+      break;
+    case 2:
+      value = bus.Read16(paddr);
+      break;
+    default:
+      return bus.Read32(paddr);
+  }
+  if (value && info.load_signed) {
+    const uint32_t shift = 32 - 8 * info.mem_size;
+    *value = static_cast<uint32_t>(static_cast<int32_t>(*value << shift) >> shift);
+  }
+  return value;
+}
+
+[[gnu::always_inline]] inline bool DramStore(Bus& bus, InstrKind kind, uint32_t paddr,
+                                             uint32_t value) {
+  switch (GetInstrInfo(kind).mem_size) {
+    case 1:
+      return bus.Write8(paddr, static_cast<uint8_t>(value));
+    case 2:
+      return bus.Write16(paddr, static_cast<uint16_t>(value));
+    default:
+      return bus.Write32(paddr, value);
+  }
 }
 
 }  // namespace
@@ -325,7 +362,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       if (slot != nullptr) {
         *latch = FetchSlot{};
         latch->pc = slot->addr;
-        latch->raw = slot->raw;
+        latch->raw = slot->d.raw;
         latch->d = slot->d;
       }
     }
@@ -420,27 +457,25 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       uint32_t sb_w = *sb_word;                                          \
       if ((sb_pend.paddr & ~3u) == sb_fpa) {                             \
         const uint32_t sb_sh = (sb_pend.paddr & 3u) * 8;                 \
-        const uint32_t sb_m = sb_pend.kind == InstrKind::kSb ? 0xFFu     \
-                              : sb_pend.kind == InstrKind::kSh           \
-                                  ? 0xFFFFu                              \
-                                  : 0xFFFFFFFFu;                         \
+        const uint32_t sb_m =                                            \
+            ~0u >> (32 - 8 * GetInstrInfo(sb_pend.kind).mem_size);       \
         sb_w = (sb_w & ~(sb_m << sb_sh)) |                               \
                ((sb_pend.store_value & sb_m) << sb_sh);                  \
       }                                                                  \
-      if (sb_w != sb_fs.raw) {                                           \
+      if (sb_w != sb_fs.d.raw) {                                         \
         goto sb_exit_stale;                                              \
       }                                                                  \
       sb_hit = false;                                                    \
     } else {                                                             \
       const Decoded* sb_peek = predecode_.Peek(sb_fpa, gen);             \
       if (sb_peek != nullptr) {                                          \
-        if (sb_peek->raw != sb_fs.raw) {                                 \
+        if (sb_peek->raw != sb_fs.d.raw) {                               \
           goto sb_exit_stale;                                            \
         }                                                                \
         sb_hit = true;                                                   \
       } else {                                                           \
         const auto sb_word = bus_.dram().Read32(sb_fpa);                 \
-        if (!sb_word || *sb_word != sb_fs.raw) {                         \
+        if (!sb_word || *sb_word != sb_fs.d.raw) {                       \
           goto sb_exit_stale;                                            \
         }                                                                \
         sb_hit = false;                                                  \
@@ -467,8 +502,8 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
     if (sb_hit) {                                                        \
       ++predecode_hits;                                                  \
-    } else if (predecode_.Verify(sb_fpa, gen, sb_fs.raw) == nullptr) {   \
-      predecode_.Insert(sb_fpa, gen, sb_fs.raw, sb_fs.d);                \
+    } else if (predecode_.Verify(sb_fpa, gen, sb_fs.d.raw) == nullptr) { \
+      predecode_.Insert(sb_fpa, gen, sb_fs.d.raw, sb_fs.d);              \
     }                                                                    \
     if (e >= -1) {                                                       \
       sh_ex = sh_id;                                                     \
@@ -482,63 +517,29 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // Top-of-cycle MEM stage: completes the pending memory op latched by the
 // previous cycle's dispatch. StageMem runs before every other stage, so this
 // expands right after each ++cycle_, BEFORE the cycle's EX work and events.
-// Semantics are StageMem's DRAM path verbatim: consuming drops `valid` and
-// zeroes `wait` (payload stale in place), stores write through the bus and
-// bump the write generation (reloaded so every later predecode probe sees
-// it), loads sign-extend exactly and write rd, and the op retires with the
-// MEM-stage kRetire event ordering.
+// Semantics are StageMem's DRAM path: consuming drops `valid` and zeroes
+// `wait` (payload stale in place), the access goes through the same
+// DramLoad/DramStore, a store's bumped write generation is reloaded so every
+// later predecode probe sees it, and the op retires with the MEM-stage
+// kRetire event ordering.
 #define MSIM_SB_COMPLETE_PEND()                                          \
   do {                                                                   \
     if (sb_pend.valid) {                                                 \
       sb_pend.valid = false;                                             \
       sb_pend.wait = 0;                                                  \
       if (sb_pend.is_store) {                                            \
-        switch (sb_pend.kind) {                                          \
-          case InstrKind::kSb:                                           \
-            (void)bus_.Write8(sb_pend.paddr,                             \
-                              static_cast<uint8_t>(sb_pend.store_value)); \
-            break;                                                       \
-          case InstrKind::kSh:                                           \
-            (void)bus_.Write16(sb_pend.paddr,                            \
-                               static_cast<uint16_t>(sb_pend.store_value)); \
-            break;                                                       \
-          default:                                                       \
-            (void)bus_.Write32(sb_pend.paddr, sb_pend.store_value);      \
-            break;                                                       \
-        }                                                                \
+        (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr,               \
+                        sb_pend.store_value);                            \
         gen = bus_.dram().write_generation();                            \
       } else {                                                           \
-        uint32_t sb_ld = 0;                                              \
-        switch (sb_pend.kind) {                                          \
-          case InstrKind::kLb:                                           \
-            sb_ld = static_cast<uint32_t>(static_cast<int32_t>(          \
-                static_cast<int8_t>(bus_.Read8(sb_pend.paddr).value_or(0)))); \
-            break;                                                       \
-          case InstrKind::kLbu:                                          \
-            sb_ld = bus_.Read8(sb_pend.paddr).value_or(0);               \
-            break;                                                       \
-          case InstrKind::kLh:                                           \
-            sb_ld = static_cast<uint32_t>(static_cast<int32_t>(          \
-                static_cast<int16_t>(bus_.Read16(sb_pend.paddr).value_or(0)))); \
-            break;                                                       \
-          case InstrKind::kLhu:                                          \
-            sb_ld = bus_.Read16(sb_pend.paddr).value_or(0);              \
-            break;                                                       \
-          default:                                                       \
-            sb_ld = bus_.Read32(sb_pend.paddr).value_or(0);              \
-            break;                                                       \
-        }                                                                \
+        const uint32_t sb_ld =                                           \
+            DramLoad(bus_, sb_pend.kind, sb_pend.paddr).value_or(0);     \
         if (sb_pend.rd != 0) {                                           \
           regs_[sb_pend.rd] = sb_ld;                                     \
         }                                                                \
       }                                                                  \
       ++retired;                                                         \
-      ++stats_.instret;                                                  \
-      tracer_.Emit(TraceEventKind::kRetire, sb_pend.pc, sb_pend.raw, 0,  \
-                   false);                                               \
-      if (retire_trace_) {                                               \
-        retire_trace_(RetireEvent{cycle_, sb_pend.pc, sb_pend.raw, false}); \
-      }                                                                  \
+      Retire(sb_pend.pc, sb_pend.raw, false);                            \
     }                                                                    \
   } while (0)
 
@@ -563,7 +564,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     sb_pend.vaddr = sb_va;                                               \
     sb_pend.paddr = sb_pa;                                               \
     sb_pend.store_value = MSIM_SB_B;                                     \
-    sb_pend.raw = es->raw;                                               \
+    sb_pend.raw = es->d.raw;                                             \
     sb_pend.rd = es->d.rd;                                               \
     sb_pend.wait = 1;                                                    \
     sb_pend.target = MemOp::Target::kDram;                               \
@@ -574,40 +575,42 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
   } while (0)
 
-// Retire bookkeeping, identical to ExecuteAluOp's tail for a non-Metal op.
+// Retire bookkeeping for a non-Metal op (Core::Retire).
 #define MSIM_SB_RETIRE(s)                                                \
   do {                                                                   \
     ++retired;                                                           \
-    ++stats_.instret;                                                    \
-    tracer_.Emit(TraceEventKind::kRetire, (s).addr, (s).raw, 0, false);  \
-    if (retire_trace_) {                                                 \
-      retire_trace_(RetireEvent{cycle_, (s).addr, (s).raw, false});      \
-    }                                                                    \
+    Retire((s).addr, (s).d.raw, false);                                  \
   } while (0)
 
 // Operand shorthands (pure register-file reads; x0 is hardwired zero by
 // WriteReg never storing to it, so reads index the array directly).
-#define MSIM_SB_A (regs_[es->rs1])
-#define MSIM_SB_B (regs_[es->rs2])
-#define MSIM_SB_SA (static_cast<int32_t>(regs_[es->rs1]))
-#define MSIM_SB_SB (static_cast<int32_t>(regs_[es->rs2]))
+#define MSIM_SB_A (regs_[es->d.rs1])
+#define MSIM_SB_B (regs_[es->d.rs2])
+#define MSIM_SB_IMM (static_cast<uint32_t>(es->d.imm))
 
-// A straight-line op: fetch check, commit, pending completion (MEM before
-// EX: a pending load's rd lands before this op's rd, which may alias it),
-// rd writeback, retire, advance.
-#define MSIM_SB_ALU(label_name, expr)                                    \
-  label_name : {                                                         \
+// Executor labels, one per MSIM_TRACE_KINDS row, by class. Each passes its
+// compile-time kind to isa/semantics.h, so the per-kind switch folds away.
+//
+// A straight-line op (Alu, Nop): fetch check, commit, pending completion
+// (MEM before EX: a pending load's rd lands before this op's rd, which may
+// alias it), rd writeback, retire, advance.
+#define MSIM_SB_STRAIGHT(k, writeback)                                   \
+  sb_x_##k : {                                                           \
     MSIM_SB_FETCH_OR_EXIT();                                             \
     ++cycle_;                                                            \
     MSIM_SB_COMPLETE_PEND();                                             \
-    if (es->rd != 0) {                                                   \
-      regs_[es->rd] = (expr);                                            \
-    }                                                                    \
+    writeback;                                                           \
     MSIM_SB_RETIRE(*es);                                                 \
     last_redirect = false;                                               \
     MSIM_SB_COMMIT_FETCH();                                              \
     goto sb_next;                                                        \
   }
+#define MSIM_SB_Alu(k)                                                   \
+  MSIM_SB_STRAIGHT(k, if (es->d.rd != 0) {                               \
+    regs_[es->d.rd] =                                                    \
+        AluResult(InstrKind::k, MSIM_SB_A, MSIM_SB_B, MSIM_SB_IMM, es->addr); \
+  })
+#define MSIM_SB_Nop(k) MSIM_SB_STRAIGHT(k, (void)0)
 
 // A conditional branch: taken resolves via sb_taken_cond (bias counters and
 // possible tree transition) with no fetch — the speculative fall-through
@@ -616,9 +619,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // pending load completing this cycle has an older rd (stall_after would
 // have inserted the bubble otherwise), so evaluation before completion is
 // safe. Bias counters freeze once the slot is linked or refused.
-#define MSIM_SB_BRANCH(label_name, cond)                                 \
-  label_name : {                                                         \
-    if (cond) {                                                          \
+#define MSIM_SB_Branch(k)                                                \
+  sb_x_##k : {                                                           \
+    if (BranchTaken(InstrKind::k, MSIM_SB_A, MSIM_SB_B)) {               \
       sb_tgt = es->target;                                               \
       goto sb_taken_cond;                                                \
     }                                                                    \
@@ -633,6 +636,31 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     MSIM_SB_COMMIT_FETCH();                                              \
     goto sb_next;                                                        \
   }
+
+// A jump: the target reads rs1 BEFORE the link write (rd may alias rs1). A
+// pending load completing this cycle cannot feed rs1 (stall_after would
+// have inserted the bubble), so the pre-completion read is exact; MEM's rd
+// write lands before the link's.
+#define MSIM_SB_Jump(k)                                                  \
+  sb_x_##k : {                                                           \
+    sb_tgt = JumpTarget(InstrKind::k, MSIM_SB_A, MSIM_SB_IMM, es->addr); \
+    ++cycle_;                                                            \
+    MSIM_SB_COMPLETE_PEND();                                             \
+    if (es->d.rd != 0) {                                                 \
+      regs_[es->d.rd] = AluResult(InstrKind::k, 0, 0, 0, es->addr);      \
+    }                                                                    \
+    goto sb_taken_commit;                                                \
+  }
+
+// Memory slots share one label (sb_x_mem): width and direction are read
+// from InstrInfo at dispatch.
+#define MSIM_SB_Mem(k)
+#define MSIM_SB_LABEL(k, cls) MSIM_SB_##cls(k)
+#define MSIM_SB_TARGET_Alu(k) sb_x_##k
+#define MSIM_SB_TARGET_Nop(k) sb_x_##k
+#define MSIM_SB_TARGET_Branch(k) sb_x_##k
+#define MSIM_SB_TARGET_Jump(k) sb_x_##k
+#define MSIM_SB_TARGET_Mem(k) sb_x_mem
 
   while (cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
          (max_retires == 0 || retired < max_retires)) {
@@ -683,23 +711,18 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     bool sb_hit = false;
     uint32_t sb_tgt = 0;
 
-#if defined(__GNUC__) || defined(__clang__)
-    // Threaded dispatch: one indirect jump per instruction, indexed by
-    // the build-time executor opcode. Order must match SbExec exactly.
-    static const void* const kSbGoto[] = {
-        &&sb_x_const, &&sb_x_addi, &&sb_x_slti, &&sb_x_sltiu,
-        &&sb_x_xori, &&sb_x_ori, &&sb_x_andi, &&sb_x_slli, &&sb_x_srli,
-        &&sb_x_srai, &&sb_x_add, &&sb_x_sub, &&sb_x_sll, &&sb_x_slt,
-        &&sb_x_sltu, &&sb_x_xor, &&sb_x_srl, &&sb_x_sra, &&sb_x_or,
-        &&sb_x_and, &&sb_x_fence, &&sb_x_mul, &&sb_x_mulh,
-        &&sb_x_mulhsu, &&sb_x_mulhu, &&sb_x_div, &&sb_x_divu,
-        &&sb_x_rem, &&sb_x_remu, &&sb_x_jal, &&sb_x_jalr, &&sb_x_beq,
-        &&sb_x_bne, &&sb_x_blt, &&sb_x_bge, &&sb_x_bltu, &&sb_x_bgeu,
-        &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem, &&sb_x_mem,
-        &&sb_x_mem, &&sb_x_mem, &&sb_x_mem};
-    static_assert(sizeof(kSbGoto) / sizeof(kSbGoto[0]) ==
-                  static_cast<size_t>(SbExec::kCount));
-#endif
+    // Threaded dispatch: one indirect jump per instruction, indexed by the
+    // slot's InstrKind. Kinds outside MSIM_TRACE_KINDS never reach a slot
+    // (the build walk and restore refuse them).
+    static const std::array<const void*, static_cast<size_t>(InstrKind::kCount)> kSbGoto =
+        ({
+          std::array<const void*, static_cast<size_t>(InstrKind::kCount)> t;
+          t.fill(&&sb_exit_uncommitted);
+#define MSIM_SB_GOTO(k, cls) t[static_cast<size_t>(InstrKind::k)] = &&MSIM_SB_TARGET_##cls(k);
+          MSIM_TRACE_KINDS(MSIM_SB_GOTO)
+#undef MSIM_SB_GOTO
+          t;
+        });
 
   sb_next:
     // The loop's budget/horizon condition, re-checked per cycle with one
@@ -722,143 +745,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       goto sb_next;
     }
     es = &slots[e];
-#if defined(__GNUC__) || defined(__clang__)
-    goto *kSbGoto[static_cast<uint8_t>(es->exec)];
-#else
-    switch (es->exec) {
-      case SbExec::kConst: goto sb_x_const;
-      case SbExec::kAddi: goto sb_x_addi;
-      case SbExec::kSlti: goto sb_x_slti;
-      case SbExec::kSltiu: goto sb_x_sltiu;
-      case SbExec::kXori: goto sb_x_xori;
-      case SbExec::kOri: goto sb_x_ori;
-      case SbExec::kAndi: goto sb_x_andi;
-      case SbExec::kSlli: goto sb_x_slli;
-      case SbExec::kSrli: goto sb_x_srli;
-      case SbExec::kSrai: goto sb_x_srai;
-      case SbExec::kAdd: goto sb_x_add;
-      case SbExec::kSub: goto sb_x_sub;
-      case SbExec::kSll: goto sb_x_sll;
-      case SbExec::kSlt: goto sb_x_slt;
-      case SbExec::kSltu: goto sb_x_sltu;
-      case SbExec::kXor: goto sb_x_xor;
-      case SbExec::kSrl: goto sb_x_srl;
-      case SbExec::kSra: goto sb_x_sra;
-      case SbExec::kOr: goto sb_x_or;
-      case SbExec::kAnd: goto sb_x_and;
-      case SbExec::kFence: goto sb_x_fence;
-      case SbExec::kMul: goto sb_x_mul;
-      case SbExec::kMulh: goto sb_x_mulh;
-      case SbExec::kMulhsu: goto sb_x_mulhsu;
-      case SbExec::kMulhu: goto sb_x_mulhu;
-      case SbExec::kDiv: goto sb_x_div;
-      case SbExec::kDivu: goto sb_x_divu;
-      case SbExec::kRem: goto sb_x_rem;
-      case SbExec::kRemu: goto sb_x_remu;
-      case SbExec::kJal: goto sb_x_jal;
-      case SbExec::kJalr: goto sb_x_jalr;
-      case SbExec::kBeq: goto sb_x_beq;
-      case SbExec::kBne: goto sb_x_bne;
-      case SbExec::kBlt: goto sb_x_blt;
-      case SbExec::kBge: goto sb_x_bge;
-      case SbExec::kBltu: goto sb_x_bltu;
-      case SbExec::kBgeu: goto sb_x_bgeu;
-      case SbExec::kLb:
-      case SbExec::kLbu:
-      case SbExec::kLh:
-      case SbExec::kLhu:
-      case SbExec::kLw:
-      case SbExec::kSb:
-      case SbExec::kSh:
-      case SbExec::kSw: goto sb_x_mem;
-      default: goto sb_exit_uncommitted;
-    }
-#endif
+    goto *kSbGoto[static_cast<size_t>(es->d.kind)];
 
-    MSIM_SB_ALU(sb_x_const, es->cval)
-    MSIM_SB_ALU(sb_x_addi, MSIM_SB_A + es->imm)
-    MSIM_SB_ALU(sb_x_slti,
-                MSIM_SB_SA < static_cast<int32_t>(es->imm) ? 1u : 0u)
-    MSIM_SB_ALU(sb_x_sltiu, MSIM_SB_A < es->imm ? 1u : 0u)
-    MSIM_SB_ALU(sb_x_xori, MSIM_SB_A ^ es->imm)
-    MSIM_SB_ALU(sb_x_ori, MSIM_SB_A | es->imm)
-    MSIM_SB_ALU(sb_x_andi, MSIM_SB_A & es->imm)
-    MSIM_SB_ALU(sb_x_slli, MSIM_SB_A << es->imm)
-    MSIM_SB_ALU(sb_x_srli, MSIM_SB_A >> es->imm)
-    MSIM_SB_ALU(sb_x_srai,
-                static_cast<uint32_t>(MSIM_SB_SA >> es->imm))
-    MSIM_SB_ALU(sb_x_add, MSIM_SB_A + MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_sub, MSIM_SB_A - MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_sll, MSIM_SB_A << (MSIM_SB_B & 31))
-    MSIM_SB_ALU(sb_x_slt, MSIM_SB_SA < MSIM_SB_SB ? 1u : 0u)
-    MSIM_SB_ALU(sb_x_sltu, MSIM_SB_A < MSIM_SB_B ? 1u : 0u)
-    MSIM_SB_ALU(sb_x_xor, MSIM_SB_A ^ MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_srl, MSIM_SB_A >> (MSIM_SB_B & 31))
-    MSIM_SB_ALU(sb_x_sra,
-                static_cast<uint32_t>(MSIM_SB_SA >> (MSIM_SB_B & 31)))
-    MSIM_SB_ALU(sb_x_or, MSIM_SB_A | MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_and, MSIM_SB_A & MSIM_SB_B)
-
-  sb_x_fence : {
-    MSIM_SB_FETCH_OR_EXIT();
-    ++cycle_;
-    MSIM_SB_RETIRE(*es);
-    last_redirect = false;
-    MSIM_SB_COMMIT_FETCH();
-    goto sb_next;
-  }
-
-    MSIM_SB_ALU(sb_x_mul, MSIM_SB_A * MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_mulh,
-                static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
-                                       static_cast<int64_t>(MSIM_SB_SB)) >>
-                                      32))
-    MSIM_SB_ALU(sb_x_mulhsu,
-                static_cast<uint32_t>((static_cast<int64_t>(MSIM_SB_SA) *
-                                       static_cast<uint64_t>(MSIM_SB_B)) >>
-                                      32))
-    MSIM_SB_ALU(sb_x_mulhu,
-                static_cast<uint32_t>((static_cast<uint64_t>(MSIM_SB_A) *
-                                       static_cast<uint64_t>(MSIM_SB_B)) >>
-                                      32))
-    MSIM_SB_ALU(sb_x_div,
-                MSIM_SB_B == 0 ? 0xFFFFFFFFu
-                : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
-                    ? static_cast<uint32_t>(INT32_MIN)
-                    : static_cast<uint32_t>(MSIM_SB_SA / MSIM_SB_SB))
-    MSIM_SB_ALU(sb_x_divu,
-                MSIM_SB_B == 0 ? 0xFFFFFFFFu : MSIM_SB_A / MSIM_SB_B)
-    MSIM_SB_ALU(sb_x_rem,
-                MSIM_SB_B == 0 ? MSIM_SB_A
-                : (MSIM_SB_SA == INT32_MIN && MSIM_SB_SB == -1)
-                    ? 0u
-                    : static_cast<uint32_t>(MSIM_SB_SA % MSIM_SB_SB))
-    MSIM_SB_ALU(sb_x_remu,
-                MSIM_SB_B == 0 ? MSIM_SB_A : MSIM_SB_A % MSIM_SB_B)
-
-  sb_x_jal:
-    sb_tgt = es->target;
-    goto sb_taken_link;
-  sb_x_jalr:
-    // Target reads rs1 BEFORE the link write (rd may alias rs1). A
-    // pending load completing this cycle cannot feed rs1 (stall_after
-    // would have inserted the bubble), so pre-completion read is exact.
-    sb_tgt = (MSIM_SB_A + es->imm) & ~1u;
-    goto sb_taken_link;
-  sb_taken_link:
-    ++cycle_;
-    MSIM_SB_COMPLETE_PEND();  // MEM's rd write lands before the link's
-    if (es->rd != 0) {
-      regs_[es->rd] = es->cval;  // pc + 4, folded at build
-    }
-    goto sb_taken_commit;
-
-    MSIM_SB_BRANCH(sb_x_beq, MSIM_SB_A == MSIM_SB_B)
-    MSIM_SB_BRANCH(sb_x_bne, MSIM_SB_A != MSIM_SB_B)
-    MSIM_SB_BRANCH(sb_x_blt, MSIM_SB_SA < MSIM_SB_SB)
-    MSIM_SB_BRANCH(sb_x_bge, MSIM_SB_SA >= MSIM_SB_SB)
-    MSIM_SB_BRANCH(sb_x_bltu, MSIM_SB_A < MSIM_SB_B)
-    MSIM_SB_BRANCH(sb_x_bgeu, MSIM_SB_A >= MSIM_SB_B)
+    MSIM_TRACE_KINDS(MSIM_SB_LABEL)
 
   sb_x_mem : {
     // A memory slot in EX: StartMemOp's fast path, pre-checked with no
@@ -867,9 +756,10 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // out-of-bounds physical target, dcache miss — exits the trace
     // UNCOMMITTED and replays the op through the per-cycle machinery,
     // which counts the miss, raises the fault or models the latency.
-    const uint32_t sb_size = SbMemSize(es->exec);
-    const bool sb_st = SbIsStore(es->exec);
-    const uint32_t sb_va = MSIM_SB_A + es->imm;
+    const InstrInfo& sb_info = es->d.info();
+    const uint32_t sb_size = sb_info.mem_size;
+    const bool sb_st = sb_info.is_store;
+    const uint32_t sb_va = MSIM_SB_A + MSIM_SB_IMM;
     if ((sb_va & (sb_size - 1)) != 0) {
       goto sb_exit_mem_slow;
     }
@@ -920,8 +810,8 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         }
         if (sb_hit) {
           ++predecode_hits;
-        } else if (predecode_.Verify(sb_fpa, gen, sb_fs.raw) == nullptr) {
-          predecode_.Insert(sb_fpa, gen, sb_fs.raw, sb_fs.d);
+        } else if (predecode_.Verify(sb_fpa, gen, sb_fs.d.raw) == nullptr) {
+          predecode_.Insert(sb_fpa, gen, sb_fs.d.raw, sb_fs.d);
         }
         sh_buf = &sb_fs;
         pc = sb_fs.addr + 4;
@@ -1070,10 +960,19 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 #undef MSIM_SB_RETIRE
 #undef MSIM_SB_A
 #undef MSIM_SB_B
-#undef MSIM_SB_SA
-#undef MSIM_SB_SB
-#undef MSIM_SB_ALU
-#undef MSIM_SB_BRANCH
+#undef MSIM_SB_IMM
+#undef MSIM_SB_STRAIGHT
+#undef MSIM_SB_Alu
+#undef MSIM_SB_Nop
+#undef MSIM_SB_Branch
+#undef MSIM_SB_Jump
+#undef MSIM_SB_Mem
+#undef MSIM_SB_LABEL
+#undef MSIM_SB_TARGET_Alu
+#undef MSIM_SB_TARGET_Nop
+#undef MSIM_SB_TARGET_Branch
+#undef MSIM_SB_TARGET_Jump
+#undef MSIM_SB_TARGET_Mem
 
   const uint64_t committed = cycle_ - start;
   if (committed != 0) {
@@ -1305,49 +1204,12 @@ void Core::StageMem() {
       break;
     }
     case MemOp::Target::kDram: {
-      switch (op.kind) {
-        case InstrKind::kLb:
-        case InstrKind::kLbu: {
-          const auto value = bus_.Read8(op.paddr);
-          ok = value.has_value();
-          loaded = op.kind == InstrKind::kLb
-                       ? static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(
-                             value.value_or(0))))
-                       : value.value_or(0);
-          break;
-        }
-        case InstrKind::kLh:
-        case InstrKind::kLhu: {
-          const auto value = bus_.Read16(op.paddr);
-          ok = value.has_value();
-          loaded = op.kind == InstrKind::kLh
-                       ? static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(
-                             value.value_or(0))))
-                       : value.value_or(0);
-          break;
-        }
-        case InstrKind::kLw:
-        case InstrKind::kPlw:
-        case InstrKind::kMld: {
-          const auto value = bus_.Read32(op.paddr);
-          ok = value.has_value();
-          loaded = value.value_or(0);
-          break;
-        }
-        case InstrKind::kSb:
-          ok = bus_.Write8(op.paddr, static_cast<uint8_t>(op.store_value));
-          break;
-        case InstrKind::kSh:
-          ok = bus_.Write16(op.paddr, static_cast<uint16_t>(op.store_value));
-          break;
-        case InstrKind::kSw:
-        case InstrKind::kPsw:
-        case InstrKind::kMst:
-          ok = bus_.Write32(op.paddr, op.store_value);
-          break;
-        default:
-          ok = false;
-          break;
+      if (op.is_store) {
+        ok = DramStore(bus_, op.kind, op.paddr, op.store_value);
+      } else {
+        const auto value = DramLoad(bus_, op.kind, op.paddr);
+        ok = value.has_value();
+        loaded = value.value_or(0);
       }
       break;
     }
@@ -1365,14 +1227,7 @@ void Core::StageMem() {
   if (!op.is_store) {
     WriteReg(op.rd, loaded);
   }
-  ++stats_.instret;
-  if (op.metal) {
-    ++stats_.metal_instret;
-  }
-  tracer_.Emit(TraceEventKind::kRetire, op.pc, op.raw, 0, op.metal);
-  if (retire_trace_) {
-    retire_trace_(RetireEvent{cycle_, op.pc, op.raw, op.metal});
-  }
+  Retire(op.pc, op.raw, op.metal);
 }
 
 // ---------------------------------------------------------------------------
@@ -1436,22 +1291,7 @@ bool Core::StartMemOp(const Op& op) {
   }
 
   // Alignment by access size.
-  uint32_t size = 4;
-  switch (op.d.kind) {
-    case InstrKind::kLb:
-    case InstrKind::kLbu:
-    case InstrKind::kSb:
-      size = 1;
-      break;
-    case InstrKind::kLh:
-    case InstrKind::kLhu:
-    case InstrKind::kSh:
-      size = 2;
-      break;
-    default:
-      size = 4;
-      break;
-  }
+  const uint32_t size = info.mem_size;
   if ((addr & (size - 1)) != 0) {
     TakeException(mem.is_store ? ExcCause::kMisalignedStore : ExcCause::kMisalignedLoad, op.pc,
                   addr, op.d.raw, op.pc, op.metal);
@@ -1606,8 +1446,7 @@ void Core::ExecuteAluOp(Op& op) {
   const uint32_t a = ReadReg(op.d.rs1);
   const uint32_t b = ReadReg(op.d.rs2);
   const uint32_t imm = static_cast<uint32_t>(op.d.imm);
-  const int32_t sa = static_cast<int32_t>(a);
-  const int32_t sb = static_cast<int32_t>(b);
+  const InstrInfo& info = op.d.info();
   bool retire = true;
 
   auto branch_to = [&](uint32_t target) {
@@ -1616,131 +1455,8 @@ void Core::ExecuteAluOp(Op& op) {
   };
 
   switch (op.d.kind) {
-    case K::kLui:
-      WriteReg(op.d.rd, imm << 12);
-      break;
-    case K::kAuipc:
-      WriteReg(op.d.rd, pc + (imm << 12));
-      break;
-    case K::kJal:
-      WriteReg(op.d.rd, pc + 4);
-      branch_to(pc + imm);
-      break;
-    case K::kJalr: {
-      const uint32_t target = (a + imm) & ~1u;
-      WriteReg(op.d.rd, pc + 4);
-      branch_to(target);
-      break;
-    }
-    case K::kBeq:
-      if (a == b) branch_to(pc + imm);
-      break;
-    case K::kBne:
-      if (a != b) branch_to(pc + imm);
-      break;
-    case K::kBlt:
-      if (sa < sb) branch_to(pc + imm);
-      break;
-    case K::kBge:
-      if (sa >= sb) branch_to(pc + imm);
-      break;
-    case K::kBltu:
-      if (a < b) branch_to(pc + imm);
-      break;
-    case K::kBgeu:
-      if (a >= b) branch_to(pc + imm);
-      break;
-    case K::kAddi:
-      WriteReg(op.d.rd, a + imm);
-      break;
-    case K::kSlti:
-      WriteReg(op.d.rd, sa < static_cast<int32_t>(imm) ? 1 : 0);
-      break;
-    case K::kSltiu:
-      WriteReg(op.d.rd, a < imm ? 1 : 0);
-      break;
-    case K::kXori:
-      WriteReg(op.d.rd, a ^ imm);
-      break;
-    case K::kOri:
-      WriteReg(op.d.rd, a | imm);
-      break;
-    case K::kAndi:
-      WriteReg(op.d.rd, a & imm);
-      break;
-    case K::kSlli:
-      WriteReg(op.d.rd, a << (imm & 31));
-      break;
-    case K::kSrli:
-      WriteReg(op.d.rd, a >> (imm & 31));
-      break;
-    case K::kSrai:
-      WriteReg(op.d.rd, static_cast<uint32_t>(sa >> (imm & 31)));
-      break;
-    case K::kAdd:
-      WriteReg(op.d.rd, a + b);
-      break;
-    case K::kSub:
-      WriteReg(op.d.rd, a - b);
-      break;
-    case K::kSll:
-      WriteReg(op.d.rd, a << (b & 31));
-      break;
-    case K::kSlt:
-      WriteReg(op.d.rd, sa < sb ? 1 : 0);
-      break;
-    case K::kSltu:
-      WriteReg(op.d.rd, a < b ? 1 : 0);
-      break;
-    case K::kXor:
-      WriteReg(op.d.rd, a ^ b);
-      break;
-    case K::kSrl:
-      WriteReg(op.d.rd, a >> (b & 31));
-      break;
-    case K::kSra:
-      WriteReg(op.d.rd, static_cast<uint32_t>(sa >> (b & 31)));
-      break;
-    case K::kOr:
-      WriteReg(op.d.rd, a | b);
-      break;
-    case K::kAnd:
-      WriteReg(op.d.rd, a & b);
-      break;
     case K::kFence:
       break;  // no-op: the model is sequentially consistent
-    case K::kMul:
-      WriteReg(op.d.rd, a * b);
-      break;
-    case K::kMulh:
-      WriteReg(op.d.rd, static_cast<uint32_t>(
-                            (static_cast<int64_t>(sa) * static_cast<int64_t>(sb)) >> 32));
-      break;
-    case K::kMulhsu:
-      WriteReg(op.d.rd, static_cast<uint32_t>(
-                            (static_cast<int64_t>(sa) * static_cast<uint64_t>(b)) >> 32));
-      break;
-    case K::kMulhu:
-      WriteReg(op.d.rd, static_cast<uint32_t>(
-                            (static_cast<uint64_t>(a) * static_cast<uint64_t>(b)) >> 32));
-      break;
-    case K::kDiv:
-      WriteReg(op.d.rd, b == 0 ? 0xFFFFFFFFu
-                        : (sa == INT32_MIN && sb == -1)
-                            ? static_cast<uint32_t>(INT32_MIN)
-                            : static_cast<uint32_t>(sa / sb));
-      break;
-    case K::kDivu:
-      WriteReg(op.d.rd, b == 0 ? 0xFFFFFFFFu : a / b);
-      break;
-    case K::kRem:
-      WriteReg(op.d.rd, b == 0 ? a
-                        : (sa == INT32_MIN && sb == -1) ? 0
-                                                        : static_cast<uint32_t>(sa % sb));
-      break;
-    case K::kRemu:
-      WriteReg(op.d.rd, b == 0 ? a : a % b);
-      break;
     case K::kEcall:
       TakeException(ExcCause::kEcall, pc, 0, op.d.raw, pc + 4, op.metal);
       retire = false;
@@ -1882,20 +1598,25 @@ void Core::ExecuteAluOp(Op& op) {
       metal_.SetPendingWriteback(a);
       break;
     default:
-      TakeException(ExcCause::kIllegalInstruction, pc, 0, op.d.raw, pc + 4, op.metal);
-      retire = false;
+      // The RV32IM kinds: isa/semantics.h, shared with the trace executor.
+      if (info.is_branch) {
+        if (BranchTaken(op.d.kind, a, b)) {
+          branch_to(JumpTarget(op.d.kind, a, imm, pc));
+        }
+      } else if (info.writes_rd) {
+        WriteReg(op.d.rd, AluResult(op.d.kind, a, b, imm, pc));
+        if (info.is_jump) {
+          branch_to(JumpTarget(op.d.kind, a, imm, pc));
+        }
+      } else {
+        TakeException(ExcCause::kIllegalInstruction, pc, 0, op.d.raw, pc + 4, op.metal);
+        retire = false;
+      }
       break;
   }
 
   if (retire) {
-    ++stats_.instret;
-    if (op.metal) {
-      ++stats_.metal_instret;
-    }
-    tracer_.Emit(TraceEventKind::kRetire, op.pc, op.d.raw, 0, op.metal);
-    if (retire_trace_) {
-      retire_trace_(RetireEvent{cycle_, op.pc, op.d.raw, op.metal});
-    }
+    Retire(op.pc, op.d.raw, op.metal);
   }
 }
 

@@ -311,10 +311,21 @@ class Core {
   void StageId();
   void StageIf();
 
-  // Executes one op in EX. Returns false if the op trapped or redirected.
-  void ExecuteOp(Op& op);
   void ExecuteAluOp(Op& op);
   bool StartMemOp(const Op& op);  // pushes into ex_mem_; may trap
+
+  // Retirement bookkeeping shared by the MEM and EX stages and the trace
+  // executor: instret, the kRetire trace event and the retire hook.
+  [[gnu::always_inline]] void Retire(uint32_t pc, uint32_t raw, bool metal) {
+    ++stats_.instret;
+    if (metal) {
+      ++stats_.metal_instret;
+    }
+    tracer_.Emit(TraceEventKind::kRetire, pc, raw, 0, metal);
+    if (retire_trace_) {
+      retire_trace_(RetireEvent{cycle_, pc, raw, metal});
+    }
+  }
 
   // Decode-stage replacement chain for menter/mexit (fast transitions).
   void IdReplacementChain(Op& op);

@@ -1,66 +1,13 @@
 #include "cpu/superblock.h"
 
 #include "isa/decode.h"
+#include "isa/semantics.h"
 #include "mem/bus.h"
 #include "mem/phys_mem.h"
 #include "mmu/mmu.h"
 #include "snap/snapstream.h"
 
 namespace msim {
-
-bool TraceSafeInstr(InstrKind kind) {
-  switch (kind) {
-    case InstrKind::kLui:
-    case InstrKind::kAuipc:
-    case InstrKind::kJal:
-    case InstrKind::kJalr:
-    case InstrKind::kBeq:
-    case InstrKind::kBne:
-    case InstrKind::kBlt:
-    case InstrKind::kBge:
-    case InstrKind::kBltu:
-    case InstrKind::kBgeu:
-    case InstrKind::kAddi:
-    case InstrKind::kSlti:
-    case InstrKind::kSltiu:
-    case InstrKind::kXori:
-    case InstrKind::kOri:
-    case InstrKind::kAndi:
-    case InstrKind::kSlli:
-    case InstrKind::kSrli:
-    case InstrKind::kSrai:
-    case InstrKind::kAdd:
-    case InstrKind::kSub:
-    case InstrKind::kSll:
-    case InstrKind::kSlt:
-    case InstrKind::kSltu:
-    case InstrKind::kXor:
-    case InstrKind::kSrl:
-    case InstrKind::kSra:
-    case InstrKind::kOr:
-    case InstrKind::kAnd:
-    case InstrKind::kFence:
-    case InstrKind::kMul:
-    case InstrKind::kMulh:
-    case InstrKind::kMulhsu:
-    case InstrKind::kMulhu:
-    case InstrKind::kDiv:
-    case InstrKind::kDivu:
-    case InstrKind::kRem:
-    case InstrKind::kRemu:
-    case InstrKind::kLb:
-    case InstrKind::kLh:
-    case InstrKind::kLw:
-    case InstrKind::kLbu:
-    case InstrKind::kLhu:
-    case InstrKind::kSb:
-    case InstrKind::kSh:
-    case InstrKind::kSw:
-      return true;
-    default:
-      return false;
-  }
-}
 
 bool InstrReadsGpr(const Decoded& d, uint8_t reg) {
   if (reg == 0) {
@@ -133,9 +80,21 @@ bool FetchablePa(uint32_t paddr, uint32_t dram_size) {
 void ComputeStallAfter(std::vector<SbSlot>& slots, uint32_t base, uint32_t exec_len) {
   for (uint32_t i = 0; i + 1 < exec_len; ++i) {
     SbSlot& slot = slots[base + i];
-    slot.stall_after = SbIsLoad(slot.exec) && slot.rd != 0 &&
-                       InstrReadsGpr(slots[base + i + 1].d, slot.rd);
+    slot.stall_after = slot.d.info().is_load && slot.d.rd != 0 &&
+                       InstrReadsGpr(slots[base + i + 1].d, slot.d.rd);
   }
+}
+
+// The slot for the word `raw` at virtual address `pc`, with a conditional
+// branch's target folded.
+SbSlot MakeSlot(uint32_t raw, uint32_t pc) {
+  SbSlot slot;
+  slot.d = DecodeInstr(raw);
+  slot.addr = pc;
+  if (slot.d.info().is_branch) {
+    slot.target = JumpTarget(slot.d.kind, 0, static_cast<uint32_t>(slot.d.imm), pc);
+  }
+  return slot;
 }
 
 }  // namespace
@@ -159,86 +118,6 @@ SuperblockCache::SuperblockCache(bool enabled) {
   }
   traces_.resize(kSuperblockEntries);
   mask_ = kSuperblockEntries - 1;
-}
-
-bool SuperblockCache::TranslateSlot(const Decoded& d, uint32_t pc, uint32_t raw,
-                                    SbSlot* out) {
-  using K = InstrKind;
-  using E = SbExec;
-  const uint32_t imm = static_cast<uint32_t>(d.imm);
-  out->rd = d.rd & 31;
-  out->rs1 = d.rs1 & 31;
-  out->rs2 = d.rs2 & 31;
-  out->imm = imm;
-  out->cval = 0;
-  out->target = 0;
-  out->addr = pc;
-  out->raw = raw;
-  out->d = d;
-  switch (d.kind) {
-    case K::kLui:
-      out->exec = E::kConst;
-      out->cval = imm << 12;
-      break;
-    case K::kAuipc:
-      out->exec = E::kConst;
-      out->cval = pc + (imm << 12);
-      break;
-    case K::kJal:
-      out->exec = E::kJal;
-      out->cval = pc + 4;
-      out->target = pc + imm;
-      break;
-    case K::kJalr:
-      out->exec = E::kJalr;
-      out->cval = pc + 4;
-      break;
-    case K::kBeq: out->exec = E::kBeq; out->target = pc + imm; break;
-    case K::kBne: out->exec = E::kBne; out->target = pc + imm; break;
-    case K::kBlt: out->exec = E::kBlt; out->target = pc + imm; break;
-    case K::kBge: out->exec = E::kBge; out->target = pc + imm; break;
-    case K::kBltu: out->exec = E::kBltu; out->target = pc + imm; break;
-    case K::kBgeu: out->exec = E::kBgeu; out->target = pc + imm; break;
-    case K::kAddi: out->exec = E::kAddi; break;
-    case K::kSlti: out->exec = E::kSlti; break;
-    case K::kSltiu: out->exec = E::kSltiu; break;
-    case K::kXori: out->exec = E::kXori; break;
-    case K::kOri: out->exec = E::kOri; break;
-    case K::kAndi: out->exec = E::kAndi; break;
-    case K::kSlli: out->exec = E::kSlli; out->imm = imm & 31; break;
-    case K::kSrli: out->exec = E::kSrli; out->imm = imm & 31; break;
-    case K::kSrai: out->exec = E::kSrai; out->imm = imm & 31; break;
-    case K::kAdd: out->exec = E::kAdd; break;
-    case K::kSub: out->exec = E::kSub; break;
-    case K::kSll: out->exec = E::kSll; break;
-    case K::kSlt: out->exec = E::kSlt; break;
-    case K::kSltu: out->exec = E::kSltu; break;
-    case K::kXor: out->exec = E::kXor; break;
-    case K::kSrl: out->exec = E::kSrl; break;
-    case K::kSra: out->exec = E::kSra; break;
-    case K::kOr: out->exec = E::kOr; break;
-    case K::kAnd: out->exec = E::kAnd; break;
-    case K::kFence: out->exec = E::kFence; break;
-    case K::kMul: out->exec = E::kMul; break;
-    case K::kMulh: out->exec = E::kMulh; break;
-    case K::kMulhsu: out->exec = E::kMulhsu; break;
-    case K::kMulhu: out->exec = E::kMulhu; break;
-    case K::kDiv: out->exec = E::kDiv; break;
-    case K::kDivu: out->exec = E::kDivu; break;
-    case K::kRem: out->exec = E::kRem; break;
-    case K::kRemu: out->exec = E::kRemu; break;
-    case K::kLb: out->exec = E::kLb; break;
-    case K::kLbu: out->exec = E::kLbu; break;
-    case K::kLh: out->exec = E::kLh; break;
-    case K::kLhu: out->exec = E::kLhu; break;
-    case K::kLw: out->exec = E::kLw; break;
-    case K::kSb: out->exec = E::kSb; break;
-    case K::kSh: out->exec = E::kSh; break;
-    case K::kSw: out->exec = E::kSw; break;
-    default:
-      return false;
-  }
-  return true;
 }
 
 uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram,
@@ -271,17 +150,13 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
     if (!word) {
       break;
     }
-    const Decoded d = DecodeInstr(*word);
-    if (!TraceSafeInstr(d.kind)) {
-      break;
-    }
-    SbSlot slot;
-    if (!TranslateSlot(d, addr, *word, &slot)) {
+    const SbSlot slot = MakeSlot(*word, addr);
+    if (!TraceSafeInstr(slot.d.kind)) {
       break;
     }
     slots->push_back(slot);
     addr += 4;
-    if (d.kind == InstrKind::kJal || d.kind == InstrKind::kJalr) {
+    if (slot.d.info().is_jump) {
       break;
     }
   }
@@ -304,12 +179,7 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
     if (!word) {
       break;
     }
-    SbSlot slot;
-    slot.exec = SbExec::kFence;  // never dispatched
-    slot.addr = addr;
-    slot.raw = *word;
-    slot.d = DecodeInstr(*word);
-    slots->push_back(slot);
+    slots->push_back(MakeSlot(*word, addr));  // never dispatched
     addr += 4;
   }
   ComputeStallAfter(*slots, base, exec_len);
@@ -431,7 +301,7 @@ void SuperblockCache::SaveState(SnapWriter& w) const {
       w.U32(seg.len);
     }
     for (const SbSlot& slot : sb.slots) {
-      w.U32(slot.raw);
+      w.U32(slot.d.raw);
     }
     for (const SbSlot& slot : sb.slots) {
       w.U32(static_cast<uint32_t>(static_cast<int32_t>(slot.taken_seg)));
@@ -457,14 +327,9 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
   for (Superblock& sb : traces_) {
     sb.valid = false;
   }
-  const uint32_t first = r.U32();
-  if (!r.ok()) {
-    return InvalidArgument("superblock section: truncated header");
-  }
-  // v1 sections (rung 1) lead with the live-trace count, which is bounded by
-  // kSuperblockEntries and so can never collide with the v2 sentinel.
-  if (first != kSuperblockSectionV2) {
-    return RestoreV1(first, r);
+  const uint32_t sentinel = r.U32();
+  if (!r.ok() || sentinel != kSuperblockSectionV2) {
+    return InvalidArgument("superblock section: missing v2 sentinel");
   }
   const uint32_t version = r.U32();
   if (!r.ok() || version != 2) {
@@ -504,19 +369,9 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
     slots.reserve(total);
     for (const SbSegment& seg : segs) {
       for (uint32_t j = 0; j < seg.len; ++j) {
-        const uint32_t raw = r.U32();
-        const uint32_t addr = seg.start + 4 * j;
-        const Decoded d = DecodeInstr(raw);
-        SbSlot slot;
-        if (j < seg.exec_len) {
-          if (!TranslateSlot(d, addr, raw, &slot)) {
-            return InvalidArgument("superblock section: untranslatable slot");
-          }
-        } else {
-          slot.exec = SbExec::kFence;
-          slot.addr = addr;
-          slot.raw = raw;
-          slot.d = d;
+        const SbSlot slot = MakeSlot(r.U32(), seg.start + 4 * j);
+        if (j < seg.exec_len && !TraceSafeInstr(slot.d.kind)) {
+          return InvalidArgument("superblock section: untranslatable slot");
         }
         slots.push_back(slot);
       }
@@ -533,7 +388,7 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
       // taken edge actually lands at the segment start (the executor follows
       // it blind): reject anything else rather than execute a wrong tree.
       if (ts >= 1 &&
-          (!SbIsCondBranch(slot.exec) || segs[ts].start != slot.target)) {
+          (!slot.d.info().is_branch || segs[ts].start != slot.target)) {
         return InvalidArgument("superblock section: inconsistent tree link");
       }
       if (ts == 0) {
@@ -575,61 +430,6 @@ Status SuperblockCache::RestoreState(SnapReader& r) {
   stats_.mem_slow_exits = r.U64();
   stats_.tree_grows = r.U64();
   stats_.tree_transitions = r.U64();
-  return r.ToStatus("superblock counters");
-}
-
-Status SuperblockCache::RestoreV1(uint32_t live, SnapReader& r) {
-  if (live > kSuperblockEntries) {
-    return InvalidArgument("superblock section: bad trace count");
-  }
-  for (uint32_t i = 0; i < live; ++i) {
-    const uint32_t start = r.U32();
-    const uint32_t exec_len = r.U32();
-    const uint32_t len = r.U32();
-    if (!r.ok() || exec_len < kSuperblockMinLen || len < exec_len ||
-        len > exec_len + 2 || len > kSuperblockMaxRestoreLen || (start & 3) != 0) {
-      return InvalidArgument("superblock section: bad trace geometry");
-    }
-    std::vector<SbSlot> slots;
-    slots.reserve(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      const uint32_t raw = r.U32();
-      const uint32_t addr = start + 4 * j;
-      const Decoded d = DecodeInstr(raw);
-      SbSlot slot;
-      if (j < exec_len) {
-        if (!TranslateSlot(d, addr, raw, &slot)) {
-          return InvalidArgument("superblock section: untranslatable slot");
-        }
-      } else {
-        slot.exec = SbExec::kFence;
-        slot.addr = addr;
-        slot.raw = raw;
-        slot.d = d;
-      }
-      slots.push_back(slot);
-    }
-    ComputeStallAfter(slots, 0, exec_len);
-    MSIM_RETURN_IF_ERROR(r.ToStatus("superblock trace"));
-    if (traces_.empty()) {
-      continue;
-    }
-    Superblock& sb = traces_[Index(start)];
-    sb.valid = true;
-    sb.start = start;
-    sb.exec_len = exec_len;
-    sb.len = len;
-    sb.slots = std::move(slots);
-    sb.segs.assign(1, SbSegment{start, 0, exec_len, len});
-    sb.grow_pending = false;
-    sb.grow_slot = 0;
-  }
-  stats_.builds = r.U64();
-  stats_.executions = r.U64();
-  stats_.chains = r.U64();
-  stats_.instructions = r.U64();
-  stats_.invalidations = r.U64();
-  stats_.evictions = r.U64();
   return r.ToStatus("superblock counters");
 }
 

@@ -7,9 +7,16 @@
 // unconditional jump (jal/jalr), the first trace-unsafe or unfetchable
 // word, the DRAM/MMIO segment boundary, or kSuperblockMaxLen.
 // Core::StepFast executes whole traces with a computed-goto inner loop over
-// pre-extracted operand fields, dispatching once per instruction instead of
-// re-deciding branch direction and decode per cycle; a taken branch whose
-// target starts another cached trace chains directly into it.
+// predecoded slots, dispatching once per instruction instead of re-deciding
+// branch direction and decode per cycle; a taken branch whose target starts
+// another cached trace chains directly into it.
+//
+// Instruction semantics live in one place for both tiers: register results,
+// branch conditions and targets in isa/semantics.h, access widths and load
+// signedness in InstrInfo (isa/instr_table.cc), and DRAM access and
+// retirement in Core helpers shared with the per-cycle stages. The trace
+// tier adds only MSIM_TRACE_KINDS below, the list of kinds it admits, so a
+// new trace-safe kind of an existing class needs one row there.
 //
 // Beyond plain ALU/branch work, traces carry two more kinds of slot:
 //   * Memory-op slots. lw/lh/lhu/lb/lbu/sw/sh/sb join traces. At execution
@@ -85,66 +92,53 @@ class Mmu;
 class SnapWriter;
 class SnapReader;
 
-// True for the kinds the superblock build walk admits: faultless 1-cycle
-// ALU/branch work with no Metal state, plus the DRAM loads/stores the trace
-// executor models with a pending MEM op.
-bool TraceSafeInstr(InstrKind kind);
+// The trace-safe kinds: every instruction the superblock executor runs,
+// each with the class of executor label it dispatches to (Core::StepFast):
+//   Alu     rd <- AluResult (isa/semantics.h)
+//   Nop     no architectural effect
+//   Branch  BranchTaken, redirecting to the folded SbSlot::target
+//   Jump    rd <- the AluResult link, redirecting to JumpTarget
+//   Mem     DRAM load or store, width and extension from InstrInfo
+// This list is the tier's only per-kind knowledge: it answers
+// TraceSafeInstr and generates the executor's dispatch table and labels, so
+// a kind of an existing class joins traces by adding its row.
+#define MSIM_TRACE_KINDS(X)                                                  \
+  X(kLui, Alu) X(kAuipc, Alu) X(kJal, Jump) X(kJalr, Jump)                   \
+  X(kBeq, Branch) X(kBne, Branch) X(kBlt, Branch) X(kBge, Branch)            \
+  X(kBltu, Branch) X(kBgeu, Branch)                                          \
+  X(kLb, Mem) X(kLh, Mem) X(kLw, Mem) X(kLbu, Mem) X(kLhu, Mem)              \
+  X(kSb, Mem) X(kSh, Mem) X(kSw, Mem)                                        \
+  X(kAddi, Alu) X(kSlti, Alu) X(kSltiu, Alu) X(kXori, Alu) X(kOri, Alu)      \
+  X(kAndi, Alu) X(kSlli, Alu) X(kSrli, Alu) X(kSrai, Alu)                    \
+  X(kAdd, Alu) X(kSub, Alu) X(kSll, Alu) X(kSlt, Alu) X(kSltu, Alu)          \
+  X(kXor, Alu) X(kSrl, Alu) X(kSra, Alu) X(kOr, Alu) X(kAnd, Alu)            \
+  X(kFence, Nop)                                                             \
+  X(kMul, Alu) X(kMulh, Alu) X(kMulhsu, Alu) X(kMulhu, Alu)                  \
+  X(kDiv, Alu) X(kDivu, Alu) X(kRem, Alu) X(kRemu, Alu)
+
+// True for the kinds the superblock build walk admits (MSIM_TRACE_KINDS).
+constexpr bool TraceSafeInstr(InstrKind kind) {
+  switch (kind) {
+#define MSIM_TRACE_CASE(k, cls) case InstrKind::k:
+    MSIM_TRACE_KINDS(MSIM_TRACE_CASE)
+#undef MSIM_TRACE_CASE
+      return true;
+    default:
+      return false;
+  }
+}
 
 // True if the decoded instruction reads GPR `reg`. This is the load-use
 // hazard predicate StageId applies per cycle; the build walk applies it
 // statically to mark load slots whose successor stalls (SbSlot::stall_after).
 bool InstrReadsGpr(const Decoded& d, uint8_t reg);
 
-// Executor opcode: the computed-goto dispatch index. Operands are
-// pre-extracted at build time (pc-relative constants folded, shift amounts
-// pre-masked) so the inner loop reads fields, never re-decodes.
-enum class SbExec : uint8_t {
-  kConst = 0,  // rd <- cval (lui, auipc)
-  kAddi, kSlti, kSltiu, kXori, kOri, kAndi, kSlli, kSrli, kSrai,
-  kAdd, kSub, kSll, kSlt, kSltu, kXor, kSrl, kSra, kOr, kAnd,
-  kFence,      // architectural no-op
-  kMul, kMulh, kMulhsu, kMulhu, kDiv, kDivu, kRem, kRemu,
-  kJal,        // rd <- cval (pc+4); always redirects to target
-  kJalr,       // rd <- cval (pc+4); redirects to (rs1 + imm) & ~1
-  kBeq, kBne, kBlt, kBge, kBltu, kBgeu,
-  // Memory-op slots (rung 2). kLb is the first: `exec >= SbExec::kLb` tests
-  // "is a memory slot" in the executor and the exit materialization.
-  kLb, kLbu, kLh, kLhu, kLw,
-  kSb, kSh, kSw,
-  kCount,
-};
-
-// Executor slot-class predicates (dense SbExec ranges; see the enum order).
-inline bool SbIsMem(SbExec e) { return e >= SbExec::kLb; }
-inline bool SbIsLoad(SbExec e) { return e >= SbExec::kLb && e <= SbExec::kLw; }
-inline bool SbIsStore(SbExec e) { return e >= SbExec::kSb; }
-inline bool SbIsCondBranch(SbExec e) { return e >= SbExec::kBeq && e <= SbExec::kBgeu; }
-
-// Access width in bytes of a memory slot.
-inline uint32_t SbMemSize(SbExec e) {
-  switch (e) {
-    case SbExec::kLb:
-    case SbExec::kLbu:
-    case SbExec::kSb:
-      return 1;
-    case SbExec::kLh:
-    case SbExec::kLhu:
-    case SbExec::kSh:
-      return 2;
-    default:
-      return 4;
-  }
-}
-
 // Branch-slot tree-link states (SbSlot::taken_seg).
 inline constexpr int16_t kSbSegUnlinked = -1;  // counting; may still grow
 inline constexpr int16_t kSbSegNoGrow = -2;    // growth tried/refused: stop counting
 
 struct SbSlot {
-  SbExec exec = SbExec::kFence;
-  uint8_t rd = 0;    // pre-masked to 5 bits; 0 means "no writeback"
-  uint8_t rs1 = 0;
-  uint8_t rs2 = 0;
+  Decoded d;  // dispatched on d.kind; operands read from d
   // Load slot whose rd the NEXT slot reads: dispatching it costs the
   // load-use stall cycle plus a bubble, computed at build time (the dynamic
   // StageId check is a pure function of two adjacent slots).
@@ -154,12 +148,9 @@ struct SbSlot {
   int16_t taken_seg = kSbSegUnlinked;
   uint32_t taken_n = 0;     // taken-branch bias counters; frozen once linked
   uint32_t nottaken_n = 0;
-  uint32_t imm = 0;     // imm32; shift amounts pre-masked to 5 bits
-  uint32_t cval = 0;    // folded constant: lui/auipc result, jal/jalr link
-  uint32_t target = 0;  // pc + imm for branches and jal
-  uint32_t addr = 0;    // the word's virtual address within its segment
-  uint32_t raw = 0;     // raw word at build time; revalidated per fetch
-  Decoded d;            // for latch-payload writeback and predecode Insert
+  uint32_t target = 0;  // conditional branches: JumpTarget, folded at build
+  uint32_t addr = 0;    // the word's virtual address within its segment;
+                        // d.raw is revalidated per fetch
 };
 
 // One straight-line run of a trace tree. Segment 0 is the root (the trace's
@@ -294,27 +285,19 @@ class SuperblockCache {
   // in the checkpointed machine restores equally stale and dies at the same
   // future fetch, keeping restored-run counters byte-identical to the
   // straight run. Traces longer than kSuperblockMaxLen restore intact (the
-  // bound gates new builds only). Reads both the rung-1 (v1) and the
-  // segmented rung-2 (v2) section formats; always writes v2.
+  // bound gates new builds only). The section format is v2 (segmented
+  // traces); a section without its sentinel is rejected as malformed.
   void SaveState(SnapWriter& w) const;
   Status RestoreState(SnapReader& r);
 
  private:
   uint32_t Index(uint32_t addr) const { return (addr >> 2) & mask_; }
 
-  // Translates one decoded word at `pc` into an executor slot. False when
-  // the kind has no executor op (trace-unsafe or unknown).
-  static bool TranslateSlot(const Decoded& d, uint32_t pc, uint32_t raw, SbSlot* out);
-
   // Shared straight-line walk for Build (root segment) and MaybeGrow
   // (successor segments): appends the run starting at `start` to `slots`,
   // returning the executable length (0 if shorter than kSuperblockMinLen).
   uint32_t WalkSegment(uint32_t start, const PhysicalMemory& dram, const SbAddrSpace& as,
                        std::vector<SbSlot>* slots) const;
-
-  // Rung-1 "superblocks" section decoder (`live` is the already-consumed
-  // leading trace count).
-  Status RestoreV1(uint32_t live, SnapReader& r);
 
   std::vector<Superblock> traces_;
   uint32_t mask_ = 0;
@@ -338,8 +321,7 @@ inline constexpr uint32_t kSuperblockMaxRestoreSegs = 257;
 // Bias threshold: a branch grows its taken successor once taken at least
 // this often AND at least 8x more often than not taken.
 inline constexpr uint32_t kSbGrowMinTaken = 16;
-// Leading sentinel of the v2 "superblocks" snapshot section (no v1 section
-// starts with it: v1 leads with a live-trace count <= kSuperblockEntries).
+// Leading sentinel of the v2 "superblocks" snapshot section.
 inline constexpr uint32_t kSuperblockSectionV2 = 0xFFFFFFFFu;
 
 }  // namespace msim

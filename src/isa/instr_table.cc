@@ -39,6 +39,12 @@ constexpr InstrInfo Metal(InstrKind k, const char* m, InstrFormat f, uint32_t op
                           bool L = false, bool S = false, bool W = false) {
   return MakeInfo(k, m, f, op, f3, f7, /*metal_only=*/true, L, S, /*B=*/false, /*J=*/false, W);
 }
+// Memory access width in bytes, and sign extension for narrow loads.
+constexpr InstrInfo Sized(InstrInfo info, uint8_t size, bool load_signed = false) {
+  info.mem_size = size;
+  info.load_signed = load_signed;
+  return info;
+}
 
 using K = InstrKind;
 using F = InstrFormat;
@@ -60,14 +66,14 @@ constexpr std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)> BuildTab
   set(Base(K::kBge, "bge", F::kB, kOpBranch, 5, -1, false, false, true));
   set(Base(K::kBltu, "bltu", F::kB, kOpBranch, 6, -1, false, false, true));
   set(Base(K::kBgeu, "bgeu", F::kB, kOpBranch, 7, -1, false, false, true));
-  set(Base(K::kLb, "lb", F::kI, kOpLoad, 0, -1, true, false, false, false, true));
-  set(Base(K::kLh, "lh", F::kI, kOpLoad, 1, -1, true, false, false, false, true));
-  set(Base(K::kLw, "lw", F::kI, kOpLoad, 2, -1, true, false, false, false, true));
-  set(Base(K::kLbu, "lbu", F::kI, kOpLoad, 4, -1, true, false, false, false, true));
-  set(Base(K::kLhu, "lhu", F::kI, kOpLoad, 5, -1, true, false, false, false, true));
-  set(Base(K::kSb, "sb", F::kS, kOpStore, 0, -1, false, true));
-  set(Base(K::kSh, "sh", F::kS, kOpStore, 1, -1, false, true));
-  set(Base(K::kSw, "sw", F::kS, kOpStore, 2, -1, false, true));
+  set(Sized(Base(K::kLb, "lb", F::kI, kOpLoad, 0, -1, true, false, false, false, true), 1, true));
+  set(Sized(Base(K::kLh, "lh", F::kI, kOpLoad, 1, -1, true, false, false, false, true), 2, true));
+  set(Sized(Base(K::kLw, "lw", F::kI, kOpLoad, 2, -1, true, false, false, false, true), 4));
+  set(Sized(Base(K::kLbu, "lbu", F::kI, kOpLoad, 4, -1, true, false, false, false, true), 1));
+  set(Sized(Base(K::kLhu, "lhu", F::kI, kOpLoad, 5, -1, true, false, false, false, true), 2));
+  set(Sized(Base(K::kSb, "sb", F::kS, kOpStore, 0, -1, false, true), 1));
+  set(Sized(Base(K::kSh, "sh", F::kS, kOpStore, 1, -1, false, true), 2));
+  set(Sized(Base(K::kSw, "sw", F::kS, kOpStore, 2, -1, false, true), 4));
   set(Base(K::kAddi, "addi", F::kI, kOpImm, 0, -1, false, false, false, false, true));
   set(Base(K::kSlti, "slti", F::kI, kOpImm, 2, -1, false, false, false, false, true));
   set(Base(K::kSltiu, "sltiu", F::kI, kOpImm, 3, -1, false, false, false, false, true));
@@ -105,12 +111,12 @@ constexpr std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)> BuildTab
   set(Metal(K::kMexit, "mexit", F::kI, kOpMetal, 1, -1));
   set(Metal(K::kRmr, "rmr", F::kI, kOpMetal, 2, -1, false, false, true));
   set(Metal(K::kWmr, "wmr", F::kI, kOpMetal, 3, -1));
-  set(Metal(K::kMld, "mld", F::kI, kOpMetal, 4, -1, true, false, true));
-  set(Metal(K::kMst, "mst", F::kS, kOpMetal, 5, -1, false, true));
+  set(Sized(Metal(K::kMld, "mld", F::kI, kOpMetal, 4, -1, true, false, true), 4));
+  set(Sized(Metal(K::kMst, "mst", F::kS, kOpMetal, 5, -1, false, true), 4));
   set(Base(K::kHalt, "halt", F::kI, kOpMetal, 6, -1));
   // Metal-mode architectural features (paper §2.3).
-  set(Metal(K::kPlw, "plw", F::kI, kOpMetalArch, 0, -1, true, false, true));
-  set(Metal(K::kPsw, "psw", F::kS, kOpMetalArch, 1, -1, false, true));
+  set(Sized(Metal(K::kPlw, "plw", F::kI, kOpMetalArch, 0, -1, true, false, true), 4));
+  set(Sized(Metal(K::kPsw, "psw", F::kS, kOpMetalArch, 1, -1, false, true), 4));
   set(Metal(K::kTlbwr, "tlbwr", F::kR, kOpMetalArch, 2, 0x00));
   set(Metal(K::kTlbinv, "tlbinv", F::kR, kOpMetalArch, 2, 0x01));
   set(Metal(K::kTlbflush, "tlbflush", F::kR, kOpMetalArch, 2, 0x02));
@@ -123,8 +129,6 @@ constexpr std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)> BuildTab
   return t;
 }
 
-constexpr auto kTable = BuildTable();
-
 constexpr const char* kGprNames[32] = {
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
     "a1",   "a2", "a3", "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5",
@@ -132,10 +136,11 @@ constexpr const char* kGprNames[32] = {
 
 }  // namespace
 
-const InstrInfo& GetInstrInfo(InstrKind kind) { return kTable[static_cast<size_t>(kind)]; }
+constexpr std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)> kInstrTable =
+    BuildTable();
 
 const InstrInfo* FindInstrByMnemonic(std::string_view mnemonic) {
-  for (const InstrInfo& info : kTable) {
+  for (const InstrInfo& info : kInstrTable) {
     if (info.kind != InstrKind::kIllegal && mnemonic == info.mnemonic) {
       return &info;
     }

@@ -13,6 +13,8 @@
 #ifndef MSIM_ISA_ISA_H_
 #define MSIM_ISA_ISA_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -92,10 +94,18 @@ struct InstrInfo {
   bool is_branch = false;  // conditional branch
   bool is_jump = false;    // unconditional control transfer (jal/jalr)
   bool writes_rd = false;
+  uint8_t mem_size = 0;      // loads/stores: access width in bytes
+  bool load_signed = false;  // loads: sign-extend (lb/lh) rather than zero-extend
 };
 
+// The instruction table, indexed by InstrKind (instr_table.cc). Read it
+// through GetInstrInfo.
+extern const std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)> kInstrTable;
+
 // Returns the info entry for `kind`. kind must be a valid InstrKind.
-const InstrInfo& GetInstrInfo(InstrKind kind);
+inline const InstrInfo& GetInstrInfo(InstrKind kind) {
+  return kInstrTable[static_cast<size_t>(kind)];
+}
 
 // Looks up an instruction by mnemonic ("add", "menter", ...). Pseudo
 // instructions are handled by the assembler, not here.

@@ -2,7 +2,10 @@
 // unpipelined reference interpreter on randomized programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "isa/encoding.h"
@@ -71,23 +74,18 @@ class ReferenceModel {
         break;
       case InstrKind::kRemu: result = b == 0 ? a : a % b; break;
       case InstrKind::kLui: result = imm << 12; break;
-      case InstrKind::kLw: {
-        const uint32_t addr = a + imm;
-        result = 0;
-        for (int i = 0; i < 4; ++i) {
-          result |= static_cast<uint32_t>(memory[addr + i]) << (8 * i);
-        }
+      case InstrKind::kLb: result = static_cast<uint32_t>(static_cast<int8_t>(Load(a + imm, 1)));
         break;
-      }
-      case InstrKind::kSw: {
-        const uint32_t addr = a + imm;
-        for (int i = 0; i < 4; ++i) {
-          memory[addr + i] = static_cast<uint8_t>(b >> (8 * i));
-        }
-        writes = false;
+      case InstrKind::kLbu: result = Load(a + imm, 1); break;
+      case InstrKind::kLh:
+        result = static_cast<uint32_t>(static_cast<int16_t>(Load(a + imm, 2)));
         break;
-      }
-      default:
+      case InstrKind::kLhu: result = Load(a + imm, 2); break;
+      case InstrKind::kLw: result = Load(a + imm, 4); break;
+      case InstrKind::kSb: Store(a + imm, 1, b); writes = false; break;
+      case InstrKind::kSh: Store(a + imm, 2, b); writes = false; break;
+      case InstrKind::kSw: Store(a + imm, 4, b); writes = false; break;
+      default:  // includes jal zero, .+4 and fence: no register effect
         writes = false;
         break;
     }
@@ -95,8 +93,24 @@ class ReferenceModel {
       regs[d.rd] = result;
     }
   }
+
+ private:
+  // Little-endian accesses of `size` bytes.
+  uint32_t Load(uint32_t addr, int size) const {
+    uint32_t value = 0;
+    for (int i = 0; i < size; ++i) {
+      value |= static_cast<uint32_t>(memory[addr + i]) << (8 * i);
+    }
+    return value;
+  }
+  void Store(uint32_t addr, int size, uint32_t value) {
+    for (int i = 0; i < size; ++i) {
+      memory[addr + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  }
 };
 
+// R-type kinds; the last eight are the M extension.
 constexpr InstrKind kAluR[] = {
     InstrKind::kAdd,  InstrKind::kSub,  InstrKind::kSll,  InstrKind::kSlt,
     InstrKind::kSltu, InstrKind::kXor,  InstrKind::kSrl,  InstrKind::kSra,
@@ -110,6 +124,27 @@ constexpr InstrKind kAluI[] = {
     InstrKind::kSrai,
 };
 
+constexpr InstrKind kLoads[] = {
+    InstrKind::kLb, InstrKind::kLbu, InstrKind::kLh, InstrKind::kLhu, InstrKind::kLw,
+};
+constexpr InstrKind kStores[] = {InstrKind::kSb, InstrKind::kSh, InstrKind::kSw};
+
+// Access width of a load or store, for aligned offsets.
+int32_t AccessSize(InstrKind kind) {
+  switch (kind) {
+    case InstrKind::kLb:
+    case InstrKind::kLbu:
+    case InstrKind::kSb:
+      return 1;
+    case InstrKind::kLh:
+    case InstrKind::kLhu:
+    case InstrKind::kSh:
+      return 2;
+    default:
+      return 4;
+  }
+}
+
 class RandomProgramTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomProgramTest, CoreMatchesReferenceModel) {
@@ -118,49 +153,89 @@ TEST_P(RandomProgramTest, CoreMatchesReferenceModel) {
   constexpr uint32_t kBufferWords = 64;
 
   // Generate a random program of ALU and memory ops. x1 is reserved as the
-  // buffer base so loads/stores stay in bounds; x0 stays zero.
+  // buffer base so loads/stores stay in bounds; x0 stays zero. A
+  // `jal zero, .+4` at most every 8 words refills the pipeline, so the trace
+  // tier enters traces throughout, not only in the first 64 words. (A trace
+  // stops at the first cold icache line, and straight-line code runs once,
+  // so denser refills keep most of each line traced.)
   std::vector<uint32_t> words;
-  std::vector<Decoded> golden;
+  auto reg = [&rng]() {
+    uint8_t r = static_cast<uint8_t>(rng.Below(32));
+    return r == 1 ? uint8_t{2} : r;  // never clobber x1 (buffer base)
+  };
+  // Loads one of 0, -1, INT32_MIN, INT32_MAX into rd.
+  auto edge_operand = [&](uint8_t rd) {
+    switch (rng.Below(4)) {
+      case 0:
+        words.push_back(*EncodeI(InstrKind::kAddi, rd, 0, 0));
+        break;
+      case 1:
+        words.push_back(*EncodeI(InstrKind::kAddi, rd, 0, -1));
+        break;
+      case 2:
+        words.push_back(*EncodeU(InstrKind::kLui, rd, 0x80000));
+        break;
+      default:
+        words.push_back(*EncodeU(InstrKind::kLui, rd, 0x80000));
+        words.push_back(*EncodeI(InstrKind::kAddi, rd, rd, -1));
+        break;
+    }
+  };
   const int length = 200 + static_cast<int>(rng.Below(200));
-  for (int i = 0; i < length; ++i) {
-    const int pick = static_cast<int>(rng.Below(10));
-    uint32_t word = 0;
-    auto reg = [&rng]() {
-      uint8_t r = static_cast<uint8_t>(rng.Below(32));
-      return r == 1 ? uint8_t{2} : r;  // never clobber x1 (buffer base)
-    };
+  size_t next_jump = rng.Range(1, 8);
+  while (words.size() < static_cast<size_t>(length)) {
+    if (words.size() >= next_jump) {
+      words.push_back(*EncodeJ(InstrKind::kJal, 0, 4));
+      next_jump = words.size() + rng.Range(1, 8);
+      continue;
+    }
+    const int pick = static_cast<int>(rng.Below(12));
     if (pick < 4) {
       const InstrKind kind = kAluR[rng.Below(std::size(kAluR))];
-      word = *EncodeR(kind, reg(), reg(), reg());
-    } else if (pick < 7) {
+      words.push_back(*EncodeR(kind, reg(), reg(), reg()));
+    } else if (pick < 6) {
       const InstrKind kind = kAluI[rng.Below(std::size(kAluI))];
       const bool shift = kind == InstrKind::kSlli || kind == InstrKind::kSrli ||
                          kind == InstrKind::kSrai;
       const int32_t imm = shift ? static_cast<int32_t>(rng.Below(32))
                                 : static_cast<int32_t>(rng.Below(4096)) - 2048;
-      word = *EncodeI(kind, reg(), reg(), imm);
+      words.push_back(*EncodeI(kind, reg(), reg(), imm));
+    } else if (pick < 7) {
+      words.push_back(
+          *EncodeU(InstrKind::kLui, reg(), static_cast<int32_t>(rng.Below(1 << 20))));
     } else if (pick < 8) {
-      word = *EncodeU(InstrKind::kLui, reg(), static_cast<int32_t>(rng.Below(1 << 20)));
-    } else if (pick < 9) {
-      const int32_t offset = static_cast<int32_t>(rng.Below(kBufferWords)) * 4;
-      word = *EncodeI(InstrKind::kLw, reg(), 1, offset);
+      // Edge operands into an M-extension op: division overflow
+      // (INT32_MIN / -1), divide-by-zero and the mulh sign cases.
+      const uint8_t a = reg();
+      const uint8_t b = reg();
+      edge_operand(a);
+      edge_operand(b);
+      const auto muldiv = std::span(kAluR).last<8>();
+      words.push_back(*EncodeR(muldiv[rng.Below(muldiv.size())], reg(), a, b));
+    } else if (pick < 10) {
+      const InstrKind kind = kLoads[rng.Below(std::size(kLoads))];
+      const int32_t size = AccessSize(kind);
+      const int32_t offset =
+          static_cast<int32_t>(rng.Below(kBufferWords * 4 / size)) * size;
+      words.push_back(*EncodeI(kind, reg(), 1, offset));
+    } else if (pick < 11) {
+      const InstrKind kind = kStores[rng.Below(std::size(kStores))];
+      const int32_t size = AccessSize(kind);
+      const int32_t offset =
+          static_cast<int32_t>(rng.Below(kBufferWords * 4 / size)) * size;
+      words.push_back(*EncodeS(kind, 1, reg(), offset));
     } else {
-      const int32_t offset = static_cast<int32_t>(rng.Below(kBufferWords)) * 4;
-      word = *EncodeS(InstrKind::kSw, 1, reg(), offset);
+      words.push_back(*EncodeI(InstrKind::kFence, 0, 0, 0));
     }
-    words.push_back(word);
-    golden.push_back(DecodeInstr(word));
   }
 
   // Reference execution.
   ReferenceModel ref(kBufferBase + kBufferWords * 4 + 64);
   ref.regs[1] = kBufferBase;
-  for (const Decoded& d : golden) {
-    ref.Execute(d);
+  for (const uint32_t word : words) {
+    ref.Execute(DecodeInstr(word));
   }
 
-  // Pipelined execution.
-  Core core;
   Program program;
   program.text.base = 0x1000;
   for (const uint32_t word : words) {
@@ -173,21 +248,46 @@ TEST_P(RandomProgramTest, CoreMatchesReferenceModel) {
     program.text.bytes.push_back(static_cast<uint8_t>(halt_word >> (8 * b)));
   }
   program.entry = program.text.base;
-  ASSERT_OK(core.LoadProgram(program));
-  core.WriteReg(1, kBufferBase);
-  const RunResult result = core.Run(1'000'000);
-  ASSERT_EQ(result.reason, RunResult::Reason::kHalted) << result.fatal_message;
 
-  for (uint8_t r = 0; r < 32; ++r) {
-    EXPECT_EQ(core.ReadReg(r), ref.regs[r]) << "register x" << int(r);
-  }
-  for (uint32_t w = 0; w < kBufferWords; ++w) {
-    uint32_t ref_word = 0;
-    for (int b = 0; b < 4; ++b) {
-      ref_word |= static_cast<uint32_t>(ref.memory[kBufferBase + 4 * w + b]) << (8 * b);
+  // Pipelined execution, traced and per cycle: both match the reference,
+  // and retire the same instructions at the same cycles.
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> retires;  // (cycle, pc)
+  for (const bool fast_step : {true, false}) {
+    SCOPED_TRACE(fast_step ? "fast_step on" : "fast_step off");
+    CoreConfig config;
+    config.fast_step = fast_step;
+    Core core(config);
+    ASSERT_OK(core.LoadProgram(program));
+    core.WriteReg(1, kBufferBase);
+    auto& stream = retires.emplace_back();
+    core.SetRetireTrace([&stream](const Core::RetireEvent& event) {
+      stream.emplace_back(event.cycle, event.pc);
+    });
+    const RunResult result = core.Run(1'000'000);
+    ASSERT_EQ(result.reason, RunResult::Reason::kHalted) << result.fatal_message;
+
+    for (uint8_t r = 0; r < 32; ++r) {
+      EXPECT_EQ(core.ReadReg(r), ref.regs[r]) << "register x" << int(r);
     }
-    EXPECT_EQ(core.bus().dram().Read32(kBufferBase + 4 * w), ref_word) << "word " << w;
+    for (uint32_t w = 0; w < kBufferWords; ++w) {
+      uint32_t ref_word = 0;
+      for (int b = 0; b < 4; ++b) {
+        ref_word |= static_cast<uint32_t>(ref.memory[kBufferBase + 4 * w + b]) << (8 * b);
+      }
+      EXPECT_EQ(core.bus().dram().Read32(kBufferBase + 4 * w), ref_word) << "word " << w;
+    }
+    if (fast_step) {
+      EXPECT_GE(2 * core.superblocks().stats().instructions, core.stats().instret)
+          << "under half of the run retired in traces";
+    }
   }
+  ASSERT_EQ(retires[0].size(), retires[1].size());
+  const auto [traced, percycle] = std::mismatch(retires[0].begin(), retires[0].end(),
+                                                retires[1].begin());
+  EXPECT_TRUE(traced == retires[0].end())
+      << "retire " << (traced - retires[0].begin()) << ": traced cycle " << traced->first
+      << " pc 0x" << std::hex << traced->second << ", per-cycle cycle " << std::dec
+      << percycle->first << " pc 0x" << std::hex << percycle->second;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range<uint64_t>(1, 25));

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpu/core.h"
@@ -139,6 +140,24 @@ TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
   EXPECT_LE(stats.instructions, traced.stats().instret);
   // And the control core never ran it.
   EXPECT_EQ(percycle.superblocks().stats().executions, 0u);
+}
+
+// Each MSIM_TRACE_KINDS row's executor class agrees with the kind's
+// InstrInfo, which the per-cycle pipeline dispatches on.
+TEST(SuperblockTest, TraceKindClassesMatchInstrInfo) {
+  auto expect_class = [](InstrKind kind, std::string_view cls) {
+    const InstrInfo& info = GetInstrInfo(kind);
+    const std::string_view want = info.is_load || info.is_store ? "Mem"
+                                  : info.is_branch              ? "Branch"
+                                  : info.is_jump                ? "Jump"
+                                  : info.writes_rd              ? "Alu"
+                                                                : "Nop";
+    EXPECT_EQ(cls, want) << info.mnemonic;
+    EXPECT_TRUE(TraceSafeInstr(kind)) << info.mnemonic;
+  };
+#define MSIM_EXPECT_CLASS(k, cls) expect_class(InstrKind::k, #cls);
+  MSIM_TRACE_KINDS(MSIM_EXPECT_CLASS)
+#undef MSIM_EXPECT_CLASS
 }
 
 // Counts timer interrupts in MRAM data[0] (same handler as interrupt_test).
@@ -576,39 +595,69 @@ TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
   EXPECT_FALSE(disabled.enabled());
 }
 
+// A v2 "superblocks" section holding one single-segment trace at 0x1000.
+std::vector<uint8_t> OneTraceSection(uint32_t exec_len, const std::vector<uint32_t>& raws) {
+  SnapWriter w;
+  w.U32(kSuperblockSectionV2);
+  w.U32(2);       // section format version
+  w.U32(1);       // live traces
+  w.U32(0x1000);  // trace start
+  w.U32(1);       // segments
+  w.U32(0x1000);  // segment start
+  w.U32(exec_len);
+  w.U32(static_cast<uint32_t>(raws.size()));  // len
+  for (const uint32_t raw : raws) {
+    w.U32(raw);
+  }
+  for (size_t i = 0; i < raws.size(); ++i) {
+    w.U32(static_cast<uint32_t>(static_cast<int32_t>(kSbSegUnlinked)));
+    w.U32(0);  // taken_n
+    w.U32(0);  // nottaken_n
+  }
+  w.U8(0);   // grow_pending
+  w.U32(0);  // grow_slot
+  for (int i = 0; i < 10; ++i) {
+    w.U64(0);  // counters
+  }
+  return w.TakeBytes();
+}
+
 TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
   SuperblockCache cache(/*enabled=*/true);
+  auto restores = [&cache](const std::vector<uint8_t>& bytes) {
+    SnapReader r(bytes);
+    return cache.RestoreState(r).ok();
+  };
+  constexpr uint32_t kAddi = 0x00000013;   // addi x0, x0, 0
+  constexpr uint32_t kEcall = 0x00000073;  // not trace-safe
+  // The well-formed baseline restores, so each rejection below is its defect.
+  EXPECT_TRUE(restores(OneTraceSection(2, {kAddi, kAddi})));
   {
     // Trace count past the cache geometry.
     SnapWriter w;
+    w.U32(kSuperblockSectionV2);
+    w.U32(2);
     w.U32(kSuperblockEntries + 1);
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
+    EXPECT_FALSE(restores(w.TakeBytes()));
   }
+  // Geometry that claims fewer total slots than executable ones.
+  EXPECT_FALSE(restores(OneTraceSection(4, {kAddi, kAddi, kAddi})));
+  // An executable slot whose raw word is not trace-safe.
+  EXPECT_FALSE(restores(OneTraceSection(2, {kAddi, kEcall})));
   {
-    // Geometry that claims fewer total slots than executable ones.
+    // The retired v1 layout (no sentinel: live count, then start, exec_len,
+    // len, raw words and six counters) is malformed, not migrated.
     SnapWriter w;
     w.U32(1);
-    w.U32(0x1000);  // start
-    w.U32(4);       // exec_len
-    w.U32(3);       // len < exec_len
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
-  }
-  {
-    // An executable slot whose raw word is not trace-safe.
-    SnapWriter w;
-    w.U32(1);
-    w.U32(0x1000);      // start
-    w.U32(2);           // exec_len
-    w.U32(2);           // len
-    w.U32(0x00000013);  // addi x0, x0, 0 — fine
-    w.U32(0x00000073);  // ecall — untranslatable
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    SnapReader r(bytes);
-    EXPECT_FALSE(cache.RestoreState(r).ok());
+    w.U32(0x1000);
+    w.U32(2);
+    w.U32(2);
+    w.U32(kAddi);
+    w.U32(kAddi);
+    for (int i = 0; i < 6; ++i) {
+      w.U64(0);
+    }
+    EXPECT_FALSE(restores(w.TakeBytes()));
   }
 }
 
@@ -643,6 +692,35 @@ TEST(StepFlagCliTest, RemovedTierFlagsExitUsage) {
   EXPECT_EQ(RunShell(std::string(MFUZZ_CLI_PATH) + " --oracle superblock --runs 1 --out " +
                      testing::TempDir() + "/step_flags_mfuzz" + quiet),
             kExitUsage);
+}
+
+// msim run --restore: a malformed extras section is a bad input file, a
+// usage error (exit 2) like a malformed core section.
+TEST(StepFlagCliTest, TruncatedSuperblocksSectionExitsUsage) {
+  const std::string source = "_start:\n  li a0, 0\n  li t0, 200\nloop:\n"
+                             "  addi a0, a0, 1\n  blt a0, t0, loop\n  halt zero\n";
+  const std::string program = testing::TempDir() + "/restore_extras.s";
+  {
+    std::ofstream out(program);
+    out << source;
+  }
+  MetalSystem system;  // msim run's default machine
+  ASSERT_OK(system.LoadProgramSource(source));
+  ASSERT_OK(system.Boot());
+  system.core().Run(100);
+  ASSERT_GT(system.core().superblocks().stats().builds, 0u);
+  SnapWriter w;
+  system.core().superblocks().SaveState(w);
+  std::vector<uint8_t> section = w.TakeBytes();
+  const std::string good = testing::TempDir() + "/restore_extras_good.msnap";
+  ASSERT_OK(SaveSnapshotFile(system.core(), good, {{"superblocks", section}}));
+  section.resize(section.size() / 2);
+  const std::string bad = testing::TempDir() + "/restore_extras_bad.msnap";
+  ASSERT_OK(SaveSnapshotFile(system.core(), bad, {{"superblocks", section}}));
+
+  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
+  EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);
+  EXPECT_EQ(RunShell(run + bad + " >/dev/null 2>&1"), kExitUsage);
 }
 
 }  // namespace

@@ -465,47 +465,30 @@ int CmdRun(const std::vector<std::string>& args) {
       // are usage errors; I/O failures are runtime errors.
       return (status.code() == ErrorCode::kFailedPrecondition ||
               status.code() == ErrorCode::kInvalidArgument)
-                 ? 2
-                 : 1;
+                 ? kExitUsage
+                 : kExitRuntimeError;
     }
+    // A malformed extras section is a bad input file, like a malformed core
+    // section: usage error.
     for (const SnapshotSection& section : extras) {
+      SnapReader reader(section.payload);
+      Status status = Status::Ok();
       if (section.name == "fault") {
-        SnapReader reader(section.payload);
-        if (Status status = fault_engine.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 2;
-        }
+        status = fault_engine.RestoreState(reader);
       } else if (section.name == "profiler") {
-        SnapReader reader(section.payload);
-        if (Status status = profiler.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
+        status = profiler.RestoreState(reader);
       } else if (section.name == "spans") {
-        SnapReader reader(section.payload);
-        if (Status status = spans.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
+        status = spans.RestoreState(reader);
       } else if (section.name == "flight") {
-        SnapReader reader(section.payload);
-        if (Status status = flight.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
+        status = flight.RestoreState(reader);
       } else if (section.name == "ring") {
-        SnapReader reader(section.payload);
-        if (Status status = ring.RestoreState(reader); !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
+        status = ring.RestoreState(reader);
       } else if (section.name == "superblocks") {
-        SnapReader reader(section.payload);
-        if (Status status = system.core().superblocks().RestoreState(reader);
-            !status.ok()) {
-          std::fprintf(stderr, "%s\n", status.ToString().c_str());
-          return 1;
-        }
+        status = system.core().superblocks().RestoreState(reader);
+      }
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s\n", status.ToString().c_str());
+        return kExitUsage;
       }
     }
   }
