@@ -13,12 +13,18 @@
 // off (per-cycle stepping); CI computes the fast-over-per-cycle speedup
 // ratios from the JSON output and gates regressions against
 // bench/baseline_simspeed.json.
+//
+// BM_FreshMachineCheckpoint is the odd one out: it measures whole machines
+// per second, the per-machine fixed cost a fault-campaign trial pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "asm/assembler.h"
@@ -26,6 +32,7 @@
 #include "cpu/core.h"
 #include "ext/stm.h"
 #include "metal/system.h"
+#include "snap/snapshot.h"
 
 namespace msim {
 namespace {
@@ -241,6 +248,49 @@ void BM_InterceptLoopStepCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_InterceptLoopStepCycle)->Unit(benchmark::kMillisecond);
 
+// tests/data/smoke.s, read once.
+const std::string& SmokeSource() {
+  static const std::string source = [] {
+    std::ifstream in(MSIM_SMOKE_PROGRAM);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }();
+  return source;
+}
+
+// One machine's fixed cost, the shape of a campaign trial: construct a
+// MetalSystem, run smoke.s to halt, checkpoint it, restore the image into a
+// fresh Core and take the full-DRAM state digest. False if any step fails.
+bool FreshMachineCheckpoint() {
+  MetalSystem system;
+  if (!system.LoadProgramSource(SmokeSource()).ok()) {
+    return false;
+  }
+  system.Run(1'000'000);
+  if (!system.core().halted()) {
+    return false;
+  }
+  const std::vector<uint8_t> image = SaveSnapshot(system.core());
+  Core restored(system.core().config());
+  if (!RestoreSnapshot(restored, image).ok()) {
+    return false;
+  }
+  benchmark::DoNotOptimize(restored.StateDigest(true));
+  return true;
+}
+
+void BM_FreshMachineCheckpoint(benchmark::State& state) {
+  for (auto _ : state) {
+    if (!FreshMachineCheckpoint()) {
+      state.SkipWithError("smoke.s did not load, halt or restore");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FreshMachineCheckpoint)->Unit(benchmark::kMicrosecond);
+
 void BM_Assembler(benchmark::State& state) {
   std::string source = "_start:\n";
   for (int i = 0; i < 1000; ++i) {
@@ -287,6 +337,26 @@ double MeasureInstrPerSec(const char* source, const CoreConfig& config, int reps
         best = rate;
       }
     }
+  }
+  return best;
+}
+
+// Best-of-`reps` rate of FreshMachineCheckpoint, each rep a 0.2 s window.
+// Zero if a machine fails.
+double MeasureMachinesPerSec(int reps) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    uint64_t machines = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    double seconds = 0.0;
+    do {
+      if (!FreshMachineCheckpoint()) {
+        return 0.0;
+      }
+      ++machines;
+      seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    } while (seconds < 0.2);
+    best = std::max(best, static_cast<double>(machines) / seconds);
   }
   return best;
 }
@@ -352,6 +422,7 @@ int RunBenchReport(int argc, char** argv) {
   const double strided = MeasureInstrPerSec(kStridedStoreLoop, fast_config, kReps);
   const double mixed = MeasureInstrPerSec(kMixedAluMemLoop, fast_config, kReps);
   const InterceptRates intercept = MeasureIntercept(3 * kReps);
+  const double machines = MeasureMachinesPerSec(5);
   std::printf("BM_AluLoop                %12.0f sim-instr/s (traced)\n", fast);
   std::printf("BM_AluLoopStepCycle       %12.0f sim-instr/s (fast_step off)\n", slow);
   std::printf("BM_AluLoopObserved        %12.0f sim-instr/s (traced + span sink)\n",
@@ -368,6 +439,8 @@ int RunBenchReport(int argc, char** argv) {
               intercept.fast);
   std::printf("BM_InterceptLoopStepCycle %12.0f sim-instr/s (fast_step off)\n",
               intercept.slow);
+  std::printf("BM_FreshMachineCheckpoint %12.0f machines/s (build, run, save, restore, digest)\n",
+              machines);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
   std::printf("speedup (memloop traced/stepcycle) %6.2fx\n",
               memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
@@ -381,6 +454,7 @@ int RunBenchReport(int argc, char** argv) {
   report.AddRow("BM_MixedAluMemLoop").Field("sim_instr_per_sec", mixed);
   report.AddRow("BM_InterceptLoop").Field("sim_instr_per_sec", intercept.fast);
   report.AddRow("BM_InterceptLoopStepCycle").Field("sim_instr_per_sec", intercept.slow);
+  report.AddRow("BM_FreshMachineCheckpoint").Field("machines_per_sec", machines);
   report.AddRow("speedup").Field("fast_over_stepcycle", slow > 0.0 ? fast / slow : 0.0);
   report.AddRow("memloop_superblock_speedup")
       .Field("traced_over_stepcycle", memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);

@@ -1,117 +1,110 @@
 #include "mem/phys_mem.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <span>
 
 #include "snap/snapstream.h"
 #include "support/strings.h"
 
 namespace msim {
 
-PhysicalMemory::PhysicalMemory(uint32_t size_bytes) : bytes_(size_bytes, 0) {}
+namespace {
 
-std::optional<uint32_t> PhysicalMemory::Read32(uint32_t paddr) const {
-  if (paddr + 4 > bytes_.size() || paddr + 4 < paddr) {
-    return std::nullopt;
-  }
-  uint32_t value;
-  std::memcpy(&value, &bytes_[paddr], 4);
-  return value;
+// What every absent page reads as.
+alignas(64) const uint8_t kZeroPage[PhysicalMemory::kPageSize] = {};
+
+bool AllZero(const uint8_t* bytes, uint32_t length) {
+  return std::memcmp(bytes, kZeroPage, length) == 0;
 }
 
-std::optional<uint16_t> PhysicalMemory::Read16(uint32_t paddr) const {
-  if (paddr + 2 > bytes_.size() || paddr + 2 < paddr) {
-    return std::nullopt;
+// Calls fn(page) for every set bit of `bitmap`, in ascending page order.
+template <typename Fn>
+void ForEachPage(const std::vector<uint64_t>& bitmap, Fn&& fn) {
+  for (size_t word = 0; word < bitmap.size(); ++word) {
+    for (uint64_t bits = bitmap[word]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<uint32_t>(word * 64 + std::countr_zero(bits)));
+    }
   }
-  uint16_t value;
-  std::memcpy(&value, &bytes_[paddr], 2);
-  return value;
 }
 
-std::optional<uint8_t> PhysicalMemory::Read8(uint32_t paddr) const {
-  if (paddr >= bytes_.size()) {
-    return std::nullopt;
-  }
-  return bytes_[paddr];
+}  // namespace
+
+PhysicalMemory::PhysicalMemory(uint32_t size_bytes) : size_(size_bytes) {
+  const uint32_t pages = static_cast<uint32_t>(
+      (static_cast<uint64_t>(size_bytes) + kPageSize - 1) >> kPageBits);
+  slab_ = std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(pages) * kPageSize);
+  read_.assign(pages, kZeroPage);
+  write_.assign(pages, nullptr);
+  committed_.assign((pages + 63) / 64, 0);
 }
 
-bool PhysicalMemory::Write32(uint32_t paddr, uint32_t value) {
-  if (paddr + 4 > bytes_.size() || paddr + 4 < paddr) {
-    return false;
-  }
-  std::memcpy(&bytes_[paddr], &value, 4);
-  ++write_generation_;
-  return true;
+uint32_t PhysicalMemory::PageLength(uint32_t page) const {
+  return std::min(kPageSize, size_ - (page << kPageBits));
 }
 
-bool PhysicalMemory::Write16(uint32_t paddr, uint16_t value) {
-  if (paddr + 2 > bytes_.size() || paddr + 2 < paddr) {
-    return false;
-  }
-  std::memcpy(&bytes_[paddr], &value, 2);
-  ++write_generation_;
-  return true;
+uint8_t* PhysicalMemory::Commit(uint32_t page) {
+  uint8_t* bytes = slab_.get() + (static_cast<size_t>(page) << kPageBits);
+  read_[page] = bytes;
+  write_[page] = bytes;
+  committed_[page / 64] |= uint64_t{1} << (page % 64);
+  return bytes;
 }
 
-bool PhysicalMemory::Write8(uint32_t paddr, uint8_t value) {
-  if (paddr >= bytes_.size()) {
-    return false;
-  }
-  bytes_[paddr] = value;
-  ++write_generation_;
-  return true;
+uint8_t* PhysicalMemory::CommitZeroed(uint32_t page) {
+  uint8_t* bytes = Commit(page);
+  std::memset(bytes, 0, kPageSize);
+  return bytes;
 }
 
 Status PhysicalMemory::LoadSection(const Section& section) {
   if (section.bytes.empty()) {
     return Status::Ok();
   }
-  if (section.base + section.bytes.size() > bytes_.size() ||
+  if (section.base + section.bytes.size() > size_ ||
       section.base + section.bytes.size() < section.base) {
     return OutOfRange(StrFormat("section [0x%08x, 0x%08x) does not fit in %u bytes of memory",
                                 section.base, section.end(), size()));
   }
-  std::copy(section.bytes.begin(), section.bytes.end(), bytes_.begin() + section.base);
+  const uint8_t* src = section.bytes.data();
+  uint32_t paddr = section.base;
+  for (size_t left = section.bytes.size(); left > 0;) {
+    const uint32_t offset = paddr & (kPageSize - 1);
+    const uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(left, kPageSize - offset));
+    std::memcpy(WritablePage(paddr >> kPageBits) + offset, src, chunk);
+    src += chunk;
+    paddr += chunk;
+    left -= chunk;
+  }
   ++write_generation_;
   return Status::Ok();
 }
 
 void PhysicalMemory::Clear() {
-  std::fill(bytes_.begin(), bytes_.end(), 0);
+  ForEachPage(committed_, [this](uint32_t page) {
+    read_[page] = kZeroPage;
+    write_[page] = nullptr;
+  });
+  std::fill(committed_.begin(), committed_.end(), 0);
   ++write_generation_;
 }
-
-namespace {
-constexpr uint32_t kSnapPageSize = 4096;
-}  // namespace
 
 void PhysicalMemory::SaveState(SnapWriter& w) const {
   w.U32(size());
   w.U64(write_generation_);
-  w.U32(kSnapPageSize);
-  const uint32_t num_pages = (size() + kSnapPageSize - 1) / kSnapPageSize;
-  uint32_t live_pages = 0;
-  for (uint32_t page = 0; page < num_pages; ++page) {
-    const uint32_t begin = page * kSnapPageSize;
-    const uint32_t end = std::min(begin + kSnapPageSize, size());
-    bool live = false;
-    for (uint32_t i = begin; i < end && !live; ++i) {
-      live = bytes_[i] != 0;
+  w.U32(kPageSize);
+  // Absent pages are zero; a committed page is live iff it still holds a
+  // non-zero byte (a page written only with zeros is not serialized).
+  std::vector<uint32_t> live;
+  ForEachPage(committed_, [&](uint32_t page) {
+    if (!AllZero(read_[page], PageLength(page))) {
+      live.push_back(page);
     }
-    live_pages += live ? 1 : 0;
-  }
-  w.U32(live_pages);
-  for (uint32_t page = 0; page < num_pages; ++page) {
-    const uint32_t begin = page * kSnapPageSize;
-    const uint32_t end = std::min(begin + kSnapPageSize, size());
-    bool live = false;
-    for (uint32_t i = begin; i < end && !live; ++i) {
-      live = bytes_[i] != 0;
-    }
-    if (live) {
-      w.U32(page);
-      w.Bytes(bytes_.data() + begin, end - begin);
-    }
+  });
+  w.U32(static_cast<uint32_t>(live.size()));
+  for (const uint32_t page : live) {
+    w.U32(page);
+    w.Bytes(read_[page], PageLength(page));
   }
 }
 
@@ -125,19 +118,34 @@ Status PhysicalMemory::RestoreState(SnapReader& r) {
     return InvalidArgument(StrFormat("snapshot DRAM size %u differs from configured size %u",
                                      saved_size, size()));
   }
-  if (page_size != kSnapPageSize) {
+  if (page_size != kPageSize) {
     return InvalidArgument(StrFormat("snapshot DRAM page size %u unsupported", page_size));
   }
+  if (live_pages > num_pages()) {
+    return InvalidArgument(StrFormat("snapshot DRAM claims %u live pages of %u", live_pages,
+                                     num_pages()));
+  }
   Clear();
+  uint32_t last_page = 0;
   for (uint32_t i = 0; i < live_pages; ++i) {
     const uint32_t page = r.U32();
-    const std::vector<uint8_t> contents = r.Bytes();
+    const std::span<const uint8_t> contents = r.BytesView();
     MSIM_RETURN_IF_ERROR(r.ToStatus("dram page"));
-    const uint64_t begin = static_cast<uint64_t>(page) * kSnapPageSize;
-    if (begin + contents.size() > size()) {
+    if (page >= num_pages()) {
       return InvalidArgument(StrFormat("snapshot DRAM page %u out of range", page));
     }
-    std::copy(contents.begin(), contents.end(), bytes_.begin() + begin);
+    // SaveState writes pages in ascending order, once each; anything else
+    // would not re-serialize to the same image.
+    if (i > 0 && page <= last_page) {
+      return InvalidArgument(StrFormat("snapshot DRAM page %u follows page %u", page,
+                                       last_page));
+    }
+    last_page = page;
+    if (contents.size() != PageLength(page)) {
+      return InvalidArgument(StrFormat("snapshot DRAM page %u holds %zu bytes, not %u", page,
+                                       contents.size(), PageLength(page)));
+    }
+    std::memcpy(Commit(page), contents.data(), contents.size());
   }
   // Last: Clear() above bumps the generation, and a restored machine must
   // report exactly the saved value or the re-serialized state diverges.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "cpu/config.h"
 #include "cpu/core.h"
@@ -125,14 +126,14 @@ Status RestoreSnapshot(Core& core, const std::vector<uint8_t>& image,
   bool restored_core = false;
   for (uint32_t i = 0; i < num_sections; ++i) {
     const std::string name = r.Str();
-    const std::vector<uint8_t> payload = r.Bytes();
+    const std::span<const uint8_t> payload = r.BytesView();
     MSIM_RETURN_IF_ERROR(r.ToStatus("snapshot section"));
     if (name == kCoreSection) {
-      SnapReader section(payload);
+      SnapReader section(payload.data(), payload.size());
       MSIM_RETURN_IF_ERROR(core.RestoreState(section));
       restored_core = true;
     } else if (extras != nullptr) {
-      extras->push_back(SnapshotSection{name, payload});
+      extras->push_back(SnapshotSection{name, {payload.begin(), payload.end()}});
     }
   }
   if (!restored_core) {

@@ -5,9 +5,10 @@
 // (snap/diverge.h). Design constraints, in order:
 //   * byte-exact determinism: the same machine state always serializes to the
 //     same bytes, so snapshot files can be diffed and digests compared;
-//   * streaming digest: the writer folds every byte into an FNV-1a hash as it
-//     goes, and can run in digest-only mode (no buffering) so per-cycle state
-//     digests cost no allocation;
+//   * streaming digest: in digest-only mode the writer folds every byte into
+//     an FNV-1a hash as it goes and buffers nothing, so per-cycle state
+//     digests cost no allocation. A buffering writer does not hash while it
+//     writes; its digest() hashes the buffer on demand;
 //   * explicit failure: the reader never aborts — truncated or oversized
 //     input trips a sticky failure flag the caller converts into a Status.
 // No endianness, padding or struct-layout assumptions leak into the format:
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,17 +69,28 @@ class SnapWriter {
 
   const std::vector<uint8_t>& bytes() const { return buffer_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buffer_); }
-  uint64_t digest() const { return digest_; }
+  // FNV-1a of everything written (of a buffering writer: of what bytes()
+  // still holds, so call it before TakeBytes()).
+  uint64_t digest() const {
+    return mode_ == Mode::kDigestOnly ? digest_ : Fnv(kFnvOffsetBasis, buffer_.data(),
+                                                      buffer_.size());
+  }
   uint64_t size() const { return written_; }
 
  private:
-  void Append(const uint8_t* data, size_t size) {
+  static uint64_t Fnv(uint64_t digest, const uint8_t* data, size_t size) {
     for (size_t i = 0; i < size; ++i) {
-      digest_ = (digest_ ^ data[i]) * kFnvPrime;
+      digest = (digest ^ data[i]) * kFnvPrime;
     }
+    return digest;
+  }
+
+  void Append(const uint8_t* data, size_t size) {
     written_ += size;
     if (mode_ == Mode::kBuffer) {
       buffer_.insert(buffer_.end(), data, data + size);
+    } else {
+      digest_ = Fnv(digest_, data, size);
     }
   }
 
@@ -92,6 +105,8 @@ class SnapReader {
   SnapReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit SnapReader(const std::vector<uint8_t>& data)
       : SnapReader(data.data(), data.size()) {}
+  // The reader aliases its input, so it must outlive the reader.
+  explicit SnapReader(std::vector<uint8_t>&&) = delete;
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ == size_; }
@@ -127,19 +142,25 @@ class SnapReader {
   }
   bool Bool() { return U8() != 0; }
 
-  std::vector<uint8_t> Bytes() {
+  // A length-prefixed byte array, viewed in place: the span aliases the
+  // reader's input and is empty once the reader has failed.
+  std::span<const uint8_t> BytesView() {
     const uint64_t size = U64();
     if (!ok_ || size > remaining()) {
       ok_ = false;
       return {};
     }
-    std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + size);
+    const std::span<const uint8_t> out(data_ + pos_, size);
     pos_ += size;
     return out;
   }
+  std::vector<uint8_t> Bytes() {
+    const std::span<const uint8_t> view = BytesView();
+    return std::vector<uint8_t>(view.begin(), view.end());
+  }
   std::string Str() {
-    const std::vector<uint8_t> bytes = Bytes();
-    return std::string(bytes.begin(), bytes.end());
+    const std::span<const uint8_t> view = BytesView();
+    return std::string(view.begin(), view.end());
   }
 
   // Converts the sticky failure flag into a Status, naming the consumer.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "dev/console.h"
 #include "dev/intc.h"
 #include "dev/nic.h"
@@ -8,6 +13,7 @@
 #include "mem/cache.h"
 #include "mem/mram.h"
 #include "mem/phys_mem.h"
+#include "snap/snapstream.h"
 #include "tests/sim_test_util.h"
 
 namespace msim {
@@ -44,6 +50,130 @@ TEST(PhysicalMemoryTest, LoadSection) {
   EXPECT_EQ(mem.Read32(8), 0x04030201u);
   section.base = 62;
   EXPECT_FALSE(mem.LoadSection(section).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Lazily committed pages (phys_mem.h): absent pages read as zero, the first
+// write commits a page, and the snapshot format is the one the flat
+// representation wrote.
+
+constexpr uint32_t kPage = PhysicalMemory::kPageSize;
+
+std::vector<uint8_t> Saved(const PhysicalMemory& mem) {
+  SnapWriter w;
+  mem.SaveState(w);
+  return w.TakeBytes();
+}
+
+TEST(PhysicalMemoryTest, AbsentPagesReadZero) {
+  PhysicalMemory mem(8 * kPage);
+  ASSERT_TRUE(mem.Write32(3 * kPage + 8, 0xFFFFFFFFu));
+  for (uint32_t page = 0; page < 8; ++page) {
+    EXPECT_EQ(mem.Read32(page * kPage + 4), 0u) << "page " << page;
+    EXPECT_EQ(mem.Read16(page * kPage + kPage - 2), 0u) << "page " << page;
+    EXPECT_EQ(mem.Read8(page * kPage), 0u) << "page " << page;
+  }
+  EXPECT_EQ(mem.Read32(3 * kPage + 8), 0xFFFFFFFFu);
+}
+
+TEST(PhysicalMemoryTest, ZeroOnlyPageIsNotSerialized) {
+  PhysicalMemory fresh(4 * kPage);
+  PhysicalMemory zeroed(4 * kPage);
+  for (uint32_t offset = 0; offset < kPage; offset += 4) {
+    ASSERT_TRUE(zeroed.Write32(2 * kPage + offset, 0));
+  }
+  ASSERT_TRUE(zeroed.Write8(kPage + 5, 0));
+  std::vector<uint8_t> a = Saved(fresh);
+  std::vector<uint8_t> b = Saved(zeroed);
+  // The images differ only in the write generation (bytes 4..11).
+  ASSERT_EQ(a.size(), b.size());
+  std::fill(a.begin() + 4, a.begin() + 12, 0);
+  std::fill(b.begin() + 4, b.begin() + 12, 0);
+  EXPECT_EQ(a, b);
+}
+
+TEST(PhysicalMemoryTest, SaveAfterClearEqualsFreshMemory) {
+  PhysicalMemory fresh(5 * kPage);
+  PhysicalMemory used(5 * kPage);
+  for (uint32_t page = 0; page < 5; ++page) {
+    ASSERT_TRUE(used.Write32(page * kPage + 12, 0x1234567u + page));
+  }
+  used.Clear();
+  EXPECT_EQ(used.Read32(2 * kPage + 12), 0u);
+  // Equal but for the write generation (bytes 4..11), which Clear bumps.
+  std::vector<uint8_t> cleared = Saved(used);
+  std::vector<uint8_t> expected = Saved(fresh);
+  ASSERT_EQ(cleared.size(), expected.size());
+  std::fill(cleared.begin() + 4, cleared.begin() + 12, 0);
+  std::fill(expected.begin() + 4, expected.begin() + 12, 0);
+  EXPECT_EQ(cleared, expected);
+}
+
+TEST(PhysicalMemoryTest, AccessesAcrossPageBoundaryRoundTrip) {
+  for (uint32_t offset = 0xFFD; offset <= 0xFFF; ++offset) {
+    SCOPED_TRACE("page offset " + std::to_string(offset));
+    PhysicalMemory mem(3 * kPage);
+    const uint32_t paddr = kPage + offset;
+    ASSERT_TRUE(mem.Write32(paddr, 0xA1B2C3D4u));
+    EXPECT_EQ(mem.Read32(paddr), 0xA1B2C3D4u);
+    for (uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(mem.Read8(paddr + i), static_cast<uint8_t>(0xA1B2C3D4u >> (8 * i)));
+    }
+    ASSERT_TRUE(mem.Write16(paddr + 1, 0xBEEF));
+    EXPECT_EQ(mem.Read16(paddr + 1), 0xBEEFu);
+    EXPECT_EQ(mem.Read32(paddr), 0xA1BEEFD4u);
+    // Both pages travel through a snapshot.
+    PhysicalMemory restored(3 * kPage);
+    const std::vector<uint8_t> image = Saved(mem);
+    SnapReader r(image);
+    ASSERT_OK(restored.RestoreState(r));
+    EXPECT_EQ(restored.Read32(paddr), 0xA1BEEFD4u);
+  }
+}
+
+TEST(PhysicalMemoryTest, TailPageRoundTrips) {
+  constexpr uint32_t kSize = 2 * kPage + 0x46;  // not a multiple of the page size
+  PhysicalMemory mem(kSize);
+  ASSERT_TRUE(mem.Write32(kSize - 4, 0xCAFEF00Du));
+  ASSERT_TRUE(mem.Write8(2 * kPage, 0x77));
+  EXPECT_FALSE(mem.Write32(kSize - 2, 1));
+  EXPECT_FALSE(mem.Read8(kSize).has_value());
+  const std::vector<uint8_t> image = Saved(mem);
+  PhysicalMemory restored(kSize);
+  SnapReader r(image);
+  ASSERT_OK(restored.RestoreState(r));
+  EXPECT_EQ(restored.Read32(kSize - 4), 0xCAFEF00Du);
+  EXPECT_EQ(restored.Read8(2 * kPage), 0x77);
+  EXPECT_EQ(Saved(restored), image);
+}
+
+// The DRAM snapshot format is pinned: this multi-page pattern (a zero-only
+// page, a page-crossing word, a loaded section and a short tail page)
+// digested to this value under the flat-vector representation, before pages
+// were committed lazily.
+TEST(PhysicalMemoryTest, SaveStateFormatIsPinned) {
+  PhysicalMemory mem(6 * kPage + 0x123);
+  for (uint32_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(mem.Write32(i * 4, i * 0x9E3779B1u));
+  }
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(mem.Write32(kPage + i * 4, 0));
+  }
+  for (uint32_t i = 0; i < kPage; ++i) {
+    ASSERT_TRUE(mem.Write8(2 * kPage + i, static_cast<uint8_t>(i * 7 + 3)));
+  }
+  ASSERT_TRUE(mem.Write32(4 * kPage - 2, 0xA1B2C3D4u));
+  Section section;
+  section.base = 5 * kPage + 0x10;
+  section.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_OK(mem.LoadSection(section));
+  ASSERT_TRUE(mem.Write16(mem.size() - 2, 0xBEEF));
+  ASSERT_TRUE(mem.Write8(6 * kPage, 0x5A));
+  SnapWriter w(SnapWriter::Mode::kDigestOnly);
+  mem.SaveState(w);
+  EXPECT_EQ(w.digest(), 0x303d8fc6b15ccee0ull);
+  EXPECT_EQ(w.size(), 20863u);
+  EXPECT_EQ(mem.write_generation(), 4180u);
 }
 
 TEST(BusTest, RoutesDramAndDevices) {

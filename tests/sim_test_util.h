@@ -3,7 +3,9 @@
 #define MSIM_TESTS_SIM_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -12,6 +14,13 @@
 #include "metal/system.h"
 
 namespace msim {
+
+// Runs `command` through the shell; its exit status, or -1 if it did not
+// exit normally.
+inline int RunShell(const std::string& command) {
+  const int raw = std::system(command.c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
 
 // Asserts the status/result is ok, printing the message otherwise.
 #define ASSERT_OK(expr)                                          \

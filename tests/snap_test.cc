@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.h"
+#include "mem/phys_mem.h"
 #include "metal/system.h"
 #include "snap/replay.h"
 #include "snap/snapshot.h"
 #include "snap/snapstream.h"
+#include "support/exit_codes.h"
 #include "support/result.h"
 #include "support/rng.h"
 #include "tests/sim_test_util.h"
@@ -288,6 +292,160 @@ TEST(SnapshotRoundTripTest, SparseDramPagesSurvive) {
   ASSERT_OK(restored.Boot());
   ASSERT_OK(RestoreSnapshot(restored.core(), image));
   EXPECT_EQ(restored.core().StateDigest(true), system.core().StateDigest(true));
+}
+
+// ---------------------------------------------------------------------------
+// DRAM page records: PhysicalMemory::RestoreState accepts exactly what
+// SaveState writes — ascending page indices, each blob the page's length —
+// so a restored image always re-serializes to itself.
+
+constexpr uint32_t kPage = PhysicalMemory::kPageSize;
+
+using PageRecord = std::pair<uint32_t, std::vector<uint8_t>>;
+
+// A hand-built DRAM section of a `size`-byte memory: the header, then
+// `records` in the given order, under a live-page count of `live_pages`.
+std::vector<uint8_t> DramSection(uint32_t size, const std::vector<PageRecord>& records,
+                                 uint32_t live_pages) {
+  SnapWriter w;
+  w.U32(size);
+  w.U64(7);  // write generation
+  w.U32(kPage);
+  w.U32(live_pages);
+  for (const auto& [page, bytes] : records) {
+    w.U32(page);
+    w.Bytes(bytes);
+  }
+  return w.TakeBytes();
+}
+
+std::vector<uint8_t> DramSection(uint32_t size, const std::vector<PageRecord>& records) {
+  return DramSection(size, records, static_cast<uint32_t>(records.size()));
+}
+
+Status RestoreDram(PhysicalMemory& mem, const std::vector<uint8_t>& section) {
+  SnapReader r(section);
+  return mem.RestoreState(r);
+}
+
+std::vector<uint8_t> SaveDram(const PhysicalMemory& mem) {
+  SnapWriter w;
+  mem.SaveState(w);
+  return w.TakeBytes();
+}
+
+TEST(DramRecordTest, BlobMustBeExactlyThePageLength) {
+  constexpr uint32_t kSize = 3 * kPage + 100;  // three full pages and a tail
+  const std::vector<uint8_t> full(kPage, 0xAB);
+  const std::vector<uint8_t> tail(100, 0xCD);
+  PhysicalMemory mem(kSize);
+  // Positive control: full pages and an exact tail re-serialize to themselves.
+  const std::vector<uint8_t> good = DramSection(kSize, {{0, full}, {3, tail}});
+  ASSERT_OK(RestoreDram(mem, good));
+  EXPECT_EQ(SaveDram(mem), good);
+  EXPECT_EQ(mem.Read8(3 * kPage + 99), 0xCD);
+
+  // Longer than a page: the blob would spill into page 1.
+  std::vector<uint8_t> spill(kPage + 1, 0xAB);
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{0, spill}})).code(),
+            ErrorCode::kInvalidArgument);
+  // Shorter than a full page.
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{1, std::vector<uint8_t>(16, 1)}})).code(),
+            ErrorCode::kInvalidArgument);
+  // A tail page serialized as a full page, and one cut short.
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{3, full}})).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{3, std::vector<uint8_t>(99, 1)}})).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(DramRecordTest, PageIndicesMustBeStrictlyAscending) {
+  constexpr uint32_t kSize = 4 * kPage;
+  const std::vector<uint8_t> a(kPage, 0x11);
+  const std::vector<uint8_t> b(kPage, 0x22);
+  PhysicalMemory mem(kSize);
+  const std::vector<uint8_t> good = DramSection(kSize, {{1, a}, {2, b}});
+  ASSERT_OK(RestoreDram(mem, good));
+  EXPECT_EQ(SaveDram(mem), good);
+
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{1, a}, {1, b}})).code(),
+            ErrorCode::kInvalidArgument);  // duplicate
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{2, b}, {1, a}})).code(),
+            ErrorCode::kInvalidArgument);  // out of order
+  EXPECT_EQ(RestoreDram(mem, DramSection(kSize, {{4, a}})).code(),
+            ErrorCode::kInvalidArgument);  // past the last page
+}
+
+TEST(DramRecordTest, LivePageCountMustNotExceedPageCount) {
+  constexpr uint32_t kSize = 2 * kPage;
+  PhysicalMemory mem(kSize);
+  ASSERT_TRUE(mem.Write32(0, 0x600DF00D));
+  // Three records of a two-page memory: rejected from the header alone,
+  // before the restore clears anything.
+  const Status status = RestoreDram(
+      mem, DramSection(kSize,
+                       {{0, std::vector<uint8_t>(kPage, 1)}, {1, std::vector<uint8_t>(kPage, 2)}},
+                       /*live_pages=*/3));
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("live pages"), std::string::npos) << status.message();
+  EXPECT_EQ(mem.Read32(0), 0x600DF00Du);
+}
+
+// A snapshot container (snapshot.h) around `core`'s state, with the DRAM
+// section replaced by `dram`.
+std::vector<uint8_t> SnapshotWithDram(const Core& core, const std::vector<uint8_t>& dram) {
+  SnapWriter state;
+  core.SaveState(state, /*include_dram=*/false);
+  std::vector<uint8_t> payload = state.TakeBytes();
+  payload.back() = 1;  // the include_dram flag, now followed by `dram`
+  payload.insert(payload.end(), dram.begin(), dram.end());
+  SnapWriter w;
+  for (const char c : std::string("MSIMSNAP")) {
+    w.U8(static_cast<uint8_t>(c));
+  }
+  w.U32(kSnapshotVersion);
+  w.U64(CoreConfigHash(core.config()));
+  w.U64(core.cycle());
+  w.U32(1);
+  w.Str("core");
+  w.Bytes(payload);
+  return w.TakeBytes();
+}
+
+// msim run --restore: a malformed DRAM page record is a bad input file, a
+// usage error (exit 2).
+TEST(DramRecordTest, CliRestoreOfMalformedPageExitsUsage) {
+  const std::string source = "_start:\n  li a0, 0x100\n  sw a0, 0(a0)\n  halt zero\n";
+  const std::string program = testing::TempDir() + "/dram_records.s";
+  {
+    std::ofstream out(program);
+    out << source;
+  }
+  MetalSystem system;  // msim run's default machine
+  ASSERT_OK(system.LoadProgramSource(source));
+  ASSERT_OK(system.Boot());
+  const uint32_t size = system.core().config().dram_size;
+  SnapWriter dram;
+  system.core().bus().dram().SaveState(dram);
+  const std::vector<uint8_t> good_image = SnapshotWithDram(system.core(), dram.bytes());
+  ASSERT_EQ(good_image, SaveSnapshot(system.core()));  // the container is built right
+
+  const std::vector<uint8_t> page(kPage, 0x5A);
+  const std::vector<uint8_t> bad_images[] = {
+      SnapshotWithDram(system.core(), DramSection(size, {{0, std::vector<uint8_t>(kPage + 4)}})),
+      SnapshotWithDram(system.core(), DramSection(size, {{2, page}, {1, page}})),
+      SnapshotWithDram(system.core(), DramSection(size, {}, size / kPage + 1)),
+  };
+  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
+  const std::string good = testing::TempDir() + "/dram_records_good.msnap";
+  ASSERT_OK(WriteFileBytes(good, good_image));
+  EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);
+  for (size_t i = 0; i < std::size(bad_images); ++i) {
+    const std::string bad =
+        testing::TempDir() + "/dram_records_bad" + std::to_string(i) + ".msnap";
+    ASSERT_OK(WriteFileBytes(bad, bad_images[i]));
+    EXPECT_EQ(RunShell(run + bad + " >/dev/null 2>&1"), kExitUsage) << "bad image " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

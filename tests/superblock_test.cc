@@ -8,7 +8,6 @@
 // cache's own counters checked on the side so none of the parity checks can
 // pass vacuously with the tier disabled.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -665,11 +664,6 @@ TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
 // CLI: fast_step is the one stepping flag; the removed tier flags and the
 // removed mfuzz oracle are usage errors (exit 2), never silently ignored.
 // ---------------------------------------------------------------------------
-
-int RunShell(const std::string& command) {
-  const int raw = std::system(command.c_str());
-  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-}
 
 TEST(StepFlagCliTest, RemovedTierFlagsExitUsage) {
   const std::string program = testing::TempDir() + "/step_flags_halt.s";
