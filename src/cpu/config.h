@@ -61,15 +61,14 @@ struct CoreConfig {
   // and the mfuzz "faststep" oracle.
   //
   // Predecode cache entries (0 disables; rounded up to a power of two).
-  // Entries are serialized in snapshots, so the count participates in the
-  // snapshot config hash (snap/snapshot.h).
+  // Host-tier only: never serialized and not part of the snapshot config
+  // hash (snap/snapshot.h).
   uint32_t predecode_entries = 4096;
   // The one stepping knob. On, Core::Run steps non-Metal code through the
   // superblock trace tier (cpu/superblock.h) and everything else per cycle;
   // off, every cycle is a Core::StepCycle, the per-cycle reference. Not part
-  // of the snapshot config hash: trace state travels in a separate
-  // "superblocks" snapshot section, so snapshots stay portable across
-  // stepping modes.
+  // of the snapshot config hash: trace state is never serialized, so
+  // snapshots stay portable across stepping modes.
   bool fast_step = true;
 
   // Safety net for runaway simulations in tests.

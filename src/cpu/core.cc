@@ -316,14 +316,10 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   const uint16_t asid = metal_.asid();
   const uint32_t keyperm = metal_.keyperm();
   const SbAddrSpace sb_as{paged ? &mmu_ : nullptr, asid, keyperm};
-  // Mutable: store slots bump it mid-trace; reloaded after every completed
-  // store so predecode probes always see the current generation.
-  uint64_t gen = bus_.dram().write_generation();
   uint64_t retired = 0;
   uint32_t pc = fetch_pc_;
   bool last_redirect = false;
   uint64_t icache_hits = 0;
-  uint64_t predecode_hits = 0;
   uint64_t dcache_hits = 0;
   uint64_t tlb_hits = 0;  // fetch + data translations, credited in one batch
 
@@ -340,6 +336,18 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // per-cycle reset.
   uint64_t load_dispatch_cycle = ~uint64_t{0};
   uint8_t ex_load_rd = ex_load_rd_;
+
+  // The running segment's physical code pages (equal for a one-page run),
+  // set at every segment entry. sb_exact turns on the per-fetch DRAM check
+  // for the rest of the segment once a store to one of them is latched or
+  // completes: only then can a word the segment still fetches change.
+  uint32_t code_page0 = 0;
+  uint32_t code_page1 = 0;
+  bool sb_exact = false;
+  const auto sb_code_page = [&](uint32_t paddr) {
+    const uint32_t page = paddr >> PhysicalMemory::kPageBits;
+    return page == code_page0 || page == code_page1;
+  };
 
   // Trace exit: writes the executor's latch shadows into the member latches
   // exactly as a per-cycle run would hold them. sh_ex/sh_id/sh_buf are the
@@ -380,6 +388,11 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // key-readable and map at ONE common delta (the build-time slot addresses
   // are virtual; `*delta` rebases them).
   //
+  // Then the ready prefix is validated against DRAM per code page
+  // (SuperblockCache::SegmentCurrent, which invalidates the trace if a word
+  // changed), and the segment becomes the running one: its code pages are
+  // recorded and the exact fetch check is off.
+  //
   // Returns the number of LEADING slots that are ready (0 rejects the
   // segment). The executor runs the segment truncated to that prefix —
   // byte-exact, because a truncated segment is indistinguishable from a
@@ -388,7 +401,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // Truncation matters: a trace's cold suffix (a fall-through path the
   // guest has not reached) must not keep its hot prefix — e.g. a loop body
   // ending in a strongly taken back edge — out of the executor.
-  auto sb_seg_ready = [&](const SbSegment& seg, uint32_t* delta) -> uint32_t {
+  auto sb_seg_ready = [&](Superblock& sb, SbSegment& seg, uint32_t* delta) -> uint32_t {
     uint32_t d = 0;
     uint32_t vlimit = seg.start + 4 * seg.len;
     if (paged) {
@@ -418,8 +431,16 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         break;
       }
     }
+    const uint32_t ready = (vlimit - seg.start) / 4;
+    if (ready < kSuperblockMinLen ||
+        !superblocks_.SegmentCurrent(sb, seg, ready, d, bus_.dram())) {
+      return 0;
+    }
     *delta = d;
-    return (vlimit - seg.start) / 4;
+    code_page0 = seg.page[0];
+    code_page1 = seg.page[1];
+    sb_exact = false;
+    return ready;
   };
 
 // Superblock executor cycle fragments (see the executor loop below). Each
@@ -435,27 +456,28 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // into EX (slot e + 1) is past the executable run: that cycle, and the
 // fetch-only word it would shift into EX, are left to StepCycle.
 //
-// When a pending STORE completes this cycle, MEM runs before IF: the fetch
-// must observe the post-store bytes. The store may legally target the
-// executing trace's own backing words — the merged word is compared against
-// the slot raw, and any mismatch invalidates the trace and exits before the
-// cycle commits. The bumped generation also forces the per-cycle fetch off
-// the predecode-hit path, so sb_hit is forced false to count identically.
+// Fetched words need no check while the segment's code pages are unchanged
+// since its entry validation. Once a store to one of them is latched
+// (sb_exact), every fetch re-reads its word. A store completing this cycle
+// lands before IF (MEM runs first), so its bytes are merged into the word:
+// a store into the executing trace's own words (self-modifying code)
+// invalidates the trace and exits before the cycle commits.
 #define MSIM_SB_FETCH_OR_EXIT()                                          \
   do {                                                                   \
     const int32_t sb_f = e + 2 + depth;                                  \
     if (e + 1 >= exec_len || sb_f >= len) {                              \
       goto sb_exit_uncommitted;                                          \
     }                                                                    \
-    const SbSlot& sb_fs = slots[sb_f];                                   \
-    const uint32_t sb_fpa = sb_fs.addr + fdelta;                         \
-    if (sb_pend.valid && sb_pend.is_store) {                             \
+    if (sb_exact) [[unlikely]] {                                         \
+      const SbSlot& sb_fs = slots[sb_f];                                 \
+      const uint32_t sb_fpa = sb_fs.addr + fdelta;                       \
       const auto sb_word = bus_.dram().Read32(sb_fpa);                   \
       if (!sb_word) {                                                    \
         goto sb_exit_stale;                                              \
       }                                                                  \
       uint32_t sb_w = *sb_word;                                          \
-      if ((sb_pend.paddr & ~3u) == sb_fpa) {                             \
+      if (sb_pend.valid && sb_pend.is_store &&                           \
+          (sb_pend.paddr & ~3u) == sb_fpa) {                             \
         const uint32_t sb_sh = (sb_pend.paddr & 3u) * 8;                 \
         const uint32_t sb_m =                                            \
             ~0u >> (32 - 8 * GetInstrInfo(sb_pend.kind).mem_size);       \
@@ -465,45 +487,23 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       if (sb_w != sb_fs.d.raw) {                                         \
         goto sb_exit_stale;                                              \
       }                                                                  \
-      sb_hit = false;                                                    \
-    } else {                                                             \
-      const Decoded* sb_peek = predecode_.Peek(sb_fpa, gen);             \
-      if (sb_peek != nullptr) {                                          \
-        if (sb_peek->raw != sb_fs.d.raw) {                               \
-          goto sb_exit_stale;                                            \
-        }                                                                \
-        sb_hit = true;                                                   \
-      } else {                                                           \
-        const auto sb_word = bus_.dram().Read32(sb_fpa);                 \
-        if (!sb_word || *sb_word != sb_fs.d.raw) {                       \
-          goto sb_exit_stale;                                            \
-        }                                                                \
-        sb_hit = false;                                                  \
-      }                                                                  \
     }                                                                    \
   } while (0)
 
 // Post-commit fetch bookkeeping: the same counting events as StageIf's
-// fetch (icache + TLB hit tally, predecode hit tally or Verify/Insert —
-// `gen` read here, AFTER any pending-store completion), the ID -> EX shift,
-// and the latch-payload shadow pointers. sh_ex/sh_id/sh_buf track which
-// slot's payload a per-cycle run would have left in each latch and in the
-// skid buffer; they are written into the member latches only at executor
-// exit (sb_writeback_latches). Every started fetch rewrites the buffer
-// payload; at depth 0 delivery is same-cycle (ID gets the same word), at
-// depth 1 ID consumes the PREVIOUS buffered word and the new word parks.
+// fetch (icache + TLB hit tally), the ID -> EX shift, and the latch-payload
+// shadow pointers. sh_ex/sh_id/sh_buf track which slot's payload a
+// per-cycle run would have left in each latch and in the skid buffer; they
+// are written into the member latches only at executor exit
+// (sb_writeback_latches). Every started fetch rewrites the buffer payload;
+// at depth 0 delivery is same-cycle (ID gets the same word), at depth 1 ID
+// consumes the PREVIOUS buffered word and the new word parks.
 #define MSIM_SB_COMMIT_FETCH()                                           \
   do {                                                                   \
     const SbSlot& sb_fs = slots[e + 2 + depth];                          \
-    const uint32_t sb_fpa = sb_fs.addr + fdelta;                         \
     ++icache_hits;                                                       \
     if (paged) {                                                         \
       ++tlb_hits;                                                        \
-    }                                                                    \
-    if (sb_hit) {                                                        \
-      ++predecode_hits;                                                  \
-    } else if (predecode_.Verify(sb_fpa, gen, sb_fs.d.raw) == nullptr) { \
-      predecode_.Insert(sb_fpa, gen, sb_fs.d.raw, sb_fs.d);              \
     }                                                                    \
     if (e >= -1) {                                                       \
       sh_ex = sh_id;                                                     \
@@ -519,9 +519,10 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // expands right after each ++cycle_, BEFORE the cycle's EX work and events.
 // Semantics are StageMem's DRAM path: consuming drops `valid` and zeroes
 // `wait` (payload stale in place), the access goes through the same
-// DramLoad/DramStore, a store's bumped write generation is reloaded so every
-// later predecode probe sees it, and the op retires with the MEM-stage
-// kRetire event ordering.
+// DramLoad/DramStore, and the op retires with the MEM-stage kRetire event
+// ordering. A completed store to the running segment's code pages turns on
+// the exact fetch check; it matters after a tree transition, which
+// validates the new segment before this cycle's store lands.
 #define MSIM_SB_COMPLETE_PEND()                                          \
   do {                                                                   \
     if (sb_pend.valid) {                                                 \
@@ -530,7 +531,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       if (sb_pend.is_store) {                                            \
         (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr,               \
                         sb_pend.store_value);                            \
-        gen = bus_.dram().write_generation();                            \
+        sb_exact |= sb_code_page(sb_pend.paddr);                         \
       } else {                                                           \
         const uint32_t sb_ld =                                           \
             DramLoad(bus_, sb_pend.kind, sb_pend.paddr).value_or(0);     \
@@ -548,7 +549,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // cycle), with StartMemOp's counter effects replayed — dcache hit, TLB hit
 // when paged — and the load-use shadow updated for loads. store_value is
 // latched for loads too (StartMemOp reads rs2 unconditionally), keeping the
-// written-back ex_mem_ payload byte-identical.
+// written-back ex_mem_ payload byte-identical. A store to the running
+// segment's code pages turns on the exact fetch check before the cycle that
+// completes it.
 #define MSIM_SB_MEM_DISPATCH()                                           \
   do {                                                                   \
     superblocks_.CountMemFastHit();                                      \
@@ -569,7 +572,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     sb_pend.wait = 1;                                                    \
     sb_pend.target = MemOp::Target::kDram;                               \
     sb_mem_any = true;                                                   \
-    if (!sb_st) {                                                        \
+    if (sb_st) {                                                         \
+      sb_exact |= sb_code_page(sb_pa);                                   \
+    } else {                                                             \
       load_dispatch_cycle = cycle_;                                      \
       ex_load_rd = es->d.rd;                                             \
     }                                                                    \
@@ -682,7 +687,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }
     uint32_t sb_entry_delta = 0;
     const uint32_t sb_entry_len =
-        sb != nullptr ? sb_seg_ready(sb->segs[0], &sb_entry_delta) : 0;
+        sb != nullptr ? sb_seg_ready(*sb, sb->segs[0], &sb_entry_delta) : 0;
     if (sb_entry_len < kSuperblockMinLen) {
       break;  // no ready trace at the refill pc: per-cycle stepping takes over
     }
@@ -708,7 +713,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     const SbSlot* sh_id = nullptr;
     const SbSlot* sh_buf = nullptr;
     SbSlot* es = nullptr;
-    bool sb_hit = false;
     uint32_t sb_tgt = 0;
 
     // Threaded dispatch: one indirect jump per instruction, indexed by the
@@ -803,15 +807,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
                    false);
       {
         const SbSlot& sb_fs = slots[e + 2];
-        const uint32_t sb_fpa = sb_fs.addr + fdelta;
         ++icache_hits;
         if (paged) {
           ++tlb_hits;
-        }
-        if (sb_hit) {
-          ++predecode_hits;
-        } else if (predecode_.Verify(sb_fpa, gen, sb_fs.d.raw) == nullptr) {
-          predecode_.Insert(sb_fpa, gen, sb_fs.d.raw, sb_fs.d);
         }
         sh_buf = &sb_fs;
         pc = sb_fs.addr + 4;
@@ -856,10 +854,12 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     if (es->taken_seg >= 1) {
       // The hot side was inlined as a tree segment. Entering it is the
       // same committed redirect cycle, continued in the new segment
-      // without leaving the executor.
-      const SbSegment& sb_tseg = sb->segs[es->taken_seg];
+      // without leaving the executor. The segment is validated before
+      // this cycle's pending store lands; MSIM_SB_COMPLETE_PEND checks that
+      // store against the new segment's code pages.
+      SbSegment& sb_tseg = sb->segs[es->taken_seg];
       uint32_t sb_tdelta = 0;
-      const uint32_t sb_tlen = sb_seg_ready(sb_tseg, &sb_tdelta);
+      const uint32_t sb_tlen = sb_seg_ready(*sb, sb_tseg, &sb_tdelta);
       if (sb_tlen >= kSuperblockMinLen) {
         ++cycle_;
         MSIM_SB_COMPLETE_PEND();
@@ -906,7 +906,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       Superblock* sb_nt = superblocks_.Lookup(pc);
       uint32_t sb_nt_delta = 0;
       const uint32_t sb_nt_len =
-          sb_nt != nullptr ? sb_seg_ready(sb_nt->segs[0], &sb_nt_delta) : 0;
+          sb_nt != nullptr ? sb_seg_ready(*sb_nt, sb_nt->segs[0], &sb_nt_delta) : 0;
       if (sb_nt_len >= kSuperblockMinLen) {
         // Chain: the branch target starts another cached trace. Stale
         // payload pointers stay valid — invalidation never frees slot
@@ -937,10 +937,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     superblocks_.CountMemSlowExit();
     goto sb_exit_uncommitted;
   sb_exit_stale:
-    // A raw word no longer matches the backing store (the write that
-    // changed it — an external poke, a loader, or THIS trace's own
-    // pending store — forces the re-read above). Invalidate before the
-    // fetching cycle commits.
+    // A store to the running segment's code pages — THIS trace's own,
+    // possibly still pending — changed a word it fetches. Invalidate
+    // before the fetching cycle commits.
     superblocks_.Invalidate(*sb);
   sb_exit_uncommitted:
     // Exit BEFORE the current cycle commits, with the latches exactly as a
@@ -993,7 +992,6 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       ex_mem_ = sb_pend;
     }
     icache_.CreditHits(icache_hits);
-    predecode_.CreditHits(predecode_hits);
     dcache_.CreditHits(dcache_hits);
     mmu_.tlb().CreditHits(tlb_hits);
     fetch_pc_ = pc;
@@ -2051,10 +2049,6 @@ void Core::SaveState(SnapWriter& w, bool include_dram) const {
   w.U64(stats_.machine_checks);
   w.U64(stats_.watchdog_fires);
 
-  // Predecode cache: contents AND counters, so a restored run's stats-json
-  // stays byte-identical to the uninterrupted run (snapshot version 2).
-  predecode_.SaveState(w);
-
   // Components.
   metal_.SaveState(w);
   mram_.SaveState(w);
@@ -2073,10 +2067,11 @@ void Core::SaveState(SnapWriter& w, bool include_dram) const {
 }
 
 Status Core::RestoreState(SnapReader& r) {
-  // Restore replaces DRAM wholesale: every cached trace's raw words are
-  // suspect. Trace state is not part of this stream (it is architecturally
-  // invisible, like the stepping mode); msim restores it from the optional
-  // "superblocks" snapshot section afterwards.
+  // Restore replaces DRAM and MRAM wholesale. Neither host-tier cache is
+  // part of this stream (both are architecturally invisible, like the
+  // stepping mode), so both start cold: the restored write generations
+  // could otherwise alias stale predecode entries.
+  predecode_.InvalidateAll();
   superblocks_.InvalidateAll();
   for (uint32_t& reg : regs_) {
     reg = r.U32();
@@ -2168,7 +2163,6 @@ Status Core::RestoreState(SnapReader& r) {
   stats_.watchdog_fires = r.U64();
   MSIM_RETURN_IF_ERROR(r.ToStatus("core scalar state"));
 
-  MSIM_RETURN_IF_ERROR(predecode_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(metal_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(mram_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(mmu_.tlb().RestoreState(r));

@@ -202,9 +202,12 @@ class Core {
   // Metal unit, MRAM (with shadow/parity), TLB, caches, devices, statistics
   // and — when `include_dram` — physical memory (sparse). The byte stream is
   // deterministic: two machines in identical states serialize identically.
+  // The host-tier predecode and superblock caches are not machine state and
+  // are not serialized.
   void SaveState(SnapWriter& w, bool include_dram = true) const;
-  // Inverse of SaveState. The core must have been constructed with the same
-  // CoreConfig (snapshot.h validates this via CoreConfigHash before calling).
+  // Inverse of SaveState; both host-tier caches start cold. The core must
+  // have been constructed with the same CoreConfig (snapshot.h validates
+  // this via CoreConfigHash before calling).
   Status RestoreState(SnapReader& r);
   // FNV-1a digest of the SaveState byte stream; cheap enough to evaluate per
   // cycle (no allocation). Excluding DRAM keeps it O(fixed state) — MRAM,

@@ -1,8 +1,5 @@
 #include "cpu/predecode.h"
 
-#include "snap/snapstream.h"
-#include "support/strings.h"
-
 namespace msim {
 
 PredecodeCache::PredecodeCache(uint32_t entries) {
@@ -36,60 +33,6 @@ void PredecodeCache::RegisterMetrics(MetricRegistry& registry) const {
   registry.Register("predecode", "misses", &stats_.misses, "fetches that ran the full decoder");
   registry.Register("predecode", "invalidations", &stats_.invalidations,
                     "whole-cache invalidations (program load, restore, icache upsets)");
-}
-
-void PredecodeCache::SaveState(SnapWriter& w) const {
-  w.U32(static_cast<uint32_t>(slots_.size()));
-  w.U64(stats_.hits);
-  w.U64(stats_.verified_hits);
-  w.U64(stats_.misses);
-  w.U64(stats_.invalidations);
-  uint32_t valid = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.valid) {
-      ++valid;
-    }
-  }
-  w.U32(valid);
-  for (const Slot& slot : slots_) {
-    if (!slot.valid) {
-      continue;
-    }
-    w.U32(slot.addr);
-    w.U32(slot.raw);
-    w.U64(slot.gen);
-  }
-}
-
-Status PredecodeCache::RestoreState(SnapReader& r) {
-  const uint32_t saved_size = r.U32();
-  stats_.hits = r.U64();
-  stats_.verified_hits = r.U64();
-  stats_.misses = r.U64();
-  stats_.invalidations = r.U64();
-  const uint32_t valid = r.U32();
-  MSIM_RETURN_IF_ERROR(r.ToStatus("predecode header"));
-  if (saved_size != slots_.size()) {
-    return InvalidArgument(
-        StrFormat("snapshot predecode geometry (%u entries) differs from this core (%u)",
-                  saved_size, static_cast<uint32_t>(slots_.size())));
-  }
-  for (Slot& slot : slots_) {
-    slot.valid = false;
-  }
-  for (uint32_t i = 0; i < valid; ++i) {
-    const uint32_t addr = r.U32();
-    const uint32_t raw = r.U32();
-    const uint64_t gen = r.U64();
-    MSIM_RETURN_IF_ERROR(r.ToStatus("predecode entry"));
-    Slot& slot = slots_[Index(addr)];
-    slot.valid = true;
-    slot.addr = addr;
-    slot.raw = raw;
-    slot.gen = gen;
-    slot.d = DecodeInstr(raw);
-  }
-  return r.ToStatus("predecode entries");
 }
 
 }  // namespace msim

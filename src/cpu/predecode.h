@@ -24,12 +24,16 @@
 // below kMmioBase), so one direct-mapped array serves both; the full address
 // is the tag.
 //
+// The cache serves the per-cycle fetch and decode stages only; superblock
+// traces (cpu/superblock.h) carry their own decoded slots and validate them
+// per code page, so they never consult it.
+//
 // The cache is architecturally invisible: a hit produces byte-for-byte the
-// state a cold decode would. Its contents and hit/miss counters ARE
-// serialized in snapshots (snap/snapshot.h bumps the container version), so
-// that a run restored from a checkpoint reports the same metrics as the
-// straight run — the counters appear in msim --stats-json, which CI compares
-// byte-identical across a checkpoint round trip.
+// state a cold decode would. It is host-tier state, NOT part of
+// Core::SaveState, the state digest or the snapshot config hash: a restore
+// starts it cold, and its counters (like the superblock tier's) differ
+// between stepping modes and across a restore while every architectural
+// counter matches.
 #ifndef MSIM_CPU_PREDECODE_H_
 #define MSIM_CPU_PREDECODE_H_
 
@@ -37,13 +41,9 @@
 #include <vector>
 
 #include "isa/decode.h"
-#include "support/result.h"
 #include "trace/metrics.h"
 
 namespace msim {
-
-class SnapWriter;
-class SnapReader;
 
 struct PredecodeStats {
   uint64_t hits = 0;           // tag + generation match
@@ -75,9 +75,7 @@ class PredecodeCache {
     return nullptr;
   }
 
-  // Side-effect-free variant of Find: no counter is touched. Used by the
-  // hot-path stepper to test fetch eligibility BEFORE committing a cycle —
-  // if the cycle commits, the counting Find/Verify/Insert runs then.
+  // Side-effect-free variant of Find: no counter is touched.
   const Decoded* Peek(uint32_t addr, uint64_t gen) const {
     if (slots_.empty()) {
       return nullptr;
@@ -107,12 +105,6 @@ class PredecodeCache {
     return nullptr;
   }
 
-  // Hot-path port (Core::StepFast): Peek-confirmed hits are counted locally
-  // by the stepper and credited in bulk at window exit. Final counter values
-  // match a per-cycle run; only the increment order differs, and the counters
-  // are only observable at step boundaries.
-  void CreditHits(uint64_t n) { stats_.hits += n; }
-
   void Insert(uint32_t addr, uint64_t gen, uint32_t raw, const Decoded& d) {
     if (slots_.empty()) {
       return;
@@ -130,13 +122,6 @@ class PredecodeCache {
   const PredecodeStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PredecodeStats{}; }
   void RegisterMetrics(MetricRegistry& registry) const;
-
-  // Checkpoint/restore (src/snap): valid entries (sparse) and counters.
-  // Decoded is rebuilt from the raw word. Restore fails if the saved entry
-  // count differs from this cache's geometry (CoreConfig::predecode_entries
-  // is part of the snapshot config hash).
-  void SaveState(SnapWriter& w) const;
-  Status RestoreState(SnapReader& r);
 
  private:
   struct Slot {

@@ -5,7 +5,6 @@
 #include "mem/bus.h"
 #include "mem/phys_mem.h"
 #include "mmu/mmu.h"
-#include "snap/snapstream.h"
 
 namespace msim {
 
@@ -97,6 +96,19 @@ SbSlot MakeSlot(uint32_t raw, uint32_t pc) {
   return slot;
 }
 
+// Records that the leading `checked` slots of `seg` match DRAM at `delta`
+// under the pages' current stamps.
+void RecordChecked(SbSegment& seg, uint32_t checked, uint32_t delta,
+                   const PhysicalMemory& dram) {
+  const uint32_t first = seg.start + delta;
+  seg.checked = checked;
+  seg.delta = delta;
+  seg.page[0] = first >> PhysicalMemory::kPageBits;
+  seg.page[1] = (first + 4 * (checked - 1)) >> PhysicalMemory::kPageBits;
+  seg.stamp[0] = dram.page_stamp(seg.page[0]);
+  seg.stamp[1] = dram.page_stamp(seg.page[1]);
+}
+
 }  // namespace
 
 bool SbAddrSpace::Resolve(uint32_t vaddr, uint32_t* paddr) const {
@@ -121,8 +133,8 @@ SuperblockCache::SuperblockCache(bool enabled) {
 }
 
 uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram,
-                                      const SbAddrSpace& as,
-                                      std::vector<SbSlot>* slots) const {
+                                      const SbAddrSpace& as, std::vector<SbSlot>* slots,
+                                      SbSegment* seg) const {
   const uint32_t base = static_cast<uint32_t>(slots->size());
   uint32_t addr = start;
   // A segment spans at most one virtual-to-physical delta: the executor
@@ -183,7 +195,27 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
     addr += 4;
   }
   ComputeStallAfter(*slots, base, exec_len);
+  seg->start = start;
+  seg->base = base;
+  seg->exec_len = exec_len;
+  seg->len = static_cast<uint32_t>(slots->size()) - base;
+  RecordChecked(*seg, seg->len, delta, dram);
   return exec_len;
+}
+
+bool SuperblockCache::Revalidate(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
+                                 const PhysicalMemory& dram) {
+  ++stats_.revalidations;
+  const SbSlot* slots = sb.slots.data() + seg.base;
+  for (uint32_t i = 0; i < ready; ++i) {
+    const auto word = dram.Read32(slots[i].addr + delta);
+    if (!word || *word != slots[i].d.raw) {
+      Invalidate(sb);
+      return false;
+    }
+  }
+  RecordChecked(seg, ready, delta, dram);
+  return true;
 }
 
 Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
@@ -193,7 +225,8 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
   }
   std::vector<SbSlot> slots;
   slots.reserve(16);
-  const uint32_t exec_len = WalkSegment(start, dram, as, &slots);
+  SbSegment seg;
+  const uint32_t exec_len = WalkSegment(start, dram, as, &slots, &seg);
   if (exec_len == 0) {
     return nullptr;
   }
@@ -204,10 +237,9 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
   sb.valid = true;
   sb.start = start;
   sb.exec_len = exec_len;
-  sb.len = static_cast<uint32_t>(slots.size());
+  sb.len = seg.len;
   sb.slots = std::move(slots);
-  sb.segs.clear();
-  sb.segs.push_back(SbSegment{start, 0, exec_len, sb.len});
+  sb.segs.assign(1, seg);
   sb.grow_pending = false;
   sb.grow_slot = 0;
   ++stats_.builds;
@@ -225,24 +257,19 @@ void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
       sb.slots[slot_index].taken_seg != kSbSegUnlinked) {
     return;
   }
-  if (sb.segs.size() - 1 >= kSuperblockMaxTrees ||
-      sb.segs.size() >= kSuperblockMaxRestoreSegs ||
-      sb.segs.size() > static_cast<uint32_t>(INT16_MAX)) {
+  if (sb.segs.size() - 1 >= kSuperblockMaxTrees) {
     // Over budget: freeze the branch's counters so it never re-arms growth.
     sb.slots[slot_index].taken_seg = kSbSegNoGrow;
     return;
   }
-  const uint32_t target = sb.slots[slot_index].target;
-  const uint32_t before = static_cast<uint32_t>(sb.slots.size());
   // WalkSegment may reallocate sb.slots: no slot references survive it.
-  const uint32_t exec_len = WalkSegment(target, dram, as, &sb.slots);
-  if (exec_len == 0) {
+  SbSegment seg;
+  if (WalkSegment(sb.slots[slot_index].target, dram, as, &sb.slots, &seg) == 0) {
     sb.slots[slot_index].taken_seg = kSbSegNoGrow;
     return;
   }
   const uint32_t seg_index = static_cast<uint32_t>(sb.segs.size());
-  sb.segs.push_back(SbSegment{target, before, exec_len,
-                              static_cast<uint32_t>(sb.slots.size()) - before});
+  sb.segs.push_back(seg);
   sb.slots[slot_index].taken_seg = static_cast<int16_t>(seg_index);
   ++stats_.tree_grows;
 }
@@ -279,158 +306,8 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
                     "biased-branch successor segments built");
   registry.Register("superblock", "tree_transitions", &stats_.tree_transitions,
                     "taken branches that stayed in-trace via a tree segment");
-}
-
-void SuperblockCache::SaveState(SnapWriter& w) const {
-  w.U32(kSuperblockSectionV2);
-  w.U32(2);  // section format version
-  uint32_t live = 0;
-  for (const Superblock& sb : traces_) {
-    live += sb.valid ? 1 : 0;
-  }
-  w.U32(live);
-  for (const Superblock& sb : traces_) {
-    if (!sb.valid) {
-      continue;
-    }
-    w.U32(sb.start);
-    w.U32(static_cast<uint32_t>(sb.segs.size()));
-    for (const SbSegment& seg : sb.segs) {
-      w.U32(seg.start);
-      w.U32(seg.exec_len);
-      w.U32(seg.len);
-    }
-    for (const SbSlot& slot : sb.slots) {
-      w.U32(slot.d.raw);
-    }
-    for (const SbSlot& slot : sb.slots) {
-      w.U32(static_cast<uint32_t>(static_cast<int32_t>(slot.taken_seg)));
-      w.U32(slot.taken_n);
-      w.U32(slot.nottaken_n);
-    }
-    w.U8(sb.grow_pending ? 1 : 0);
-    w.U32(sb.grow_slot);
-  }
-  w.U64(stats_.builds);
-  w.U64(stats_.executions);
-  w.U64(stats_.chains);
-  w.U64(stats_.instructions);
-  w.U64(stats_.invalidations);
-  w.U64(stats_.evictions);
-  w.U64(stats_.mem_fast_hits);
-  w.U64(stats_.mem_slow_exits);
-  w.U64(stats_.tree_grows);
-  w.U64(stats_.tree_transitions);
-}
-
-Status SuperblockCache::RestoreState(SnapReader& r) {
-  for (Superblock& sb : traces_) {
-    sb.valid = false;
-  }
-  const uint32_t sentinel = r.U32();
-  if (!r.ok() || sentinel != kSuperblockSectionV2) {
-    return InvalidArgument("superblock section: missing v2 sentinel");
-  }
-  const uint32_t version = r.U32();
-  if (!r.ok() || version != 2) {
-    return InvalidArgument("superblock section: unsupported version");
-  }
-  const uint32_t live = r.U32();
-  if (!r.ok() || live > kSuperblockEntries) {
-    return InvalidArgument("superblock section: bad trace count");
-  }
-  for (uint32_t i = 0; i < live; ++i) {
-    const uint32_t start = r.U32();
-    const uint32_t n_segs = r.U32();
-    if (!r.ok() || n_segs == 0 || n_segs > kSuperblockMaxRestoreSegs) {
-      return InvalidArgument("superblock section: bad segment count");
-    }
-    std::vector<SbSegment> segs;
-    segs.reserve(n_segs);
-    uint32_t total = 0;
-    for (uint32_t s = 0; s < n_segs; ++s) {
-      SbSegment seg;
-      seg.start = r.U32();
-      seg.exec_len = r.U32();
-      seg.len = r.U32();
-      seg.base = total;
-      if (!r.ok() || seg.exec_len < kSuperblockMinLen || seg.len < seg.exec_len ||
-          seg.len > seg.exec_len + 2 || seg.len > kSuperblockMaxRestoreLen ||
-          (seg.start & 3) != 0) {
-        return InvalidArgument("superblock section: bad segment geometry");
-      }
-      total += seg.len;
-      segs.push_back(seg);
-    }
-    if (segs[0].start != start) {
-      return InvalidArgument("superblock section: root segment mismatch");
-    }
-    std::vector<SbSlot> slots;
-    slots.reserve(total);
-    for (const SbSegment& seg : segs) {
-      for (uint32_t j = 0; j < seg.len; ++j) {
-        const SbSlot slot = MakeSlot(r.U32(), seg.start + 4 * j);
-        if (j < seg.exec_len && !TraceSafeInstr(slot.d.kind)) {
-          return InvalidArgument("superblock section: untranslatable slot");
-        }
-        slots.push_back(slot);
-      }
-    }
-    for (uint32_t j = 0; j < total; ++j) {
-      const int32_t ts = static_cast<int32_t>(r.U32());
-      SbSlot& slot = slots[j];
-      slot.taken_n = r.U32();
-      slot.nottaken_n = r.U32();
-      if (!r.ok() || ts < kSbSegNoGrow || ts >= static_cast<int32_t>(n_segs)) {
-        return InvalidArgument("superblock section: bad tree link");
-      }
-      // A live link is only meaningful on a conditional-branch slot whose
-      // taken edge actually lands at the segment start (the executor follows
-      // it blind): reject anything else rather than execute a wrong tree.
-      if (ts >= 1 &&
-          (!slot.d.info().is_branch || segs[ts].start != slot.target)) {
-        return InvalidArgument("superblock section: inconsistent tree link");
-      }
-      if (ts == 0) {
-        return InvalidArgument("superblock section: link to root segment");
-      }
-      slot.taken_seg = static_cast<int16_t>(ts);
-    }
-    const bool grow_pending = r.U8() != 0;
-    const uint32_t grow_slot = r.U32();
-    if (!r.ok() || (grow_pending && grow_slot >= total)) {
-      return InvalidArgument("superblock section: bad growth state");
-    }
-    for (const SbSegment& seg : segs) {
-      ComputeStallAfter(slots, seg.base, seg.exec_len);
-    }
-    MSIM_RETURN_IF_ERROR(r.ToStatus("superblock trace"));
-    if (traces_.empty()) {
-      // Cache disabled in this core: drop the traces, keep the counters (the
-      // executor never runs, so they stay frozen at their restored values).
-      continue;
-    }
-    Superblock& sb = traces_[Index(start)];
-    sb.valid = true;
-    sb.start = start;
-    sb.exec_len = segs[0].exec_len;
-    sb.len = segs[0].len;
-    sb.slots = std::move(slots);
-    sb.segs = std::move(segs);
-    sb.grow_pending = grow_pending;
-    sb.grow_slot = grow_slot;
-  }
-  stats_.builds = r.U64();
-  stats_.executions = r.U64();
-  stats_.chains = r.U64();
-  stats_.instructions = r.U64();
-  stats_.invalidations = r.U64();
-  stats_.evictions = r.U64();
-  stats_.mem_fast_hits = r.U64();
-  stats_.mem_slow_exits = r.U64();
-  stats_.tree_grows = r.U64();
-  stats_.tree_transitions = r.U64();
-  return r.ToStatus("superblock counters");
+  registry.Register("superblock", "revalidations", &stats_.revalidations,
+                    "segment entries that re-read DRAM after a code page or translation moved");
 }
 
 }  // namespace msim

@@ -1,5 +1,5 @@
-// Superblock translation tier: chained decoded traces over the predecode
-// cache, the one fast tier above per-cycle stepping (docs/performance.md).
+// Superblock translation tier: chained decoded traces, the one fast tier
+// above per-cycle stepping (docs/performance.md).
 //
 // A superblock is a straight-line run of trace-safe DRAM instructions
 // starting at a pipeline refill point (a branch target or a cold entry),
@@ -39,11 +39,10 @@
 //     kSuperblockMaxTrees and happens only outside the executor (slot
 //     storage may reallocate).
 //
-// Byte-exactness is the contract, exactly as for the predecode cache below
-// it: N cycles through a superblock leave machine state byte-identical to N
-// Core::StepCycle calls (enforced by `msim replay --b-no-fast-step`, the
-// mfuzz "faststep" oracle and the superblock_test digest matrix). Three
-// mechanisms carry the contract:
+// Byte-exactness is the contract: N cycles through a superblock leave
+// machine state byte-identical to N Core::StepCycle calls (enforced by
+// `msim replay --b-no-fast-step`, the mfuzz "faststep" oracle and the
+// superblock_test digest matrix). Three mechanisms carry the contract:
 //   * Entry guards. StepFast starts a trace only on an empty pipeline (both
 //     latches invalid, MEM and the fetch unit idle — the refill state) with
 //     no fault engine, not Metal, no pending interrupt, and the device-event
@@ -52,29 +51,28 @@
 //     virtual-to-physical delta for the segment's pages. The horizon stays
 //     valid across a whole trace because device state is MMIO-only and
 //     memory slots are DRAM-only.
-//   * Per-fetch revalidation. Each trace slot records the raw word it was
-//     built from. Every simulated fetch still consults the predecode cache
-//     (side-effect-free Peek before the cycle commits, the counting
-//     Verify/Insert after), so predecode hit/verified/miss counters match a
-//     per-cycle run exactly, and a slot whose raw word no longer matches the
-//     backing store invalidates the whole trace before any cycle commits.
-//   * Generation-driven invalidation. The Peek/Verify pair keys on
-//     PhysicalMemory::write_generation. In-trace stores bump it mid-trace:
-//     the cycle that completes a pending store checks the fetched word
-//     against the post-store bytes (merging the store into the backing word
-//     BEFORE committing), so a store into the executing trace's own backing
-//     words — self-modifying code — exits and invalidates before the cycle
-//     commits, and every same-cycle fetch takes the Verify/Insert path a
-//     per-cycle run would take under the bumped generation.
+//   * Per-page validation. Each segment spans at most two physical pages
+//     (kSuperblockMaxLen + 2 words) and records their
+//     PhysicalMemory::page_stamp values, the translation delta and how many
+//     leading slots were last compared against DRAM. Every segment entry
+//     (trace entry, chain, tree transition) checks the stamps and the delta;
+//     only when one moved does it re-read the ready prefix, and a changed
+//     word invalidates the trace before any cycle commits
+//     (SuperblockCache::SegmentCurrent). Fetches inside a segment do no
+//     per-word work.
+//   * Stores into the running segment. A store whose page is one of the
+//     running segment's code pages turns on the exact fetch check for the
+//     rest of that segment: each fetch re-reads its word and merges a
+//     pending store into it BEFORE the cycle commits, so self-modifying
+//     code exits and invalidates exactly where a per-cycle run would first
+//     fetch the new word. Any other store costs one page compare.
 //
-// Trace state is NOT part of Core::SaveState — like CoreConfig::fast_step,
-// the tier is architecturally invisible and snapshots stay portable across
-// it. msim serializes the cache and its counters as a "superblocks" snapshot
-// extras section instead (tools/msim_main.cc), so a restored run reports the
-// same --stats-json superblock counters as the straight run; a snapshot
-// without the section simply restores to a cold cache. Tree links and bias
-// counters serialize with the traces, so a restored run grows the same trees
-// at the same cycles as the straight run.
+// Trace state is NOT architectural state and is never serialized: like
+// CoreConfig::fast_step, the tier is invisible, snapshots stay portable
+// across it, and a restored machine starts with a cold trace cache (Core
+// invalidates it on restore). The tier's counters are host-tier metrics,
+// so a restored or per-cycle run reports different "superblock" (and
+// "predecode") components while every architectural counter matches.
 #ifndef MSIM_CPU_SUPERBLOCK_H_
 #define MSIM_CPU_SUPERBLOCK_H_
 
@@ -82,15 +80,12 @@
 #include <vector>
 
 #include "isa/decode.h"
-#include "support/result.h"
+#include "mem/phys_mem.h"
 #include "trace/metrics.h"
 
 namespace msim {
 
-class PhysicalMemory;
 class Mmu;
-class SnapWriter;
-class SnapReader;
 
 // The trace-safe kinds: every instruction the superblock executor runs,
 // each with the class of executor label it dispatches to (Core::StepFast):
@@ -150,7 +145,7 @@ struct SbSlot {
   uint32_t nottaken_n = 0;
   uint32_t target = 0;  // conditional branches: JumpTarget, folded at build
   uint32_t addr = 0;    // the word's virtual address within its segment;
-                        // d.raw is revalidated per fetch
+                        // d.raw is revalidated per code page
 };
 
 // One straight-line run of a trace tree. Segment 0 is the root (the trace's
@@ -161,6 +156,14 @@ struct SbSegment {
   uint32_t base = 0;      // index of that slot in Superblock::slots
   uint32_t exec_len = 0;  // executable slots (>= kSuperblockMinLen)
   uint32_t len = 0;       // total slots including the fetch-only tail
+  // Per-page validation state (SuperblockCache::SegmentCurrent): the
+  // leading `checked` slots matched DRAM at virtual-to-physical delta
+  // `delta` while physical pages page[0] and page[1] (equal for a one-page
+  // run) carried stamps stamp[0] and stamp[1].
+  uint32_t checked = 0;
+  uint32_t delta = 0;
+  uint32_t page[2] = {0, 0};
+  uint64_t stamp[2] = {0, 0};
 };
 
 struct Superblock {
@@ -201,6 +204,7 @@ struct SuperblockStats {
   uint64_t mem_slow_exits = 0;  // trace exits forced by a slow-path memory op
   uint64_t tree_grows = 0;        // successor segments built
   uint64_t tree_transitions = 0;  // taken branches that stayed in-trace via a segment
+  uint64_t revalidations = 0;  // segment entries that re-read DRAM (stamp or delta moved)
 };
 
 // Fetch-address resolver for the build walk and segment entry: maps a
@@ -217,8 +221,7 @@ struct SbAddrSpace {
 // Direct-mapped trace cache, indexed by start address. Deterministic by
 // construction: build-on-first-miss with overwrite eviction and
 // entry-point-only growth, so cache contents are a pure function of the
-// execution history (which checkpoint restore replays via the serialized
-// trace list, tree links and bias counters).
+// execution history since the last load or restore.
 class SuperblockCache {
  public:
   // Geometry is fixed (kSuperblockEntries); `enabled` off constructs an
@@ -242,9 +245,9 @@ class SuperblockCache {
   // no trace of at least kSuperblockMinLen trace-safe instructions exists
   // there. The walk is side-effect-free on machine state: raw words come
   // from PhysicalMemory::Read32 through `as` (current translation; a single
-  // consistent delta per segment) and are revalidated per fetch at execution
-  // time, so no generation is recorded. A failed walk stops at the first
-  // offending word — re-probing an unsafe target costs O(1) decodes.
+  // consistent delta per segment), and the segment records the stamps of
+  // the pages it read them from. A failed walk stops at the first offending
+  // word — re-probing an unsafe target costs O(1) decodes.
   Superblock* Build(uint32_t start, const PhysicalMemory& dram, const SbAddrSpace& as);
 
   // Applies a pending tree growth: builds the successor segment at the
@@ -254,7 +257,23 @@ class SuperblockCache {
   // sb.slots — must not be called while executor slot pointers are live.
   void MaybeGrow(Superblock& sb, const PhysicalMemory& dram, const SbAddrSpace& as);
 
-  // Kills one stale trace (raw word changed under a bumped generation).
+  // Segment-entry validation: true if the leading `ready` slots of `seg`
+  // (a segment of `sb`) still hold the words DRAM has at `delta`. Free
+  // while the recorded delta and page stamps hold and `ready` is within the
+  // checked prefix; otherwise re-reads the prefix, counts a revalidation
+  // and records the current stamps. A changed or unreadable word
+  // invalidates `sb` and returns false.
+  bool SegmentCurrent(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
+                      const PhysicalMemory& dram) {
+    if (ready <= seg.checked && delta == seg.delta &&
+        dram.page_stamp(seg.page[0]) == seg.stamp[0] &&
+        dram.page_stamp(seg.page[1]) == seg.stamp[1]) [[likely]] {
+      return true;
+    }
+    return Revalidate(sb, seg, ready, delta, dram);
+  }
+
+  // Kills one stale trace (a raw word no longer matches DRAM).
   void Invalidate(Superblock& sb) {
     sb.valid = false;
     ++stats_.invalidations;
@@ -278,51 +297,37 @@ class SuperblockCache {
   void ResetStats() { stats_ = SuperblockStats{}; }
   void RegisterMetrics(MetricRegistry& registry) const;
 
-  // Checkpoint/restore for the msim "superblocks" snapshot extras section:
-  // live traces as (segment geometry, raw words, tree links, bias counters)
-  // plus the stats counters. Restore rebuilds slots by re-translating the
-  // SERIALIZED raw words — not current DRAM — so a trace that had gone stale
-  // in the checkpointed machine restores equally stale and dies at the same
-  // future fetch, keeping restored-run counters byte-identical to the
-  // straight run. Traces longer than kSuperblockMaxLen restore intact (the
-  // bound gates new builds only). The section format is v2 (segmented
-  // traces); a section without its sentinel is rejected as malformed.
-  void SaveState(SnapWriter& w) const;
-  Status RestoreState(SnapReader& r);
-
  private:
   uint32_t Index(uint32_t addr) const { return (addr >> 2) & mask_; }
 
   // Shared straight-line walk for Build (root segment) and MaybeGrow
   // (successor segments): appends the run starting at `start` to `slots`,
   // returning the executable length (0 if shorter than kSuperblockMinLen).
+  // Fills in `seg`'s validation state for its first `checked` slots.
   uint32_t WalkSegment(uint32_t start, const PhysicalMemory& dram, const SbAddrSpace& as,
-                       std::vector<SbSlot>* slots) const;
+                       std::vector<SbSlot>* slots, SbSegment* seg) const;
+  bool Revalidate(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
+                  const PhysicalMemory& dram);
 
   std::vector<Superblock> traces_;
   uint32_t mask_ = 0;
   SuperblockStats stats_;
 };
 
-// Cache geometry: fixed so snapshot sections are portable across configs.
+// Cache geometry.
 inline constexpr uint32_t kSuperblockEntries = 1024;
 // Refilling the two pipeline latches costs two in-trace cycles before the
 // first slot reaches EX, so a shorter trace could never execute anything.
 inline constexpr uint32_t kSuperblockMinLen = 2;
-// Maximum executable instructions per trace segment.
+// Maximum executable instructions per trace segment. With the two-word
+// fetch-only tail a segment spans at most 66 words, so at most two pages.
 inline constexpr uint32_t kSuperblockMaxLen = 64;
 // Maximum tree segments grown past strongly biased conditional branches,
 // per trace.
 inline constexpr uint32_t kSuperblockMaxTrees = 8;
-// Restore-time sanity bound on serialized trace length (corrupt snapshots).
-inline constexpr uint32_t kSuperblockMaxRestoreLen = 4096;
-// Restore-time sanity bound on segments per trace.
-inline constexpr uint32_t kSuperblockMaxRestoreSegs = 257;
 // Bias threshold: a branch grows its taken successor once taken at least
 // this often AND at least 8x more often than not taken.
 inline constexpr uint32_t kSbGrowMinTaken = 16;
-// Leading sentinel of the v2 "superblocks" snapshot section.
-inline constexpr uint32_t kSuperblockSectionV2 = 0xFFFFFFFFu;
 
 }  // namespace msim
 

@@ -28,15 +28,36 @@ void ForEachPage(const std::vector<uint64_t>& bitmap, Fn&& fn) {
   }
 }
 
+// The slab of the last memory destroyed on this thread. Machines are built
+// and dropped in loops (campaign trials, checkpoint restores); handing each
+// multi-MiB slab back to malloc makes the next machine fault in again every
+// page it touches, and can let malloc trim the heap under the caller's own
+// allocations.
+struct SpareSlab {
+  std::unique_ptr<uint8_t[]> bytes;
+  size_t size = 0;
+};
+thread_local SpareSlab g_spare_slab;
+
 }  // namespace
 
 PhysicalMemory::PhysicalMemory(uint32_t size_bytes) : size_(size_bytes) {
   const uint32_t pages = static_cast<uint32_t>(
       (static_cast<uint64_t>(size_bytes) + kPageSize - 1) >> kPageBits);
-  slab_ = std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(pages) * kPageSize);
+  const size_t slab_size = static_cast<size_t>(pages) * kPageSize;
+  if (g_spare_slab.bytes != nullptr && g_spare_slab.size == slab_size) {
+    slab_ = std::move(g_spare_slab.bytes);
+  } else {
+    slab_ = std::make_unique_for_overwrite<uint8_t[]>(slab_size);
+  }
   read_.assign(pages, kZeroPage);
   write_.assign(pages, nullptr);
   committed_.assign((pages + 63) / 64, 0);
+  stamp_.assign(pages, 0);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  g_spare_slab = {std::move(slab_), static_cast<size_t>(num_pages()) * kPageSize};
 }
 
 uint32_t PhysicalMemory::PageLength(uint32_t page) const {
@@ -72,6 +93,7 @@ Status PhysicalMemory::LoadSection(const Section& section) {
     const uint32_t offset = paddr & (kPageSize - 1);
     const uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(left, kPageSize - offset));
     std::memcpy(WritablePage(paddr >> kPageBits) + offset, src, chunk);
+    stamp_[paddr >> kPageBits] = ++stamp_clock_;
     src += chunk;
     paddr += chunk;
     left -= chunk;
@@ -81,9 +103,11 @@ Status PhysicalMemory::LoadSection(const Section& section) {
 }
 
 void PhysicalMemory::Clear() {
-  ForEachPage(committed_, [this](uint32_t page) {
+  const uint64_t stamp = ++stamp_clock_;
+  ForEachPage(committed_, [this, stamp](uint32_t page) {
     read_[page] = kZeroPage;
     write_[page] = nullptr;
+    stamp_[page] = stamp;
   });
   std::fill(committed_.begin(), committed_.end(), 0);
   ++write_generation_;
@@ -126,6 +150,7 @@ Status PhysicalMemory::RestoreState(SnapReader& r) {
                                      num_pages()));
   }
   Clear();
+  const uint64_t stamp = ++stamp_clock_;
   uint32_t last_page = 0;
   for (uint32_t i = 0; i < live_pages; ++i) {
     const uint32_t page = r.U32();
@@ -146,6 +171,7 @@ Status PhysicalMemory::RestoreState(SnapReader& r) {
                                        contents.size(), PageLength(page)));
     }
     std::memcpy(Commit(page), contents.data(), contents.size());
+    stamp_[page] = stamp;
   }
   // Last: Clear() above bumps the generation, and a restored machine must
   // report exactly the saved value or the re-serialized state diverges.

@@ -11,9 +11,17 @@
 // A bitmap of committed pages lets Clear, SaveState and RestoreState visit
 // only the pages ever written, so construction, restore, save and the state
 // digest cost O(touched pages), not O(size()). An access that crosses a page
-// boundary is byte-assembled little-endian. docs/performance.md ("DRAM
-// representation") records why this is one slab rather than a `new` or an
-// mmap per page, and why pages carry no copy-on-write sharing or cached hash.
+// boundary is byte-assembled little-endian.
+//
+// A destroyed memory parks its slab in a one-entry per-thread spare, and the
+// next memory of the same size on that thread takes it instead of
+// allocating. A recycled slab needs no clearing: pages are zeroed on first
+// write and absent pages read the zero page. Every page also carries a
+// host-side stamp that moves whenever its bytes may have changed, which the
+// superblock tier uses to validate traces per code page. docs/performance.md
+// ("DRAM representation") records why this is one slab rather than a `new`
+// or an mmap per page, why the slab is recycled, and why pages carry no
+// copy-on-write sharing or cached hash.
 #ifndef MSIM_MEM_PHYS_MEM_H_
 #define MSIM_MEM_PHYS_MEM_H_
 
@@ -37,6 +45,9 @@ class PhysicalMemory {
   static constexpr uint32_t kPageSize = 1u << kPageBits;
 
   explicit PhysicalMemory(uint32_t size_bytes);
+  ~PhysicalMemory();
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
   uint32_t size() const { return size_; }
 
@@ -62,6 +73,12 @@ class PhysicalMemory {
   // the loader, host-side pokes through Bus — implicitly invalidates stale
   // decodes without a snoop port.
   uint64_t write_generation() const { return write_generation_; }
+
+  // Host-side per-page stamp: every write path (Write*, LoadSection, Clear,
+  // RestoreState) gives each page it touches a fresh value from a counter
+  // that RestoreState never rewinds, so an unchanged stamp proves the page's
+  // bytes unchanged. Not architectural state: never serialized.
+  uint64_t page_stamp(uint32_t page) const { return stamp_[page]; }
 
   // Checkpoint/restore (src/snap). The image is sparse and page-granular:
   // only pages containing a non-zero byte are written, in ascending page
@@ -121,13 +138,16 @@ class PhysicalMemory {
       return false;
     }
     const uint32_t offset = paddr & (kPageSize - 1);
+    const uint64_t stamp = ++stamp_clock_;
     if (offset + sizeof(T) <= kPageSize) [[likely]] {
       std::memcpy(WritablePage(paddr >> kPageBits) + offset, &value, sizeof(T));
+      stamp_[paddr >> kPageBits] = stamp;
     } else {
       for (uint32_t i = 0; i < sizeof(T); ++i) {
         const uint32_t a = paddr + i;
         WritablePage(a >> kPageBits)[a & (kPageSize - 1)] =
             static_cast<uint8_t>(value >> (8 * i));
+        stamp_[a >> kPageBits] = stamp;
       }
     }
     ++write_generation_;
@@ -139,6 +159,8 @@ class PhysicalMemory {
   std::vector<const uint8_t*> read_;   // per page: slab page or the zero page
   std::vector<uint8_t*> write_;        // per page: slab page, or null if absent
   std::vector<uint64_t> committed_;    // bitmap over pages
+  std::vector<uint64_t> stamp_;        // per page: see page_stamp()
+  uint64_t stamp_clock_ = 0;           // last stamp handed out; never rewound
   uint64_t write_generation_ = 0;
 };
 

@@ -35,12 +35,15 @@ namespace msim {
 class Core;
 struct CoreConfig;
 
-// Version 2: the core payload gained the predecode-cache section (contents
-// and counters), and predecode_entries joined the config hash.
-inline constexpr uint32_t kSnapshotVersion = 2;
+// Version 3: host-tier caches left the format. The core payload no longer
+// carries the predecode cache (version 2 added it), predecode_entries left
+// the config hash, and a restored machine starts both the predecode and the
+// superblock caches cold.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
-// FNV-1a over every CoreConfig field; two configs hash equal iff a snapshot
-// taken under one can be restored under the other.
+// FNV-1a over every CoreConfig field except the host-tier knobs fast_step
+// and predecode_entries; two configs hash equal iff a snapshot taken under
+// one can be restored under the other.
 uint64_t CoreConfigHash(const CoreConfig& config);
 
 struct SnapshotSection {

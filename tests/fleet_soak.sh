@@ -12,7 +12,8 @@
 #     on the first attempt (retrying a deterministic timeout is futile).
 #
 # Assertions: every job reaches a terminal state; the chaos-killed jobs'
-# stats.json files are byte-identical to an uninterrupted control fleet; the
+# stats.json files match an uninterrupted control fleet's outside the
+# host-tier cache counters; the
 # fleet.json report is byte-stable run-to-run; failures are harvested.
 #
 # usage: tests/fleet_soak.sh [BUILD_DIR] [OUT_DIR]
@@ -101,8 +102,17 @@ run_fleet "$OUT/clean2"
 cmp "$OUT/clean/fleet.json" "$OUT/clean2/fleet.json"
 
 echo "== byte-identity: interrupted jobs match the uninterrupted control =="
+# Every component but the host-tier "predecode" and "superblock" metric
+# groups, which a resumed attempt starts cold (docs/performance.md).
 for job in victim-kill victim-term victim-stop steady0 steady1 smoke00 smoke12; do
-  cmp "$OUT/chaos/jobs/$job/stats.json" "$OUT/clean/jobs/$job/stats.json"
+  python3 - "$OUT/chaos/jobs/$job/stats.json" "$OUT/clean/jobs/$job/stats.json" <<'EOF'
+import json, sys
+a, b = (json.load(open(path)) for path in sys.argv[1:])
+for stats in (a, b):
+    for component in ("predecode", "superblock"):
+        stats["metrics"].pop(component)
+assert a == b, f"{sys.argv[1]} differs beyond the host-tier counters"
+EOF
 done
 
 echo "== harvested repro for the crashing job =="

@@ -176,6 +176,87 @@ TEST(PhysicalMemoryTest, SaveStateFormatIsPinned) {
   EXPECT_EQ(mem.write_generation(), 4180u);
 }
 
+// Every write path gives the pages it touches a fresh stamp, and restoring an
+// older image never brings an old stamp back (the superblock tier trusts an
+// unchanged stamp to mean unchanged bytes).
+TEST(PhysicalMemoryTest, PageStampsMoveOnEveryWritePathAndNeverRepeat) {
+  PhysicalMemory mem(4 * kPage);
+  std::vector<uint64_t> seen;
+  const auto stamps = [&mem] {
+    std::vector<uint64_t> out;
+    for (uint32_t page = 0; page < 4; ++page) {
+      out.push_back(mem.page_stamp(page));
+    }
+    return out;
+  };
+  // Expects exactly the pages in `moved` to carry new, never-seen stamps.
+  const auto expect_moved = [&](const std::vector<uint64_t>& before,
+                                std::initializer_list<uint32_t> moved) {
+    const std::vector<uint64_t> after = stamps();
+    const std::vector<uint64_t> old = seen;
+    for (uint32_t page = 0; page < 4; ++page) {
+      const bool should_move = std::find(moved.begin(), moved.end(), page) != moved.end();
+      EXPECT_EQ(after[page] != before[page], should_move) << "page " << page;
+      if (should_move) {
+        EXPECT_EQ(std::count(old.begin(), old.end(), after[page]), 0) << "page " << page;
+        seen.push_back(after[page]);
+      }
+    }
+  };
+  std::vector<uint64_t> before = stamps();
+  seen = before;
+  ASSERT_TRUE(mem.Write32(kPage + 8, 1));
+  expect_moved(before, {1});
+  before = stamps();
+  ASSERT_TRUE(mem.Write32(2 * kPage - 2, 0xA1B2C3D4u));  // crosses into page 2
+  expect_moved(before, {1, 2});
+  before = stamps();
+  const std::vector<uint8_t> image = Saved(mem);
+  Section section;
+  section.base = 3 * kPage + 16;
+  section.bytes = {1, 2, 3, 4};
+  ASSERT_OK(mem.LoadSection(section));
+  expect_moved(before, {3});
+  before = stamps();
+  SnapReader r(image);
+  ASSERT_OK(mem.RestoreState(r));  // pages 1 and 2 restored, page 3 cleared
+  expect_moved(before, {1, 2, 3});
+  before = stamps();
+  mem.Clear();
+  expect_moved(before, {1, 2});
+  EXPECT_EQ(mem.page_stamp(0), seen[0]);  // never written
+}
+
+// A destroyed memory's slab is recycled by the next memory of its size on the
+// same thread. Recycling must be invisible: the new memory reads zero
+// everywhere and serializes exactly like one with a slab of its own.
+TEST(PhysicalMemoryTest, RecycledSlabReadsZeroAndSavesLikeAFreshOne) {
+  constexpr uint32_t kSize = 1024 * kPage;
+  {
+    PhysicalMemory dirty(kSize);
+    for (uint32_t page = 0; page < 1000; ++page) {
+      for (uint32_t offset = 0; offset < kPage; offset += 256) {
+        ASSERT_TRUE(dirty.Write32(page * kPage + offset, 0xDEAD0000u | page));
+      }
+    }
+  }
+  PhysicalMemory recycled(kSize);  // takes the dead memory's slab
+  PhysicalMemory fresh(kSize);     // the spare is taken: a slab of its own
+  for (uint32_t paddr = 0; paddr < kSize; paddr += 4) {
+    ASSERT_EQ(recycled.Read32(paddr), 0u) << "paddr " << paddr;
+  }
+  for (PhysicalMemory* mem : {&recycled, &fresh}) {
+    for (uint32_t page = 0; page < 1000; page += 7) {
+      ASSERT_TRUE(mem->Write8(page * kPage + 100, static_cast<uint8_t>(page)));
+    }
+  }
+  for (uint32_t page = 0; page < 1000; page += 7) {
+    EXPECT_EQ(recycled.Read32(page * kPage), 0u);
+    EXPECT_EQ(recycled.Read32(page * kPage + 256), 0u);
+  }
+  EXPECT_EQ(Saved(recycled), Saved(fresh));
+}
+
 TEST(BusTest, RoutesDramAndDevices) {
   Bus bus(4096);
   ConsoleDevice console;

@@ -99,6 +99,18 @@ TEST(CoreConfigHashTest, TimingFieldsChangeTheHash) {
   EXPECT_NE(CoreConfigHash(no_fast), CoreConfigHash(dram));
 }
 
+// The host-tier knobs are architecturally invisible and never serialized, so
+// snapshots are portable across them.
+TEST(CoreConfigHashTest, HostTierKnobsLeaveTheHash) {
+  const CoreConfig base;
+  CoreConfig no_predecode = base;
+  no_predecode.predecode_entries = 0;
+  CoreConfig per_cycle = base;
+  per_cycle.fast_step = false;
+  EXPECT_EQ(CoreConfigHash(base), CoreConfigHash(no_predecode));
+  EXPECT_EQ(CoreConfigHash(base), CoreConfigHash(per_cycle));
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot container validation.
 
@@ -223,9 +235,11 @@ void CollectRetires(Core& core, std::vector<Retire>& out) {
 }
 
 // Snapshot the reference machine at `snap_cycle`, restore into a fresh
-// machine, run both to completion: the restored machine must retire the same
+// machine (built with `restore_config`, which may differ in the host-tier
+// knobs), run both to completion: the restored machine must retire the same
 // instruction stream (absolute cycles included) and end in the same state.
-void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle) {
+void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle,
+                           const CoreConfig& restore_config) {
   MetalSystem reference(config);
   reference.AddMcode(kMcode);
   ASSERT_OK(reference.LoadProgramSource(kProgram));
@@ -234,7 +248,7 @@ void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle) {
   ASSERT_FALSE(reference.core().halted()) << "snap cycle beyond program end";
   const std::vector<uint8_t> image = SaveSnapshot(reference.core());
 
-  MetalSystem restored(config);
+  MetalSystem restored(restore_config);
   restored.AddMcode(kMcode);
   ASSERT_OK(restored.LoadProgramSource(kProgram));
   ASSERT_OK(restored.Boot());
@@ -261,15 +275,20 @@ void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle) {
 
 TEST(SnapshotRoundTripTest, ResumesBitIdenticallyAtRandomCycles) {
   // Property test: seeded-random snapshot points across the run, under both
-  // the default config and DRAM-resident mroutines.
+  // the default config and DRAM-resident mroutines, and into a machine with
+  // no predecode cache stepping per cycle (host-tier state never travels).
   Rng rng(0xC0FFEE);
   CoreConfig dram;
   dram.mroutine_storage = MroutineStorage::kDramCached;
+  CoreConfig bare;
+  bare.predecode_entries = 0;
+  bare.fast_step = false;
   for (int i = 0; i < 6; ++i) {
     const uint64_t snap_cycle = rng.Range(1, 200);
     SCOPED_TRACE("snap cycle " + std::to_string(snap_cycle));
-    CheckRoundTripAtCycle(CoreConfig{}, snap_cycle);
-    CheckRoundTripAtCycle(dram, snap_cycle);
+    CheckRoundTripAtCycle(CoreConfig{}, snap_cycle, CoreConfig{});
+    CheckRoundTripAtCycle(dram, snap_cycle, dram);
+    CheckRoundTripAtCycle(CoreConfig{}, snap_cycle, bare);
   }
 }
 

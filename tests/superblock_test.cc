@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "snap/snapstream.h"
 #include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
+#include "trace/json.h"
 
 namespace msim {
 namespace {
@@ -526,6 +529,249 @@ TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-page validation: segment entries check code-page stamps, and re-read
+// DRAM only when a stamp or the translation moved.
+// ---------------------------------------------------------------------------
+
+// Runs `program` on a traced and a per-cycle core in the same chunks,
+// comparing state digests at every sync point and the retire streams at the
+// end. `between(core, i)` runs on both cores after chunk i (host pokes).
+// Returns the traced core's superblock counters.
+SuperblockStats RunAgainstPerCycle(const Program& program, const std::vector<uint64_t>& chunks,
+                                   const std::function<void(Core&, size_t)>& between = {}) {
+  Core traced;  // defaults: fast_step on
+  Core percycle(PerCycleConfig());
+  std::vector<Retire> a, b;
+  RecordRetires(traced, &a);
+  RecordRetires(percycle, &b);
+  for (Core* core : {&traced, &percycle}) {
+    EXPECT_OK(core->LoadProgram(program));
+  }
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    for (Core* core : {&traced, &percycle}) {
+      core->Run(chunks[i]);
+      if (between) {
+        between(*core, i);
+      }
+    }
+    EXPECT_EQ(traced.cycle(), percycle.cycle());
+    EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
+        << "trace tier diverged from per-cycle by cycle " << traced.cycle();
+  }
+  const RunResult rt = traced.Run(2'000'000);
+  const RunResult rp = percycle.Run(2'000'000);
+  EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(rt.exit_code, rp.exit_code);
+  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
+  ExpectSameRetires(a, b);
+  EXPECT_GT(traced.superblocks().stats().executions, 0u);
+  return traced.superblocks().stats();
+}
+
+// A hot loop whose code page also holds a data word (`spare`).
+constexpr const char* kPokeProgram = R"(
+  _start:
+    li s0, 3000
+    li s1, 0
+  loop:
+  slot:
+    addi s1, s1, 1
+    addi s1, s1, 2
+    addi s0, s0, -1
+    bnez s0, loop
+    halt s1
+    .word 0               # with `halt`, the trace's fetch-only tail
+  spare:
+    .word 0
+  patch:
+    addi s1, s1, 7
+)";
+
+TEST(SuperblockPageValidationTest, HostPokeIntoCodePageRevalidatesAndKillsTrace) {
+  const Program program = MustAssemble(kPokeProgram);
+  const uint32_t spare = program.symbols.at("spare");
+  const uint32_t slot = program.symbols.at("slot");
+  const uint32_t patch = program.symbols.at("patch");
+  const SuperblockStats stats = RunAgainstPerCycle(
+      program, {500, 500, 500}, [&](Core& core, size_t chunk) {
+        PhysicalMemory& dram = core.bus().dram();
+        if (chunk == 0) {
+          // Same page, no trace word: the trace re-reads DRAM and survives.
+          ASSERT_TRUE(dram.Write32(spare, 0x12345678));
+        } else if (chunk == 1) {
+          if (core.config().fast_step) {
+            EXPECT_GT(core.superblocks().stats().revalidations, 0u);
+            EXPECT_EQ(core.superblocks().stats().invalidations, 0u);
+          }
+          // A word of the cached trace: it must die before running it.
+          ASSERT_TRUE(dram.Write32(slot, *dram.Read32(patch)));
+        }
+      });
+  EXPECT_GT(stats.revalidations, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
+// Trace `a_store` stores into the page of trace `b_entry`, then chains into
+// it. The stored word equals B's own until s0 reaches 10, so B revalidates
+// and survives on the early iterations and is killed by the patching one.
+constexpr const char* kCrossTraceStoreProgram = R"(
+  _start:
+    la t0, bslot
+    la t1, patch
+    lw t1, 0(t1)
+    lw t3, 0(t0)
+    li s0, 30
+    li s1, 0
+    li t2, 10
+    j a_loop
+  patch:
+    addi s1, s1, 7
+    .org 0x1e00           # A near the end of its page ...
+  a_loop:
+    addi s0, s0, -1
+    bne s0, t2, a_store
+    mv t3, t1
+  a_store:
+    sw t3, 0(t0)
+    j b_entry
+    .org 0x2100           # ... B on the next one, in another icache set
+  b_entry:
+  bslot:
+    addi s1, s1, 1
+    addi s1, s1, 2
+    bnez s0, a_loop
+    halt s1
+)";
+
+TEST(SuperblockPageValidationTest, InTraceStoreToAnotherTracesPageThenChain) {
+  const SuperblockStats stats =
+      RunAgainstPerCycle(MustAssemble(kCrossTraceStoreProgram), {37, 101, 250});
+  EXPECT_GT(stats.chains, 0u);
+  EXPECT_GT(stats.mem_fast_hits, 0u);
+  EXPECT_GT(stats.revalidations, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
+// The strongly taken `bnez s0, far` grows `far` into a tree segment on its
+// own page. The `sw` just before it stores into that page on every
+// iteration: the original word until s0 reaches 20, then the patch. The
+// tree transition validates `far` before the pending store lands, so the
+// store itself must turn on the exact fetch check in the new segment.
+constexpr const char* kTreeStoreProgram = R"(
+  _start:
+    la t0, tslot
+    la t1, patch
+    lw t1, 0(t1)
+    lw t3, 0(t0)
+    li s0, 60
+    li s1, 0
+    li t2, 20
+    j loop
+  patch:
+    addi s1, s1, 7
+    .org 0x1e00           # the root near the end of its page ...
+  loop:
+    addi s0, s0, -1
+    addi s1, s1, 1
+    sw t3, 0(t0)
+    bnez s0, far
+    halt s1
+    .org 0x2100           # ... `far` on the next one, in another icache set
+  far:
+  tslot:
+    addi s1, s1, 1
+    addi s1, s1, 2
+    bne s0, t2, loop
+    mv t3, t1
+    j loop
+)";
+
+TEST(SuperblockPageValidationTest, StoreToTreeSegmentPageBeforeTakenTransition) {
+  // Growth applies only at a trace entry from the per-cycle path, so odd
+  // chunk sizes make the executor exit and re-enter at changing points.
+  const std::vector<uint64_t> chunks(80, 13);
+  const SuperblockStats stats = RunAgainstPerCycle(MustAssemble(kTreeStoreProgram), chunks);
+  EXPECT_GT(stats.tree_grows, 0u);
+  EXPECT_GT(stats.tree_transitions, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
+// A store into the running segment, `distance` words ahead of itself, on the
+// one iteration that falls through to it. From distance 3 on, the patched
+// word is fetched in the very cycle the store completes (or later), so the
+// exact fetch check must already be on when the store is latched.
+std::string StoreAheadProgram(int distance) {
+  std::string source = R"(
+  _start:
+    la t0, target
+    la t1, patch
+    lw t1, 0(t1)
+    lw t3, 0(t0)          # warms the dcache line, so the sw runs in-trace
+    li s0, 8
+    li s1, 0
+  loop:
+    addi s1, s1, 1
+    li t2, 4
+    bne s0, t2, skip
+    sw t1, 0(t0)
+)";
+  for (int i = 1; i < distance; ++i) {
+    source += "    addi s1, s1, 1\n";
+  }
+  source += R"(
+  target:
+    addi s1, s1, 2
+  skip:
+    addi s0, s0, -1
+    bnez s0, loop
+    halt s1
+  patch:
+    addi s1, s1, 9
+)";
+  return source;
+}
+
+TEST(SuperblockPageValidationTest, StoreIntoRunningSegmentAtEveryFetchDistance) {
+  for (int distance = 1; distance <= 6; ++distance) {
+    SCOPED_TRACE("distance " + std::to_string(distance));
+    const SuperblockStats stats =
+        RunAgainstPerCycle(MustAssemble(StoreAheadProgram(distance)), {});
+    EXPECT_GT(stats.mem_fast_hits, 0u);
+    EXPECT_GT(stats.invalidations, 0u);
+  }
+}
+
+// Loads and stores stay on the data page: no code-page stamp moves, so no
+// segment entry ever re-reads DRAM.
+constexpr const char* kDataOnlyStoreProgram = R"(
+  _start:
+    la t0, buf
+    li s0, 500
+  loop:
+    lw t1, 0(t0)
+    addi t1, t1, 3
+    sw t1, 0(t0)
+    sw s0, 4(t0)
+    addi s0, s0, -1
+    bnez s0, loop
+    lw a0, 0(t0)
+    halt a0
+    .data
+  buf:
+    .word 0, 0
+)";
+
+TEST(SuperblockPageValidationTest, DataPageStoresNeverRevalidate) {
+  const SuperblockStats stats =
+      RunAgainstPerCycle(MustAssemble(kDataOnlyStoreProgram), {64, 129, 1000});
+  EXPECT_GT(stats.mem_fast_hits, 0u);
+  EXPECT_GT(stats.chains, 0u);
+  EXPECT_EQ(stats.revalidations, 0u);
+  EXPECT_EQ(stats.invalidations, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Snapshots: restore parity and section round trips.
 // ---------------------------------------------------------------------------
 
@@ -561,103 +807,47 @@ TEST(SuperblockSnapshotTest, RestoreMidLoopResumesIdentically) {
   resume(PerCycleConfig());
 }
 
-TEST(SuperblockSnapshotTest, SaveRestoreRoundTripIsByteIdentical) {
-  // The msim "superblocks" extras section: serializing a warm cache,
-  // restoring it into a fresh one and serializing again must reproduce the
-  // byte stream — traces (stale ones included, via raw-word re-translation)
-  // and counters both.
-  Core core;
-  ASSERT_OK(core.LoadProgram(MustAssemble(kMixedProgram)));
-  core.Run(5000);
-  ASSERT_GT(core.superblocks().stats().builds, 0u);
-
-  SnapWriter first;
-  core.superblocks().SaveState(first);
-  const std::vector<uint8_t> bytes = first.TakeBytes();
-
-  SuperblockCache restored(/*enabled=*/true);
-  SnapReader reader(bytes);
-  ASSERT_OK(restored.RestoreState(reader));
-  SnapWriter second;
-  restored.SaveState(second);
-  EXPECT_EQ(second.TakeBytes(), bytes);
-
-  // Restoring into a per-cycle core (tier disabled) keeps the counters (the
-  // executor never runs, so --stats-json stays byte-identical) but drops
-  // the traces.
-  SuperblockCache disabled(/*enabled=*/false);
-  SnapReader reader2(bytes);
-  ASSERT_OK(disabled.RestoreState(reader2));
-  EXPECT_EQ(disabled.stats().builds, core.superblocks().stats().builds);
-  EXPECT_EQ(disabled.stats().executions, core.superblocks().stats().executions);
-  EXPECT_EQ(disabled.stats().chains, core.superblocks().stats().chains);
-  EXPECT_FALSE(disabled.enabled());
+// Every registered counter of `core` as one JSON string.
+std::string MetricsJson(const Core& core) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.BeginObject();
+  core.metrics().AppendJson(json);
+  json.EndObject();
+  return out.str();
 }
 
-// A v2 "superblocks" section holding one single-segment trace at 0x1000.
-std::vector<uint8_t> OneTraceSection(uint32_t exec_len, const std::vector<uint32_t>& raws) {
-  SnapWriter w;
-  w.U32(kSuperblockSectionV2);
-  w.U32(2);       // section format version
-  w.U32(1);       // live traces
-  w.U32(0x1000);  // trace start
-  w.U32(1);       // segments
-  w.U32(0x1000);  // segment start
-  w.U32(exec_len);
-  w.U32(static_cast<uint32_t>(raws.size()));  // len
-  for (const uint32_t raw : raws) {
-    w.U32(raw);
-  }
-  for (size_t i = 0; i < raws.size(); ++i) {
-    w.U32(static_cast<uint32_t>(static_cast<int32_t>(kSbSegUnlinked)));
-    w.U32(0);  // taken_n
-    w.U32(0);  // nottaken_n
-  }
-  w.U8(0);   // grow_pending
-  w.U32(0);  // grow_slot
-  for (int i = 0; i < 10; ++i) {
-    w.U64(0);  // counters
-  }
-  return w.TakeBytes();
-}
+TEST(SuperblockSnapshotTest, RestoreStartsHostCachesColdWithArchitecturalStatsIntact) {
+  // Neither host-tier cache travels in a snapshot: the restored core starts
+  // with no trace and no predecoded word, and still ends with exactly the
+  // straight run's architectural counters.
+  Core straight;  // defaults: fast_step on
+  const Program program = MustAssemble(kMixedProgram);
+  ASSERT_OK(straight.LoadProgram(program));
+  straight.Run(1234);
+  ASSERT_GT(straight.superblocks().stats().builds, 0u);
+  const std::vector<uint8_t> image = SaveSnapshot(straight);
 
-TEST(SuperblockSnapshotTest, RestoreRejectsCorruptSections) {
-  SuperblockCache cache(/*enabled=*/true);
-  auto restores = [&cache](const std::vector<uint8_t>& bytes) {
-    SnapReader r(bytes);
-    return cache.RestoreState(r).ok();
-  };
-  constexpr uint32_t kAddi = 0x00000013;   // addi x0, x0, 0
-  constexpr uint32_t kEcall = 0x00000073;  // not trace-safe
-  // The well-formed baseline restores, so each rejection below is its defect.
-  EXPECT_TRUE(restores(OneTraceSection(2, {kAddi, kAddi})));
-  {
-    // Trace count past the cache geometry.
-    SnapWriter w;
-    w.U32(kSuperblockSectionV2);
-    w.U32(2);
-    w.U32(kSuperblockEntries + 1);
-    EXPECT_FALSE(restores(w.TakeBytes()));
+  Core restored;
+  ASSERT_OK(RestoreSnapshot(restored, image));
+  for (const auto& [name, addr] : program.symbols) {
+    EXPECT_EQ(restored.superblocks().Lookup(addr), nullptr) << name;
+    EXPECT_EQ(restored.predecode().Peek(addr, restored.bus().dram().write_generation()),
+              nullptr)
+        << name;
   }
-  // Geometry that claims fewer total slots than executable ones.
-  EXPECT_FALSE(restores(OneTraceSection(4, {kAddi, kAddi, kAddi})));
-  // An executable slot whose raw word is not trace-safe.
-  EXPECT_FALSE(restores(OneTraceSection(2, {kAddi, kEcall})));
-  {
-    // The retired v1 layout (no sentinel: live count, then start, exec_len,
-    // len, raw words and six counters) is malformed, not migrated.
-    SnapWriter w;
-    w.U32(1);
-    w.U32(0x1000);
-    w.U32(2);
-    w.U32(2);
-    w.U32(kAddi);
-    w.U32(kAddi);
-    for (int i = 0; i < 6; ++i) {
-      w.U64(0);
-    }
-    EXPECT_FALSE(restores(w.TakeBytes()));
-  }
+  EXPECT_EQ(restored.superblocks().stats().builds, 0u);
+  EXPECT_EQ(restored.predecode().stats().hits, 0u);
+
+  const RunResult rs = straight.Run(2'000'000);
+  const RunResult rr = restored.Run(2'000'000);
+  EXPECT_EQ(rs.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(rr.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(rr.exit_code, rs.exit_code);
+  EXPECT_EQ(restored.StateDigest(true), straight.StateDigest(true));
+  EXPECT_EQ(WithoutHostTierMetrics(MetricsJson(restored)),
+            WithoutHostTierMetrics(MetricsJson(straight)));
+  EXPECT_GT(restored.superblocks().stats().executions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -686,35 +876,6 @@ TEST(StepFlagCliTest, RemovedTierFlagsExitUsage) {
   EXPECT_EQ(RunShell(std::string(MFUZZ_CLI_PATH) + " --oracle superblock --runs 1 --out " +
                      testing::TempDir() + "/step_flags_mfuzz" + quiet),
             kExitUsage);
-}
-
-// msim run --restore: a malformed extras section is a bad input file, a
-// usage error (exit 2) like a malformed core section.
-TEST(StepFlagCliTest, TruncatedSuperblocksSectionExitsUsage) {
-  const std::string source = "_start:\n  li a0, 0\n  li t0, 200\nloop:\n"
-                             "  addi a0, a0, 1\n  blt a0, t0, loop\n  halt zero\n";
-  const std::string program = testing::TempDir() + "/restore_extras.s";
-  {
-    std::ofstream out(program);
-    out << source;
-  }
-  MetalSystem system;  // msim run's default machine
-  ASSERT_OK(system.LoadProgramSource(source));
-  ASSERT_OK(system.Boot());
-  system.core().Run(100);
-  ASSERT_GT(system.core().superblocks().stats().builds, 0u);
-  SnapWriter w;
-  system.core().superblocks().SaveState(w);
-  std::vector<uint8_t> section = w.TakeBytes();
-  const std::string good = testing::TempDir() + "/restore_extras_good.msnap";
-  ASSERT_OK(SaveSnapshotFile(system.core(), good, {{"superblocks", section}}));
-  section.resize(section.size() / 2);
-  const std::string bad = testing::TempDir() + "/restore_extras_bad.msnap";
-  ASSERT_OK(SaveSnapshotFile(system.core(), bad, {{"superblocks", section}}));
-
-  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
-  EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);
-  EXPECT_EQ(RunShell(run + bad + " >/dev/null 2>&1"), kExitUsage);
 }
 
 }  // namespace

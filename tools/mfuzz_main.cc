@@ -288,8 +288,8 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
       case 4: {  // store aliasing the code segment: the target words sit
                  // behind the program counter (nothing branches back to
                  // _start), so executed semantics are unchanged — but the
-                 // predecode cache and any superblock trace built over those
-                 // words must invalidate on the write-generation bump.
+                 // predecode cache (write generation) and any superblock
+                 // trace built over those words (page stamp) must notice.
         static const struct {
           const char* op;
           unsigned width;

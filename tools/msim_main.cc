@@ -483,8 +483,6 @@ int CmdRun(const std::vector<std::string>& args) {
         status = flight.RestoreState(reader);
       } else if (section.name == "ring") {
         status = ring.RestoreState(reader);
-      } else if (section.name == "superblocks") {
-        status = system.core().superblocks().RestoreState(reader);
       }
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -545,15 +543,6 @@ int CmdRun(const std::vector<std::string>& args) {
       SnapWriter writer;
       ring.SaveState(writer);
       extras.push_back({"ring", writer.TakeBytes()});
-    }
-    {
-      // Always present: a restored run must report the same --stats-json
-      // superblock counters (and rebuild the same trace cache) as the
-      // straight run, in every stepping mode. Restoring into a core with the
-      // tier disabled keeps the counters and drops the traces.
-      SnapWriter writer;
-      core.superblocks().SaveState(writer);
-      extras.push_back({"superblocks", writer.TakeBytes()});
     }
     const std::string path = StrFormat("%s/checkpoint-%llu.msnap", checkpoint_dir.c_str(),
                                        (unsigned long long)core.cycle());
