@@ -125,11 +125,9 @@ const char* kNoopMroutine = R"(
 
 // The paper's STM (ext/stm.h): each transaction's loads and stores are
 // intercepted into the tread/twrite mroutines, which log the read and write
-// sets into MRAM data with mst. Nearly every cycle is Metal mode on the
-// per-cycle path, so the *StepCycle twin differs only in what fast_step
-// does there — device ticks at the event horizon, no refused StepFast
-// calls — plus the short traced loop code; CI gates the ratio
-// (intercept_faststep_speedup).
+// sets into MRAM data with mst. Nearly every cycle is Metal mode, which
+// fast_step runs as Metal traces (docs/performance.md) and the *StepCycle
+// twin per cycle; CI gates the ratio (intercept_faststep_speedup).
 const char* kInterceptLoop = R"(
     .equ A, 0x00600000
   _start:
@@ -435,7 +433,7 @@ int RunBenchReport(int argc, char** argv) {
               strided);
   std::printf("BM_MixedAluMemLoop        %12.0f sim-instr/s (interleaved ALU + mem)\n",
               mixed);
-  std::printf("BM_InterceptLoop          %12.0f sim-instr/s (STM intercepts, per-cycle Metal)\n",
+  std::printf("BM_InterceptLoop          %12.0f sim-instr/s (STM intercepts, Metal traces)\n",
               intercept.fast);
   std::printf("BM_InterceptLoopStepCycle %12.0f sim-instr/s (fast_step off)\n",
               intercept.slow);

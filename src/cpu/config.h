@@ -64,8 +64,9 @@ struct CoreConfig {
   // Host-tier only: never serialized and not part of the snapshot config
   // hash (snap/snapshot.h).
   uint32_t predecode_entries = 4096;
-  // The one stepping knob. On, Core::Run steps non-Metal code through the
-  // superblock trace tier (cpu/superblock.h) and everything else per cycle;
+  // The one stepping knob. On, Core::Run steps DRAM code and MRAM-resident
+  // mroutines through the superblock trace tier (cpu/superblock.h) and
+  // everything else per cycle;
   // off, every cycle is a Core::StepCycle, the per-cycle reference. Not part
   // of the snapshot config hash: trace state is never serialized, so
   // snapshots stay portable across stepping modes.

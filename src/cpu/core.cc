@@ -1,5 +1,6 @@
 #include "cpu/core.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "fault/fault.h"
@@ -266,56 +267,104 @@ void Core::StepCycle() {
 // ---------------------------------------------------------------------------
 //
 // StepFast commits cycles of the exact StepCycle state machine by executing
-// superblock traces (cpu/superblock.h): non-Metal DRAM code with 1-cycle
-// icache-hit fetches, no deliverable interrupt, no fault engine, and no
-// device event before the horizon. It starts only on an empty pipeline —
-// both latches invalid, MEM and the fetch unit idle — which is exactly the
-// state after a taken branch or a cold start, and runs trace to trace until
-// a trace exit leaves an op latched or no ready trace starts at the refill
-// pc. The caller then continues with StepCycle, the per-cycle reference.
+// superblock traces (cpu/superblock.h) of one mode: in normal mode, DRAM
+// code with 1-cycle icache-hit fetches, no armed intercept and no
+// deliverable interrupt; in Metal mode, mroutine code from MRAM with its
+// 1-cycle fetch port. Either way there is no fault engine and no device
+// event before the horizon. It starts only on an empty pipeline — both
+// latches invalid, MEM and the fetch unit idle — which is exactly the state
+// after a taken branch, a trap or intercept entry or a cold start, and runs
+// trace to trace until a trace exit leaves an op latched or no ready trace
+// starts at the refill pc. The caller then continues with StepCycle, the
+// per-cycle reference.
 //
 // Every condition that could make a cycle deviate from the trace's shape is
 // checked BEFORE the cycle is committed, so a StepFast exit always lands on
 // a state StepCycle can continue from, and N committed cycles leave the
 // machine byte-identical (SaveState stream, including stale latch fields
-// and every counter) to N StepCycle calls. Guard stability: traces hold no
-// Metal ops and their memory slots are DRAM-only, so interrupt enables,
-// intercept and paging configuration and device state cannot change between
-// the entry checks and the exit.
+// and every counter) to N StepCycle calls. Guard stability: a call runs
+// traces of one mode only (no trace holds menter, mexit or wcr), memory
+// slots never reach MMIO, and Metal traces never translate, so interrupt
+// enables, intercept and paging configuration, device state and the
+// translations a normal-mode trace depends on cannot change between the
+// entry checks and the exit.
 
 uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
-  if (!config_.fast_step || max_cycles == 0 || halted_ || has_fatal_) {
+  if (!config_.fast_step || max_cycles == 0 || halted_ || has_fatal_ || !FastStepMayStart()) {
     return 0;
   }
-  // Global eligibility. Nothing here can change inside a trace: paging
-  // state, ASID, KEYPERM and TLB contents move only under Metal-only
+  // Global eligibility, each refusal counted by guard. Nothing here can
+  // change inside a call. bus_fault_armed_ is normally implied by
+  // fault_engine_, but can survive it via checkpoint restore — the armed
+  // corruption must land through the per-cycle MEM stage. Normal mode:
+  // paging state, ASID, KEYPERM and TLB contents move only under Metal-only
   // instructions, so paged traces are sound — every translation is
   // re-probed, side-effect-free, and a miss or permission failure exits to
   // the per-cycle machinery, which then counts the miss and raises the
-  // fault. bus_fault_armed_ is normally implied by fault_engine_, but can
-  // survive it via checkpoint restore — the armed corruption must land
-  // through the per-cycle MEM stage. FastStepMayStart adds non-Metal mode
-  // and the pipeline shape.
-  if (!FastStepMayStart() || fault_engine_ != nullptr || in_machine_check_ ||
-      bus_fault_armed_ || metal_.AnyInterceptEnabled() ||
-      (intc_.pending() & metal_.ienable()) != 0 || config_.cache_hit_latency != 1) {
+  // fault. Metal mode: interception and interrupts do not apply, and the
+  // watchdog budget clamps the call instead of refusing it.
+  const bool metal = arch_metal_;
+  const uint64_t watchdog = config_.metal_watchdog_cycles;
+  SbRefusal refusal = SbRefusal::kCount;
+  if (fault_engine_ != nullptr) {
+    refusal = SbRefusal::kFaultEngine;
+  } else if (in_machine_check_) {
+    refusal = SbRefusal::kMachineCheck;
+  } else if (bus_fault_armed_) {
+    refusal = SbRefusal::kBusFault;
+  } else if (config_.cache_hit_latency != 1 || (metal && config_.mram_latency != 1)) {
+    refusal = SbRefusal::kLatency;
+  } else if (metal) {
+    if (config_.mroutine_storage != MroutineStorage::kMram || !Mram::InCodeRange(fetch_pc_)) {
+      refusal = SbRefusal::kMetalStorage;
+    } else if (watchdog != 0 && metal_resident_cycles_ >= watchdog) {
+      refusal = SbRefusal::kWatchdog;  // the next cycle fires it
+    }
+  } else if (metal_.AnyInterceptEnabled()) {
+    refusal = SbRefusal::kIntercept;
+  } else if ((intc_.pending() & metal_.ienable()) != 0) {
+    refusal = SbRefusal::kInterrupt;
+  }
+  if (refusal != SbRefusal::kCount) {
+    superblocks_.CountRefusal(refusal);
     return 0;
   }
+  if (!metal) {
+    return RunTraces<false>(max_cycles, max_retires);
+  }
+  // Commit at most up to the cycle before the watchdog would fire.
+  return RunTraces<true>(
+      watchdog != 0 ? std::min(max_cycles, watchdog - metal_resident_cycles_) : max_cycles,
+      max_retires);
+}
 
+// The trace executor behind StepFast, compiled once per mode so that a
+// normal-mode trace pays nothing for Metal semantics and vice versa. Its
+// caller has checked every entry guard.
+template <bool metal>
+uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   const uint64_t start = cycle_;
   // First cycle at which any device tick has an effect; cycles strictly below
   // it need no TickDevices call. Stable across traces: their memory traffic
-  // is DRAM-only (MMIO is excluded from every memory slot), so no store can
-  // move a device's next event. Inside Run it is the cached horizon.
+  // never reaches MMIO, so no store can move a device's next event. Inside
+  // Run it is the cached horizon.
   const uint64_t horizon =
       device_horizon_ != 0 ? device_horizon_ : bus_.NextDeviceEventCycle(cycle_);
+  // The cycle budget and the horizon as one bound: a cycle may commit only
+  // while cycle_ < cycle_limit, so no committed cycle reaches the horizon
+  // or exceeds max_cycles. The retire bound likewise, 0 meaning unlimited.
+  const uint64_t cycle_limit =
+      start + std::min(max_cycles, horizon > start ? horizon - 1 - start : 0);
+  const uint64_t retire_limit = max_retires == 0 ? ~uint64_t{0} : max_retires;
   const uint32_t dram_size = bus_.dram().size();
-  // Translation context. Stable across traces: PGENABLE/ASID/KEYPERM and the
-  // TLB itself move only under Metal-only instructions, which no trace holds.
-  const bool paged = metal_.paging_enabled();
+  // Translation context (normal mode only: Metal mode is physical). Stable
+  // across traces: PGENABLE/ASID/KEYPERM move only under wcr, which no trace
+  // holds, and the TLB only under Metal-only instructions, which
+  // normal-mode traces never hold.
+  const bool translate = !metal && metal_.paging_enabled();
   const uint16_t asid = metal_.asid();
   const uint32_t keyperm = metal_.keyperm();
-  const SbAddrSpace sb_as{paged ? &mmu_ : nullptr, asid, keyperm};
+  const SbCode code{bus_.dram(), mram_, SbAddrSpace{translate ? &mmu_ : nullptr, asid, keyperm}};
   uint64_t retired = 0;
   uint32_t pc = fetch_pc_;
   bool last_redirect = false;
@@ -324,10 +373,11 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   uint64_t tlb_hits = 0;  // fetch + data translations, credited in one batch
 
   // Pending MEM-stage op shadow. A memory-slot dispatch latches the access
-  // here with wait = 1; the next committed cycle's MEM-stage slice completes
-  // it. Mirrors ex_mem_: consuming only drops `valid`/zeroes `wait`, the
-  // payload goes stale in place, so the shadow is written back whenever any
-  // memory slot ran.
+  // here with its wait (1 for a hit or an MRAM access, the miss latency for
+  // a dcache miss); each later committed cycle's MEM-stage slice counts it
+  // down and completes it at 0. Mirrors ex_mem_: consuming only drops
+  // `valid` (wait is 0 by then), the payload goes stale in place, so the
+  // shadow is written back whenever any memory slot ran.
   MemOp sb_pend;
   bool sb_mem_any = false;
   // Load-use shadow for writeback: per-cycle, ex_load_this_cycle_ is true at
@@ -338,11 +388,13 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   uint8_t ex_load_rd = ex_load_rd_;
 
   // The running segment's physical code pages (equal for a one-page run),
-  // set at every segment entry. sb_exact turns on the per-fetch DRAM check
-  // for the rest of the segment once a store to one of them is latched or
+  // set at every segment entry; kNoCodePage for a Metal segment, whose code
+  // no store reaches. sb_exact turns on the per-fetch DRAM check for the
+  // rest of the segment once a store to one of them is latched or
   // completes: only then can a word the segment still fetches change.
-  uint32_t code_page0 = 0;
-  uint32_t code_page1 = 0;
+  constexpr uint32_t kNoCodePage = ~0u;
+  uint32_t code_page0 = kNoCodePage;
+  uint32_t code_page1 = kNoCodePage;
   bool sb_exact = false;
   const auto sb_code_page = [&](uint32_t paddr) {
     const uint32_t page = paddr >> PhysicalMemory::kPageBits;
@@ -355,14 +407,15 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // (consumed payloads stay stale in place; null means this trace run never
   // refilled that latch), and the valid bits say which of them are live.
   const auto sb_writeback_latches = [this](const SbSlot* sh_ex, const SbSlot* sh_id,
-                                           const SbSlot* sh_buf, bool ex_valid,
-                                           bool id_valid, bool buf_valid) {
+                                           const SbSlot* sh_buf, bool ex_valid, bool id_valid,
+                                           bool buf_valid) {
     if (sh_ex != nullptr) {
       // StageId default-constructs the op it shifts in: every field but
-      // pc/d is reset.
+      // pc/d/metal is reset.
       id_ex_ = Op{};
       id_ex_.pc = sh_ex->addr;
       id_ex_.d = sh_ex->d;
+      id_ex_.metal = metal;
     }
     id_ex_.valid = ex_valid;
     for (const auto& [slot, latch] :
@@ -372,6 +425,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         latch->pc = slot->addr;
         latch->raw = slot->d.raw;
         latch->d = slot->d;
+        latch->metal = metal;
       }
     }
     if_id_.valid = id_valid;
@@ -380,15 +434,17 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
   const uint32_t sb_icache_line = config_.icache_line_size;
   // Segment readiness sweep, run once per trace-segment entry. Every fetch
-  // inside a segment must be a faultless, 1-cycle icache hit; neither the
-  // icache (hits do not allocate, D-side traffic is DRAM-only) nor the
-  // translation of the segment's pages (Metal-only mutations) can change
-  // in-trace, so one sweep stands in for a per-fetch Probe/Translate. Under
-  // paging, the pages must additionally be resident, executable,
-  // key-readable and map at ONE common delta (the build-time slot addresses
-  // are virtual; `*delta` rebases them).
+  // inside a normal-mode segment must be a faultless, 1-cycle icache hit;
+  // neither the icache (hits do not allocate, D-side traffic never touches
+  // it) nor the translation of the segment's pages (Metal-only mutations)
+  // can change in-trace, so one sweep stands in for a per-fetch
+  // Probe/Translate. Under paging, the pages must additionally be resident,
+  // executable, key-readable and map at ONE common delta (the build-time
+  // slot addresses are virtual; `*delta` rebases them). A Metal segment
+  // needs none of this: the MRAM fetch port has no icache and no
+  // translation.
   //
-  // Then the ready prefix is validated against DRAM per code page
+  // Then the ready prefix is validated against its code store
   // (SuperblockCache::SegmentCurrent, which invalidates the trace if a word
   // changed), and the segment becomes the running one: its code pages are
   // recorded and the exact fetch check is off.
@@ -400,11 +456,14 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
   // StepCycle takes the same cycles to the same probe/translate failure.
   // Truncation matters: a trace's cold suffix (a fall-through path the
   // guest has not reached) must not keep its hot prefix — e.g. a loop body
-  // ending in a strongly taken back edge — out of the executor.
-  auto sb_seg_ready = [&](Superblock& sb, SbSegment& seg, uint32_t* delta) -> uint32_t {
+  // ending in a strongly taken back edge — out of the executor. Out of line:
+  // it runs once per segment entry, and inlining its three call sites only
+  // grows the executor.
+  auto sb_seg_ready = [&](Superblock& sb, SbSegment& seg,
+                          uint32_t* delta) __attribute__((noinline)) -> uint32_t {
     uint32_t d = 0;
     uint32_t vlimit = seg.start + 4 * seg.len;
-    if (paged) {
+    if (translate) {
       bool have_d = false;
       for (uint32_t page = seg.start & ~4095u; page < vlimit; page += 4096u) {
         const uint32_t va = page < seg.start ? seg.start : page;
@@ -423,22 +482,25 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         have_d = true;
       }
     }
-    const uint32_t first = seg.start + d - ((seg.start + d) % sb_icache_line);
-    for (uint32_t a = first; a < vlimit + d; a += sb_icache_line) {
-      if (!icache_.Probe(a)) {
-        const uint32_t va = a - d;
-        vlimit = va < seg.start ? seg.start : va;
-        break;
+    if (!metal) {
+      const uint32_t first = seg.start + d - ((seg.start + d) % sb_icache_line);
+      for (uint32_t a = first; a < vlimit + d; a += sb_icache_line) {
+        if (!icache_.Probe(a)) {
+          const uint32_t va = a - d;
+          vlimit = va < seg.start ? seg.start : va;
+          break;
+        }
       }
     }
     const uint32_t ready = (vlimit - seg.start) / 4;
-    if (ready < kSuperblockMinLen ||
-        !superblocks_.SegmentCurrent(sb, seg, ready, d, bus_.dram())) {
+    if (ready < kSuperblockMinLen || !superblocks_.SegmentCurrent(sb, seg, ready, d, code)) {
       return 0;
     }
     *delta = d;
-    code_page0 = seg.page[0];
-    code_page1 = seg.page[1];
+    if (!metal) {
+      code_page0 = seg.page[0];
+      code_page1 = seg.page[1];
+    }
     sb_exact = false;
     return ready;
   };
@@ -476,7 +538,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         goto sb_exit_stale;                                              \
       }                                                                  \
       uint32_t sb_w = *sb_word;                                          \
-      if (sb_pend.valid && sb_pend.is_store &&                           \
+      if (sb_pend.valid && sb_pend.wait == 1 && sb_pend.is_store &&      \
           (sb_pend.paddr & ~3u) == sb_fpa) {                             \
         const uint32_t sb_sh = (sb_pend.paddr & 3u) * 8;                 \
         const uint32_t sb_m =                                            \
@@ -490,21 +552,33 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
   } while (0)
 
-// Post-commit fetch bookkeeping: the same counting events as StageIf's
-// fetch (icache + TLB hit tally), the ID -> EX shift, and the latch-payload
-// shadow pointers. sh_ex/sh_id/sh_buf track which slot's payload a
-// per-cycle run would have left in each latch and in the skid buffer; they
-// are written into the member latches only at executor exit
-// (sb_writeback_latches). Every started fetch rewrites the buffer payload;
-// at depth 0 delivery is same-cycle (ID gets the same word), at depth 1 ID
-// consumes the PREVIOUS buffered word and the new word parks.
+// The counting side of one committed fetch of slot `s`, as StageIf's
+// AccessFetch counts it: an MRAM fetch-port read in a Metal trace, otherwise
+// an icache hit plus a TLB hit when translating (credited in bulk at exit).
+#define MSIM_SB_NOTE_FETCH(s)                                            \
+  do {                                                                   \
+    if (metal) {                                                         \
+      mram_.NoteCachedFetch((s).addr);                                   \
+    } else {                                                             \
+      ++icache_hits;                                                     \
+      if (translate) {                                                   \
+        ++tlb_hits;                                                      \
+      }                                                                  \
+    }                                                                    \
+  } while (0)
+
+// Post-commit fetch bookkeeping: the fetch's counting events, the ID -> EX
+// shift, and the latch-payload shadow pointers. sh_ex/sh_id/sh_buf track
+// which slot's payload a per-cycle run would have left in each latch and in
+// the skid buffer; they are written into the member latches only at
+// executor exit (sb_writeback_latches). Every started fetch rewrites the
+// buffer payload; at depth 0 delivery is same-cycle (ID gets the same
+// word), at depth 1 ID consumes the PREVIOUS buffered word and the new word
+// parks.
 #define MSIM_SB_COMMIT_FETCH()                                           \
   do {                                                                   \
     const SbSlot& sb_fs = slots[e + 2 + depth];                          \
-    ++icache_hits;                                                       \
-    if (paged) {                                                         \
-      ++tlb_hits;                                                        \
-    }                                                                    \
+    MSIM_SB_NOTE_FETCH(sb_fs);                                           \
     if (e >= -1) {                                                       \
       sh_ex = sh_id;                                                     \
     }                                                                    \
@@ -514,21 +588,31 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     pc = sb_fs.addr + 4;                                                 \
   } while (0)
 
-// Top-of-cycle MEM stage: completes the pending memory op latched by the
-// previous cycle's dispatch. StageMem runs before every other stage, so this
-// expands right after each ++cycle_, BEFORE the cycle's EX work and events.
-// Semantics are StageMem's DRAM path: consuming drops `valid` and zeroes
-// `wait` (payload stale in place), the access goes through the same
-// DramLoad/DramStore, and the op retires with the MEM-stage kRetire event
-// ordering. A completed store to the running segment's code pages turns on
-// the exact fetch check; it matters after a tree transition, which
-// validates the new segment before this cycle's store lands.
+// Top-of-cycle MEM stage: counts the pending memory op down and completes it
+// at 0. StageMem runs before every other stage, so this expands right after
+// each ++cycle_, BEFORE the cycle's EX work and events. Semantics are
+// StageMem's DRAM and MRAM-data paths: consuming drops `valid` (the wait is
+// 0, the payload stale in place), the access goes through the same
+// DramLoad/DramStore or Mram port, and the op retires with the MEM-stage
+// kRetire event ordering. A completed DRAM store to the running segment's
+// code pages turns on the exact fetch check; it matters after a tree
+// transition, which validates the new segment before this cycle's store
+// lands.
 #define MSIM_SB_COMPLETE_PEND()                                          \
   do {                                                                   \
-    if (sb_pend.valid) {                                                 \
+    if (sb_pend.valid && --sb_pend.wait == 0) {                          \
       sb_pend.valid = false;                                             \
-      sb_pend.wait = 0;                                                  \
-      if (sb_pend.is_store) {                                            \
+      if (metal && sb_pend.target == MemOp::Target::kMramData) {         \
+        if (sb_pend.is_store) {                                          \
+          (void)mram_.WriteData32(sb_pend.paddr, sb_pend.store_value);   \
+        } else {                                                         \
+          const uint32_t sb_ld =                                         \
+              mram_.ReadData32(sb_pend.paddr).value_or(0);               \
+          if (sb_pend.rd != 0) {                                         \
+            regs_[sb_pend.rd] = sb_ld;                                   \
+          }                                                              \
+        }                                                                \
+      } else if (sb_pend.is_store) {                                     \
         (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr,               \
                         sb_pend.store_value);                            \
         sb_exact |= sb_code_page(sb_pend.paddr);                         \
@@ -540,37 +624,46 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
         }                                                                \
       }                                                                  \
       ++retired;                                                         \
-      Retire(sb_pend.pc, sb_pend.raw, false);                            \
+      Retire(sb_pend.pc, sb_pend.raw, metal);                            \
     }                                                                    \
   } while (0)
 
-// EX-stage commit of a memory slot's fast path: the pre-checked access
-// becomes the pending MEM op (completed at the top of the next committed
-// cycle), with StartMemOp's counter effects replayed — dcache hit, TLB hit
-// when paged — and the load-use shadow updated for loads. store_value is
+// EX-stage commit of a memory slot's fast path (sb_x_mem, sb_x_mram): the
+// pre-checked access becomes the pending MEM op, with StartMemOp's counter
+// effects replayed — a dcache hit (credited in bulk) or, for a miss, the
+// dcache_.Access call that counts it and fills the line, and a TLB hit when
+// translating — and the load-use shadow updated for loads. store_value is
 // latched for loads too (StartMemOp reads rs2 unconditionally), keeping the
 // written-back ex_mem_ payload byte-identical. A store to the running
 // segment's code pages turns on the exact fetch check before the cycle that
 // completes it.
-#define MSIM_SB_MEM_DISPATCH()                                           \
+#define MSIM_SB_MEM_DISPATCH(mem_target)                                 \
   do {                                                                   \
-    superblocks_.CountMemFastHit();                                      \
-    ++dcache_hits;                                                       \
-    if (paged) {                                                         \
+    uint32_t sb_wait = 1;                                                \
+    if (sb_miss) [[unlikely]] {                                          \
+      sb_wait = dcache_.Access(sb_pa);                                   \
+      superblocks_.CountMissFreeze();                                    \
+    } else {                                                             \
+      superblocks_.CountMemFastHit();                                    \
+      if ((mem_target) == MemOp::Target::kDram) {                        \
+        ++dcache_hits;                                                   \
+      }                                                                  \
+    }                                                                    \
+    if (translate) {                                                     \
       ++tlb_hits;                                                        \
     }                                                                    \
     sb_pend.valid = true;                                                \
     sb_pend.pc = es->addr;                                               \
     sb_pend.kind = es->d.kind;                                           \
-    sb_pend.metal = false;                                               \
+    sb_pend.metal = metal;                                               \
     sb_pend.is_store = sb_st;                                            \
     sb_pend.vaddr = sb_va;                                               \
     sb_pend.paddr = sb_pa;                                               \
     sb_pend.store_value = MSIM_SB_B;                                     \
     sb_pend.raw = es->d.raw;                                             \
     sb_pend.rd = es->d.rd;                                               \
-    sb_pend.wait = 1;                                                    \
-    sb_pend.target = MemOp::Target::kDram;                               \
+    sb_pend.wait = sb_wait;                                              \
+    sb_pend.target = (mem_target);                                       \
     sb_mem_any = true;                                                   \
     if (sb_st) {                                                         \
       sb_exact |= sb_code_page(sb_pa);                                   \
@@ -580,11 +673,78 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     }                                                                    \
   } while (0)
 
-// Retire bookkeeping for a non-Metal op (Core::Retire).
+// The dispatch of a pre-checked memory slot (sb_x_mem, sb_x_mram), using
+// the label's block-local sb_st/sb_va/sb_pa/sb_miss and the MemOp target
+// `mem_target`.
+//
+// Plain dispatch: the access becomes the pending MEM op and the frontend
+// keeps streaming. A miss then freezes the pipeline: its first frozen cycle
+// counts MEM down, EX holds its op (MEM is busy), ID holds, and a free skid
+// buffer takes one fetch; sb_freeze commits the rest.
+//
+// Load-use stall (stall_after): the next slot reads this load's rd, so
+// StageId holds it and emits kStall. At depth 0 the cycle's fetch still
+// runs, parking its word in the skid buffer; at depth 1 the buffer is
+// already held and NO fetch starts (pc unchanged). Either way the next
+// cycle is a forced bubble (sb_bubble), which a missed load also freezes
+// after. The depth-1 stall needs a next executable slot, which stall_after
+// implies.
+#define MSIM_SB_MEM_GO(mem_target)                                       \
+  do {                                                                   \
+    if (!es->stall_after) {                                              \
+      MSIM_SB_FETCH_OR_EXIT();                                           \
+      ++cycle_;                                                          \
+      MSIM_SB_COMPLETE_PEND();                                           \
+      MSIM_SB_MEM_DISPATCH(mem_target);                                  \
+      last_redirect = false;                                             \
+      MSIM_SB_COMMIT_FETCH();                                            \
+      if (!sb_miss) {                                                    \
+        goto sb_next;                                                    \
+      }                                                                  \
+      ++cycle_;                                                          \
+      --sb_pend.wait;                                                    \
+      if (depth == 0) {                                                  \
+        const SbSlot& sb_fs = slots[e + 2];                              \
+        MSIM_SB_NOTE_FETCH(sb_fs);                                       \
+        sh_buf = &sb_fs;                                                 \
+        pc = sb_fs.addr + 4;                                             \
+        depth = 1;                                                       \
+      }                                                                  \
+      goto sb_freeze;                                                    \
+    }                                                                    \
+    if (depth == 0) {                                                    \
+      MSIM_SB_FETCH_OR_EXIT();                                           \
+      ++cycle_;                                                          \
+      MSIM_SB_COMPLETE_PEND();                                           \
+      MSIM_SB_MEM_DISPATCH(mem_target);                                  \
+      ++stats_.load_use_stalls;                                          \
+      tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0,      \
+                   metal);                                               \
+      const SbSlot& sb_fs = slots[e + 2];                                \
+      MSIM_SB_NOTE_FETCH(sb_fs);                                         \
+      sh_buf = &sb_fs;                                                   \
+      pc = sb_fs.addr + 4;                                               \
+      depth = 1;                                                         \
+      last_redirect = false;                                             \
+      goto sb_bubble;                                                    \
+    }                                                                    \
+    if (e + 1 >= exec_len) {                                             \
+      goto sb_exit_uncommitted;                                          \
+    }                                                                    \
+    ++cycle_;                                                            \
+    MSIM_SB_COMPLETE_PEND();                                             \
+    MSIM_SB_MEM_DISPATCH(mem_target);                                    \
+    ++stats_.load_use_stalls;                                            \
+    tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, metal); \
+    last_redirect = false;                                               \
+    goto sb_bubble;                                                      \
+  } while (0)
+
+// Retire bookkeeping for an op of the call's mode (Core::Retire).
 #define MSIM_SB_RETIRE(s)                                                \
   do {                                                                   \
     ++retired;                                                           \
-    Retire((s).addr, (s).d.raw, false);                                  \
+    Retire((s).addr, (s).d.raw, metal);                                  \
   } while (0)
 
 // Operand shorthands (pure register-file reads; x0 is hardwired zero by
@@ -596,9 +756,9 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 // Executor labels, one per MSIM_TRACE_KINDS row, by class. Each passes its
 // compile-time kind to isa/semantics.h, so the per-kind switch folds away.
 //
-// A straight-line op (Alu, Nop): fetch check, commit, pending completion
-// (MEM before EX: a pending load's rd lands before this op's rd, which may
-// alias it), rd writeback, retire, advance.
+// A straight-line op (Alu, Nop): fetch check, commit, pending
+// completion (MEM before EX: a pending load's rd lands before this op's rd,
+// which may alias it), EX work, retire, advance.
 #define MSIM_SB_STRAIGHT(k, writeback)                                   \
   sb_x_##k : {                                                           \
     MSIM_SB_FETCH_OR_EXIT();                                             \
@@ -657,33 +817,35 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     goto sb_taken_commit;                                                \
   }
 
-// Memory slots share one label (sb_x_mem): width and direction are read
-// from InstrInfo at dispatch.
+// Memory slots share one label per class (sb_x_mem, sb_x_mram): width and
+// direction are read from InstrInfo at dispatch. Metal-state ops share
+// sb_x_metal, which dispatches on the kind in ExecuteMetalOp.
 #define MSIM_SB_Mem(k)
+#define MSIM_SB_Mram(k)
+#define MSIM_SB_Metal(k)
 #define MSIM_SB_LABEL(k, cls) MSIM_SB_##cls(k)
 #define MSIM_SB_TARGET_Alu(k) sb_x_##k
 #define MSIM_SB_TARGET_Nop(k) sb_x_##k
 #define MSIM_SB_TARGET_Branch(k) sb_x_##k
 #define MSIM_SB_TARGET_Jump(k) sb_x_##k
+#define MSIM_SB_TARGET_Metal(k) sb_x_metal
 #define MSIM_SB_TARGET_Mem(k) sb_x_mem
+#define MSIM_SB_TARGET_Mram(k) sb_x_mram
 
-  while (cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
-         (max_retires == 0 || retired < max_retires)) {
+  while (cycle_ < cycle_limit && retired < retire_limit) {
     // Refill point: both latches empty (the entry state, or the state after
-    // a taken branch out of a trace). Every entry guard — horizon, no
-    // pending interrupt, not Metal — stays valid across the whole trace:
-    // in-trace memory slots are DRAM-only, so no MMIO write can move a
-    // device's next event, and no interrupt can become pending before the
-    // horizon.
-    Superblock* sb = superblocks_.Lookup(pc);
+    // a taken branch out of a trace). Every entry guard stays valid across
+    // the whole call (see above), and no interrupt can become pending before
+    // the horizon.
+    Superblock* sb = superblocks_.Lookup(pc, metal);
     if (sb == nullptr) {
-      sb = superblocks_.Build(pc, bus_.dram(), sb_as);
+      sb = superblocks_.Build(pc, metal, code);
     } else if (sb->grow_pending) {
       // Deferred tree growth (a biased branch observed by an earlier
       // executor run) applies only here: the walk reallocates slot
       // storage, which must never happen while executor slot pointers are
       // live.
-      superblocks_.MaybeGrow(*sb, bus_.dram(), sb_as);
+      superblocks_.MaybeGrow(*sb, code);
     }
     uint32_t sb_entry_delta = 0;
     const uint32_t sb_entry_len =
@@ -698,14 +860,15 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     int32_t exec_len =
         sb->exec_len < sb_entry_len ? static_cast<int32_t>(sb->exec_len) : len;
     // Physical rebase for the current segment's slot addresses (0 when
-    // unpaged or identity-mapped).
+    // unpaged, identity-mapped or Metal).
     uint32_t fdelta = sb_entry_delta;
     // Slot position of the EX stage this cycle; -2/-1 are the two
     // refill cycles before slots[0] reaches EX. Invariant after every
     // committed cycle at depth 0: EX holds slot e, ID holds slot e + 1,
-    // the next fetch is slot e + 2. A load-use stall enters the skid
-    // regime (depth 1): the buffer holds slot e + 2 and fetches run one
-    // ahead, until a redirect drains it — exactly the per-cycle skid.
+    // the next fetch is slot e + 2. A load-use stall or a dcache miss
+    // enters the skid regime (depth 1): the buffer holds slot e + 2 and
+    // fetches run one ahead, until a redirect drains it — exactly the
+    // per-cycle skid.
     int32_t e = -2;
     int32_t depth = 0;
     bool in_bubble = false;  // load-use bubble cycle in flight
@@ -717,7 +880,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
     // Threaded dispatch: one indirect jump per instruction, indexed by the
     // slot's InstrKind. Kinds outside MSIM_TRACE_KINDS never reach a slot
-    // (the build walk and restore refuse them).
+    // (the build walk refuses them).
     static const std::array<const void*, static_cast<size_t>(InstrKind::kCount)> kSbGoto =
         ({
           std::array<const void*, static_cast<size_t>(InstrKind::kCount)> t;
@@ -735,9 +898,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // live pending op reserves one unit of retire budget. Exiting a
     // cycle early is always sound — every exit is a per-cycle-exact
     // state — and the bound is what RunRetireLockstep relies on.
-    if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
-          (max_retires == 0 ||
-           retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
+    if (!(cycle_ < cycle_limit && retired + (sb_pend.valid ? 1u : 0u) < retire_limit)) {
       goto sb_exit_uncommitted;
     }
     if (e < 0) {
@@ -753,13 +914,32 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 
     MSIM_TRACE_KINDS(MSIM_SB_LABEL)
 
+  sb_x_metal : {
+    // A Metal-state op: a straight-line op whose EX work is ExecuteMetalOp.
+    // The Metal-only classes are never reached in a normal-mode trace (the
+    // build walk admits them into Metal traces only); the early exit keeps
+    // their code out of the normal-mode executor.
+    if (!metal) {
+      goto sb_exit_uncommitted;
+    }
+    MSIM_SB_FETCH_OR_EXIT();
+    ++cycle_;
+    MSIM_SB_COMPLETE_PEND();
+    ExecuteMetalOp(es->d, MSIM_SB_A, MSIM_SB_B);
+    MSIM_SB_RETIRE(*es);
+    last_redirect = false;
+    MSIM_SB_COMMIT_FETCH();
+    goto sb_next;
+  }
+
   sb_x_mem : {
-    // A memory slot in EX: StartMemOp's fast path, pre-checked with no
-    // side effects. Any slow condition — misalignment (a fault
-    // per-cycle), TLB miss or permission/key failure, MMIO or
-    // out-of-bounds physical target, dcache miss — exits the trace
-    // UNCOMMITTED and replays the op through the per-cycle machinery,
-    // which counts the miss, raises the fault or models the latency.
+    // A DRAM memory slot in EX: StartMemOp's fast path, pre-checked with
+    // no side effects. Misalignment (a fault per-cycle), a TLB miss or
+    // permission/key failure, or an MMIO or out-of-bounds physical target
+    // exits the trace UNCOMMITTED and replays the op through the per-cycle
+    // machinery, which raises the fault or routes the access. Metal mode
+    // and plw/psw are physical (StartMemOp), so only a normal-mode trace
+    // translates.
     const InstrInfo& sb_info = es->d.info();
     const uint32_t sb_size = sb_info.mem_size;
     const bool sb_st = sb_info.is_store;
@@ -768,7 +948,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       goto sb_exit_mem_slow;
     }
     uint32_t sb_pa = sb_va;
-    if (paged) {
+    if (translate) {
       const TranslateResult sb_tr = mmu_.ProbeTranslate(
           sb_va, sb_st ? AccessType::kStore : AccessType::kLoad, asid,
           keyperm);
@@ -777,68 +957,58 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
       }
       sb_pa = sb_tr.paddr;
     }
-    if (sb_pa >= kMmioBase || sb_pa + sb_size > dram_size ||
-        !dcache_.Probe(sb_pa)) {
+    if (sb_pa >= kMmioBase || sb_pa + sb_size > dram_size) {
       goto sb_exit_mem_slow;
     }
-    if (!es->stall_after) {
-      // Plain dispatch: the access becomes the pending MEM op and the
-      // frontend keeps streaming.
-      MSIM_SB_FETCH_OR_EXIT();
-      ++cycle_;
-      MSIM_SB_COMPLETE_PEND();
-      MSIM_SB_MEM_DISPATCH();
-      last_redirect = false;
-      MSIM_SB_COMMIT_FETCH();
-      goto sb_next;
+    const bool sb_miss = !dcache_.Probe(sb_pa);
+    // A dcache miss holds MEM for miss_wait cycles: the dispatch cycle,
+    // then miss_wait - 1 frozen cycles committed in one step, during which
+    // no exit check runs — so the whole window must fit the budget and the
+    // horizon now, and at depth 0 the skid slot the first frozen cycle
+    // fetches must be ready. With the exact fetch check on, a store into
+    // the running segment's code, or a degenerate miss latency below two
+    // cycles, StepCycle takes the miss instead.
+    // (A store completing in the dispatch cycle cannot turn the check on:
+    // its own dispatch in this segment already did.)
+    const uint32_t miss_wait = dcache_.miss_latency();
+    if (sb_miss &&
+        (miss_wait < 2 || cycle_ + miss_wait > cycle_limit || sb_exact ||
+         (sb_st && sb_code_page(sb_pa)) ||
+         (!es->stall_after && depth == 0 && e + 3 >= len))) [[unlikely]] {
+      goto sb_exit_mem_slow;
     }
-    // Load-use stall: the next slot reads this load's rd, so StageId
-    // holds it and emits kStall. At depth 0 the cycle's fetch still
-    // runs, parking its word in the skid buffer; at depth 1 the buffer
-    // is already held and NO fetch starts (pc unchanged). Either way
-    // the next cycle is a forced bubble.
-    if (depth == 0) {
-      MSIM_SB_FETCH_OR_EXIT();
-      ++cycle_;
-      MSIM_SB_COMPLETE_PEND();
-      MSIM_SB_MEM_DISPATCH();
-      ++stats_.load_use_stalls;
-      tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0,
-                   false);
-      {
-        const SbSlot& sb_fs = slots[e + 2];
-        ++icache_hits;
-        if (paged) {
-          ++tlb_hits;
-        }
-        sh_buf = &sb_fs;
-        pc = sb_fs.addr + 4;
-        depth = 1;
-      }
-      last_redirect = false;
-      goto sb_bubble;
+    MSIM_SB_MEM_GO(MemOp::Target::kDram);
+  }
+
+  sb_x_mram : {
+    if (!metal) {
+      goto sb_exit_uncommitted;
     }
-    if (e + 1 >= exec_len) {
-      goto sb_exit_uncommitted;  // unreachable: stall_after implies a next exec slot
+    // An mld/mst in EX (Metal traces only): StartMemOp's MRAM data path,
+    // one-cycle. A misaligned or out-of-range offset (a fault per-cycle),
+    // or an mld of a word that fails parity (a machine check at MEM), exits
+    // UNCOMMITTED for the per-cycle stages to raise. Nothing writes MRAM
+    // data between this check and the completion but an mst completing
+    // first, and an mst leaves good parity.
+    const bool sb_st = es->d.kind == InstrKind::kMst;
+    const uint32_t sb_va = MSIM_SB_A + MSIM_SB_IMM;
+    if ((sb_va & 3) != 0 || sb_va > kMramDataSize - 4 ||
+        (!sb_st && !mram_.DataParityOk(sb_va))) {
+      goto sb_exit_mem_slow;
     }
-    ++cycle_;
-    MSIM_SB_COMPLETE_PEND();
-    MSIM_SB_MEM_DISPATCH();
-    ++stats_.load_use_stalls;
-    tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, false);
-    last_redirect = false;
-    goto sb_bubble;
+    const uint32_t sb_pa = sb_va;
+    constexpr bool sb_miss = false;
+    MSIM_SB_MEM_GO(MemOp::Target::kMramData);
   }
 
   sb_bubble:
     // The forced cycle after a load-use stall: EX is empty (no
     // dispatch, no retire from EX), the stalled consumer advances from
-    // the buffer into ID next, and the frontend fetches one ahead. The
-    // stalled load itself completes at the top of this cycle.
+    // the buffer into ID next, and the frontend fetches one ahead. A
+    // stalled load that hit completes at the top of this cycle; one that
+    // missed counts down here and freezes after it.
     in_bubble = true;
-    if (!(cycle_ - start < max_cycles && cycle_ + 1 < horizon &&
-          (max_retires == 0 ||
-           retired + (sb_pend.valid ? 1u : 0u) < max_retires))) {
+    if (!(cycle_ < cycle_limit && retired + (sb_pend.valid ? 1u : 0u) < retire_limit)) {
       goto sb_exit_uncommitted;
     }
     MSIM_SB_FETCH_OR_EXIT();
@@ -847,6 +1017,18 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     last_redirect = false;
     MSIM_SB_COMMIT_FETCH();
     in_bubble = false;
+    if (sb_pend.wait <= 1) {
+      goto sb_next;
+    }
+
+  sb_freeze:
+    // The rest of a miss's frozen window: MEM counts down to its last
+    // cycle while every other stage holds (EX waits on MEM, ID on EX, the
+    // fetch unit on the full skid buffer). Nothing retires or fetches and
+    // no event fires, so the cycles commit in one step; the window was
+    // checked against the budget and the horizon at dispatch.
+    cycle_ += sb_pend.wait - 1;
+    sb_pend.wait = 1;
     goto sb_next;
 
   sb_taken_cond:
@@ -903,7 +1085,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // EX consumed, ID squashed; sh_ex/sh_id keep their (now stale)
     // payloads, exactly like the member latches in a per-cycle run.
     {
-      Superblock* sb_nt = superblocks_.Lookup(pc);
+      Superblock* sb_nt = superblocks_.Lookup(pc, metal);
       uint32_t sb_nt_delta = 0;
       const uint32_t sb_nt_len =
           sb_nt != nullptr ? sb_seg_ready(*sb_nt, sb_nt->segs[0], &sb_nt_delta) : 0;
@@ -927,7 +1109,7 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // post-redirect state (both latches empty, buffer drained by the
     // flush). The loop top may build one there.
     sb_writeback_latches(sh_ex, sh_id, sh_buf, false, false, false);
-    superblocks_.CreditInstructions(retired - sb_entry_retired);
+    superblocks_.CreditInstructions(retired - sb_entry_retired, metal);
     continue;
 
   sb_exit_mem_slow:
@@ -948,14 +1130,16 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // the buffer. StepCycle continues this very cycle.
     sb_writeback_latches(sh_ex, sh_id, sh_buf, e >= 0 && !in_bubble,
                          e + 1 >= 0 && e + 1 < len, depth != 0);
-    superblocks_.CreditInstructions(retired - sb_entry_retired);
+    superblocks_.CreditInstructions(retired - sb_entry_retired, metal);
     break;
   }
 
 #undef MSIM_SB_FETCH_OR_EXIT
+#undef MSIM_SB_NOTE_FETCH
 #undef MSIM_SB_COMMIT_FETCH
 #undef MSIM_SB_COMPLETE_PEND
 #undef MSIM_SB_MEM_DISPATCH
+#undef MSIM_SB_MEM_GO
 #undef MSIM_SB_RETIRE
 #undef MSIM_SB_A
 #undef MSIM_SB_B
@@ -963,15 +1147,19 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
 #undef MSIM_SB_STRAIGHT
 #undef MSIM_SB_Alu
 #undef MSIM_SB_Nop
+#undef MSIM_SB_Metal
 #undef MSIM_SB_Branch
 #undef MSIM_SB_Jump
 #undef MSIM_SB_Mem
+#undef MSIM_SB_Mram
 #undef MSIM_SB_LABEL
 #undef MSIM_SB_TARGET_Alu
 #undef MSIM_SB_TARGET_Nop
 #undef MSIM_SB_TARGET_Branch
 #undef MSIM_SB_TARGET_Jump
+#undef MSIM_SB_TARGET_Metal
 #undef MSIM_SB_TARGET_Mem
+#undef MSIM_SB_TARGET_Mram
 
   const uint64_t committed = cycle_ - start;
   if (committed != 0) {
@@ -979,14 +1167,20 @@ uint64_t Core::StepFast(uint64_t max_cycles, uint64_t max_retires) {
     // Fields a per-cycle run would have left untouched keep their values;
     // fields it would have reset get the reset value.
     stats_.cycles = cycle_;
-    metal_resident_cycles_ = 0;
+    if (metal) {
+      // Every committed cycle began with the committed mode Metal.
+      stats_.metal_cycles += committed;
+      metal_resident_cycles_ += committed;
+    } else {
+      metal_resident_cycles_ = 0;
+    }
     redirect_this_cycle_ = last_redirect;
     // True iff the LAST committed cycle dispatched a load (per-cycle resets
     // this every cycle and only a load's StageEx sets it).
     ex_load_this_cycle_ = load_dispatch_cycle == cycle_;
     ex_load_rd_ = ex_load_rd;
     if (sb_mem_any) {
-      // Live pending op (valid, wait 1) or the stale payload of the last
+      // Live pending op (valid, wait >= 1) or the stale payload of the last
       // completed one (valid false, wait 0) — both byte-identical to what
       // per-cycle StageMem would have left in the latch.
       ex_mem_ = sb_pend;
@@ -1264,7 +1458,7 @@ bool Core::StartMemOp(const Op& op) {
                     op.pc, addr, op.d.raw, op.pc, op.metal);
       return false;
     }
-    if (addr + 4 > kMramDataSize) {
+    if (addr > kMramDataSize - 4) {  // addr + 4 would wrap for addr >= 0xFFFFFFFC
       TakeException(ExcCause::kMramOutOfBounds, op.pc, addr, op.d.raw, op.pc, op.metal);
       return false;
     }
@@ -1522,17 +1716,56 @@ void Core::ExecuteAluOp(Op& op) {
       break;
     }
     case K::kRmr:
-      WriteReg(op.d.rd, metal_.ReadMreg(static_cast<uint8_t>(op.d.imm & 31)));
+    case K::kWmr:
+    case K::kRcr:
+    case K::kWcr:
+    case K::kTlbwr:
+    case K::kTlbinv:
+    case K::kTlbflush:
+    case K::kTlbrd:
+    case K::kMintset:
+    case K::kMopr:
+    case K::kMopw:
+      ExecuteMetalOp(op.d, a, b);
+      break;
+    default:
+      // The RV32IM kinds: isa/semantics.h, shared with the trace executor.
+      if (info.is_branch) {
+        if (BranchTaken(op.d.kind, a, b)) {
+          branch_to(JumpTarget(op.d.kind, a, imm, pc));
+        }
+      } else if (info.writes_rd) {
+        WriteReg(op.d.rd, AluResult(op.d.kind, a, b, imm, pc));
+        if (info.is_jump) {
+          branch_to(JumpTarget(op.d.kind, a, imm, pc));
+        }
+      } else {
+        TakeException(ExcCause::kIllegalInstruction, pc, 0, op.d.raw, pc + 4, op.metal);
+        retire = false;
+      }
+      break;
+  }
+
+  if (retire) {
+    Retire(op.pc, op.d.raw, op.metal);
+  }
+}
+
+void Core::ExecuteMetalOp(const Decoded& d, uint32_t a, uint32_t b) {
+  using K = InstrKind;
+  switch (d.kind) {
+    case K::kRmr:
+      WriteReg(d.rd, metal_.ReadMreg(static_cast<uint8_t>(d.imm & 31)));
       break;
     case K::kWmr:
-      metal_.WriteMreg(static_cast<uint8_t>(op.d.imm & 31), a);
+      metal_.WriteMreg(static_cast<uint8_t>(d.imm & 31), a);
       break;
     case K::kRcr:
-      WriteReg(op.d.rd, metal_.ReadCreg(static_cast<uint32_t>(op.d.imm) & 0xFF, cycle_,
-                                        stats_.instret, intc_.pending()));
+      WriteReg(d.rd, metal_.ReadCreg(static_cast<uint32_t>(d.imm) & 0xFF, cycle_,
+                                     stats_.instret, intc_.pending()));
       break;
     case K::kWcr: {
-      const uint32_t creg = static_cast<uint32_t>(op.d.imm) & 0xFF;
+      const uint32_t creg = static_cast<uint32_t>(d.imm) & 0xFF;
       if (creg == kCrMramScrub) {
         // Write-only trigger: restore parity-failing MRAM words from the
         // shadow copy (the recovery mroutine's repair step).
@@ -1549,14 +1782,14 @@ void Core::ExecuteAluOp(Op& op) {
       mmu_.tlb().InvalidateVaddr(a, metal_.asid());
       break;
     case K::kTlbflush:
-      if (op.d.rs1 == 0) {
+      if (d.rs1 == 0) {
         mmu_.tlb().FlushAll();
       } else {
         mmu_.tlb().FlushAsid(static_cast<uint16_t>(a));
       }
       break;
     case K::kTlbrd:
-      WriteReg(op.d.rd, mmu_.tlb().Probe(a, metal_.asid()));
+      WriteReg(d.rd, mmu_.tlb().Probe(a, metal_.asid()));
       break;
     case K::kMintset:
       metal_.ApplyMintset(a, b);
@@ -1564,7 +1797,7 @@ void Core::ExecuteAluOp(Op& op) {
     case K::kMopr: {
       const OperandLatch& latch = metal_.operands();
       uint32_t value = 0;
-      switch (op.d.rs2) {
+      switch (d.rs2) {
         case kMoprRs1Value:
           value = latch.rs1_value;
           break;
@@ -1589,32 +1822,14 @@ void Core::ExecuteAluOp(Op& op) {
         default:
           break;
       }
-      WriteReg(op.d.rd, value);
+      WriteReg(d.rd, value);
       break;
     }
     case K::kMopw:
       metal_.SetPendingWriteback(a);
       break;
     default:
-      // The RV32IM kinds: isa/semantics.h, shared with the trace executor.
-      if (info.is_branch) {
-        if (BranchTaken(op.d.kind, a, b)) {
-          branch_to(JumpTarget(op.d.kind, a, imm, pc));
-        }
-      } else if (info.writes_rd) {
-        WriteReg(op.d.rd, AluResult(op.d.kind, a, b, imm, pc));
-        if (info.is_jump) {
-          branch_to(JumpTarget(op.d.kind, a, imm, pc));
-        }
-      } else {
-        TakeException(ExcCause::kIllegalInstruction, pc, 0, op.d.raw, pc + 4, op.metal);
-        retire = false;
-      }
       break;
-  }
-
-  if (retire) {
-    Retire(op.pc, op.d.raw, op.metal);
   }
 }
 

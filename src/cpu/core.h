@@ -102,11 +102,12 @@ class Core {
   void StepCycle();
 
   // Hot-path stepping (docs/performance.md): from an empty pipeline, runs
-  // non-Metal code through superblock traces (cpu/superblock.h) without
+  // superblock traces (cpu/superblock.h) of the current mode — DRAM code in
+  // normal mode, MRAM-resident mroutine code in Metal mode — without
   // per-cycle device polling or latch shuffling, returning as soon as a
-  // trace exit leaves an op latched or anything interesting — a Metal
-  // transition, an icache miss, a slow memory access, a pending device
-  // event — is next. Cycle-exact: after N committed cycles the machine state
+  // trace exit leaves an op latched or anything interesting — a mode
+  // transition, an icache miss, an MMIO access, a pending device event —
+  // is next. Cycle-exact: after N committed cycles the machine state
   // is byte-identical to N StepCycle calls (enforced by `msim replay
   // --b-no-fast-step` and the mfuzz "faststep" oracle). Returns the number of
   // cycles committed; 0 when the current state is not eligible (caller falls
@@ -298,15 +299,20 @@ class Core {
 
   // StepFast's cheapest entry conditions, inline so Run skips the
   // out-of-line call on the per-cycle path, where StepFast would refuse:
-  // non-Metal mode with no transition in flight, and an empty pipeline —
-  // both latches invalid, MEM and the fetch unit idle. That is the refill
-  // state after a taken branch or a cold start, and the only state a trace
-  // can start from.
+  // one mode front to back (the committed and the fetch mode agree, no
+  // transition in flight), and an empty pipeline — both latches invalid,
+  // MEM and the fetch unit idle. That is the refill state after a taken
+  // branch, a trap or intercept entry or a cold start, and the only state a
+  // trace can start from. StepFast checks the remaining guards itself.
   bool FastStepMayStart() const {
-    return !arch_metal_ && !frontend_metal_ && inflight_mode_ops_ == 0 && !id_ex_.valid &&
+    return arch_metal_ == frontend_metal_ && inflight_mode_ops_ == 0 && !id_ex_.valid &&
            !if_id_.valid && !ex_mem_.valid && !fetch_inflight_ && fetch_wait_ == 0 &&
            !fetch_buffer_.valid;
   }
+
+  // StepFast's trace executor for one mode (core.cc).
+  template <bool metal>
+  uint64_t RunTraces(uint64_t max_cycles, uint64_t max_retires);
 
   // --- stage logic ---
   void StageMem();
@@ -315,6 +321,10 @@ class Core {
   void StageIf();
 
   void ExecuteAluOp(Op& op);
+  // The Metal-state ops (rmr, wmr, rcr, wcr, the TLB ops, mintset, mopr,
+  // mopw) with operands a = rs1 and b = rs2: the one source of their
+  // semantics for ExecuteAluOp and the trace executor.
+  void ExecuteMetalOp(const Decoded& d, uint32_t a, uint32_t b);
   bool StartMemOp(const Op& op);  // pushes into ex_mem_; may trap
 
   // Retirement bookkeeping shared by the MEM and EX stages and the trace

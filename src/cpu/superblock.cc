@@ -1,5 +1,7 @@
 #include "cpu/superblock.h"
 
+#include <optional>
+
 #include "isa/decode.h"
 #include "isa/semantics.h"
 #include "mem/bus.h"
@@ -97,16 +99,27 @@ SbSlot MakeSlot(uint32_t raw, uint32_t pc) {
 }
 
 // Records that the leading `checked` slots of `seg` match DRAM at `delta`
-// under the pages' current stamps.
-void RecordChecked(SbSegment& seg, uint32_t checked, uint32_t delta,
-                   const PhysicalMemory& dram) {
-  const uint32_t first = seg.start + delta;
+// under the pages' current stamps, or MRAM under its current generation.
+void RecordChecked(SbSegment& seg, bool metal, uint32_t checked, uint32_t delta,
+                   const SbCode& code) {
   seg.checked = checked;
   seg.delta = delta;
+  if (metal) {
+    seg.stamp[0] = code.mram.generation();
+    return;
+  }
+  const uint32_t first = seg.start + delta;
   seg.page[0] = first >> PhysicalMemory::kPageBits;
   seg.page[1] = (first + 4 * (checked - 1)) >> PhysicalMemory::kPageBits;
-  seg.stamp[0] = dram.page_stamp(seg.page[0]);
-  seg.stamp[1] = dram.page_stamp(seg.page[1]);
+  seg.stamp[0] = code.dram.page_stamp(seg.page[0]);
+  seg.stamp[1] = code.dram.page_stamp(seg.page[1]);
+}
+
+// The raw word the segment slot at `addr` holds now: MRAM code (nullopt on a
+// parity failure) for a Metal trace, DRAM at `addr + delta` otherwise.
+std::optional<uint32_t> CodeWord(bool metal, uint32_t addr, uint32_t delta,
+                                 const SbCode& code) {
+  return metal ? code.mram.PeekCodeWord(addr) : code.dram.Read32(addr + delta);
 }
 
 }  // namespace
@@ -132,38 +145,41 @@ SuperblockCache::SuperblockCache(bool enabled) {
   mask_ = kSuperblockEntries - 1;
 }
 
-uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram,
-                                      const SbAddrSpace& as, std::vector<SbSlot>* slots,
-                                      SbSegment* seg) const {
+uint32_t SuperblockCache::WalkSegment(uint32_t start, bool metal, const SbCode& code,
+                                      std::vector<SbSlot>* slots, SbSegment* seg) const {
   const uint32_t base = static_cast<uint32_t>(slots->size());
   uint32_t addr = start;
   // A segment spans at most one virtual-to-physical delta: the executor
   // translates the segment entry once (a consistent delta re-probed per
   // page) and fetches slot words at addr + delta, so a page run mapped with
   // a different offset ends the walk. Identity mapping when paging is off.
+  // A Metal segment reads the MRAM code segment untranslated (delta 0).
   uint32_t delta = 0;
   bool have_delta = false;
-  auto resolve = [&](uint32_t va, uint32_t* pa) {
-    if (!FetchableVa(va) || !as.Resolve(va, pa) || !FetchablePa(*pa, dram.size())) {
-      return false;
+  auto fetch = [&](uint32_t va) -> std::optional<uint32_t> {
+    if (metal) {
+      return code.mram.PeekCodeWord(va);
+    }
+    uint32_t pa = 0;
+    if (!FetchableVa(va) || !code.as.Resolve(va, &pa) || !FetchablePa(pa, code.dram.size())) {
+      return std::nullopt;
     }
     if (!have_delta) {
-      delta = *pa - va;
+      delta = pa - va;
       have_delta = true;
     }
-    return *pa - va == delta;
+    if (pa - va != delta) {
+      return std::nullopt;
+    }
+    return code.dram.Read32(pa);
   };
   while (slots->size() - base < kSuperblockMaxLen) {
-    uint32_t pa = 0;
-    if (!resolve(addr, &pa)) {
-      break;
-    }
-    const auto word = dram.Read32(pa);
+    const auto word = fetch(addr);
     if (!word) {
       break;
     }
     const SbSlot slot = MakeSlot(*word, addr);
-    if (!TraceSafeInstr(slot.d.kind)) {
+    if (!TraceSafeInstr(slot.d.kind, metal)) {
       break;
     }
     slots->push_back(slot);
@@ -183,11 +199,7 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
   // frontend runs one fetch ahead, reaching exec_len + 1 on the cycle
   // before the jump dispatches.
   for (uint32_t i = 0; i < 2; ++i) {
-    uint32_t pa = 0;
-    if (!resolve(addr, &pa)) {
-      break;
-    }
-    const auto word = dram.Read32(pa);
+    const auto word = fetch(addr);
     if (!word) {
       break;
     }
@@ -199,34 +211,33 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, const PhysicalMemory& dram
   seg->base = base;
   seg->exec_len = exec_len;
   seg->len = static_cast<uint32_t>(slots->size()) - base;
-  RecordChecked(*seg, seg->len, delta, dram);
+  RecordChecked(*seg, metal, seg->len, delta, code);
   return exec_len;
 }
 
 bool SuperblockCache::Revalidate(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
-                                 const PhysicalMemory& dram) {
+                                 const SbCode& code) {
   ++stats_.revalidations;
   const SbSlot* slots = sb.slots.data() + seg.base;
   for (uint32_t i = 0; i < ready; ++i) {
-    const auto word = dram.Read32(slots[i].addr + delta);
+    const auto word = CodeWord(sb.metal, slots[i].addr, delta, code);
     if (!word || *word != slots[i].d.raw) {
       Invalidate(sb);
       return false;
     }
   }
-  RecordChecked(seg, ready, delta, dram);
+  RecordChecked(seg, sb.metal, ready, delta, code);
   return true;
 }
 
-Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
-                                   const SbAddrSpace& as) {
+Superblock* SuperblockCache::Build(uint32_t start, bool metal, const SbCode& code) {
   if (traces_.empty()) {
     return nullptr;
   }
   std::vector<SbSlot> slots;
   slots.reserve(16);
   SbSegment seg;
-  const uint32_t exec_len = WalkSegment(start, dram, as, &slots, &seg);
+  const uint32_t exec_len = WalkSegment(start, metal, code, &slots, &seg);
   if (exec_len == 0) {
     return nullptr;
   }
@@ -235,6 +246,7 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
     ++stats_.evictions;
   }
   sb.valid = true;
+  sb.metal = metal;
   sb.start = start;
   sb.exec_len = exec_len;
   sb.len = seg.len;
@@ -246,8 +258,7 @@ Superblock* SuperblockCache::Build(uint32_t start, const PhysicalMemory& dram,
   return &sb;
 }
 
-void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
-                                const SbAddrSpace& as) {
+void SuperblockCache::MaybeGrow(Superblock& sb, const SbCode& code) {
   if (!sb.grow_pending) {
     return;
   }
@@ -264,7 +275,7 @@ void SuperblockCache::MaybeGrow(Superblock& sb, const PhysicalMemory& dram,
   }
   // WalkSegment may reallocate sb.slots: no slot references survive it.
   SbSegment seg;
-  if (WalkSegment(sb.slots[slot_index].target, dram, as, &sb.slots, &seg) == 0) {
+  if (WalkSegment(sb.slots[slot_index].target, sb.metal, code, &sb.slots, &seg) == 0) {
     sb.slots[slot_index].taken_seg = kSbSegNoGrow;
     return;
   }
@@ -307,7 +318,18 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
   registry.Register("superblock", "tree_transitions", &stats_.tree_transitions,
                     "taken branches that stayed in-trace via a tree segment");
   registry.Register("superblock", "revalidations", &stats_.revalidations,
-                    "segment entries that re-read DRAM after a code page or translation moved");
+                    "segment entries that re-read code after a code page, the MRAM "
+                    "generation or the translation moved");
+  registry.Register("superblock", "metal_instructions", &stats_.metal_instructions,
+                    "instructions retired inside Metal (MRAM) traces");
+  registry.Register("superblock", "miss_freezes", &stats_.miss_freezes,
+                    "dcache misses whose MEM stall stayed inside a trace");
+#define MSIM_SB_REGISTER_REFUSAL(k, name, help)                                  \
+  registry.Register("superblock", "refused_" #name,                              \
+                    &stats_.refusals[static_cast<size_t>(SbRefusal::k)],         \
+                    "StepFast calls refused: " help);
+  MSIM_SB_REFUSALS(MSIM_SB_REGISTER_REFUSAL)
+#undef MSIM_SB_REGISTER_REFUSAL
 }
 
 }  // namespace msim

@@ -43,6 +43,22 @@ std::optional<uint32_t> Mram::FetchWord(uint32_t addr) const {
   return LoadWord(code_, addr - kMramCodeBase);
 }
 
+std::optional<uint32_t> Mram::PeekCodeWord(uint32_t addr) const {
+  if (!InCodeRange(addr) || (addr & 3) != 0) {
+    return std::nullopt;
+  }
+  const uint32_t offset = addr - kMramCodeBase;
+  const uint32_t word = LoadWord(code_, offset);
+  if (parity_enabled_ && WordParity(word) != code_parity_[offset / 4]) {
+    return std::nullopt;
+  }
+  return word;
+}
+
+bool Mram::DataParityOk(uint32_t offset) const {
+  return !parity_enabled_ || WordParity(LoadWord(data_, offset)) == data_parity_[offset / 4];
+}
+
 bool Mram::WriteCodeWord(uint32_t offset, uint32_t word) {
   if (offset + 4 > code_.size() || (offset & 3) != 0) {
     return false;
@@ -80,11 +96,7 @@ bool Mram::WriteData32(uint32_t offset, uint32_t value) {
 }
 
 bool Mram::CodeParityError(uint32_t addr) const {
-  if (!parity_enabled_ || !InCodeRange(addr) || (addr & 3) != 0) {
-    return false;
-  }
-  const uint32_t offset = addr - kMramCodeBase;
-  if (WordParity(LoadWord(code_, offset)) == code_parity_[offset / 4]) {
+  if (!InCodeRange(addr) || (addr & 3) != 0 || PeekCodeWord(addr).has_value()) {
     return false;
   }
   ++stats_.parity_errors;
@@ -92,11 +104,8 @@ bool Mram::CodeParityError(uint32_t addr) const {
 }
 
 bool Mram::DataParityError(uint32_t offset) const {
-  if (!parity_enabled_ || offset + 4 > data_.size() || offset + 4 < offset ||
-      (offset & 3) != 0) {
-    return false;
-  }
-  if (WordParity(LoadWord(data_, offset)) == data_parity_[offset / 4]) {
+  if (offset + 4 > data_.size() || offset + 4 < offset || (offset & 3) != 0 ||
+      DataParityOk(offset)) {
     return false;
   }
   ++stats_.parity_errors;

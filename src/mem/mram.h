@@ -69,6 +69,18 @@ class Mram {
     }
   }
 
+  // Side-effect-free code read for the superblock build walk and segment
+  // revalidation (cpu/superblock.h): the stored word, or nullopt when `addr`
+  // is outside the code segment or misaligned, or the word fails parity.
+  // Counts nothing and emits no event.
+  std::optional<uint32_t> PeekCodeWord(uint32_t addr) const;
+
+  // Side-effect-free parity check of the data word at byte `offset` (in
+  // range and aligned): false only when parity is enabled and the word fails
+  // it. Unlike DataParityError it counts nothing; the trace executor uses it
+  // to leave a failing mld to the per-cycle MEM stage.
+  bool DataParityOk(uint32_t offset) const;
+
   // Monotonic mutation counter covering the CODE segment: bumped by loader
   // code writes, code corruption behind the write path, scrubs, Clear and
   // RestoreState. The predecode cache keys decoded mroutine words on it, so

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "cpu/creg.h"
+#include "isa/decode.h"
 #include "metal/loader.h"
 #include "metal/mroutine.h"
 #include "metal/system.h"
+#include "support/strings.h"
 #include "tests/sim_test_util.h"
 
 namespace msim {
@@ -639,6 +641,66 @@ TEST(MetalSystemTest, BadMcodeFailsBoot) {
   MetalSystem system;
   system.AddMcode("this is not assembly");
   EXPECT_FALSE(system.Boot().ok());
+}
+
+// mld/mst offsets are bounds-checked at EX without wrapping: an offset
+// within four bytes of 2^32 is out of bounds (kMramOutOfBounds, raised by the
+// mroutine itself and so a double-trap machine check), exactly like one past
+// the data segment, under either mroutine storage. The last word is in
+// bounds.
+TEST(MetalDataBoundsTest, WrappingOffsetsAreOutOfBoundsInBothStorageModes) {
+  struct Access {
+    const char* source;  // the access, with t0 = the base offset
+    int32_t base;
+    bool in_bounds;
+  };
+  const Access kAccesses[] = {
+      {"mld t1, -4(zero)", 0, false},  {"mst t1, -4(zero)", 0, false},
+      {"mld t1, 0(t0)", -4, false},    {"mst t1, 0(t0)", -4, false},
+      {"mld t1, 0(t0)", 8192, false},  {"mst t1, 0(t0)", 8192, false},
+      {"mld t1, 0(t0)", 8188, true},   {"mst t1, 0(t0)", 8188, true},
+  };
+  for (const MroutineStorage storage : {MroutineStorage::kMram, MroutineStorage::kDramCached}) {
+    for (const Access& access : kAccesses) {
+      SCOPED_TRACE(std::string(access.source) + " base " + std::to_string(access.base) +
+                   (storage == MroutineStorage::kMram ? " (MRAM)" : " (DRAM)"));
+      CoreConfig config;
+      config.mroutine_storage = storage;
+      MetalSystem system(config);
+      system.AddMcode(StrFormat(R"(
+          .mentry 6, touch
+        touch:
+          li t0, %d
+          %s
+          mexit
+      )",
+                                access.base, access.source));
+      ASSERT_OK(system.LoadProgramSource(R"(
+        _start:
+          menter 6
+          halt zero
+      )"));
+      ASSERT_OK(system.Boot());
+      const RunResult r = system.Run(100000);
+      Core& core = system.core();
+      if (access.in_bounds) {
+        EXPECT_EQ(r.reason, RunResult::Reason::kHalted);
+        continue;
+      }
+      ASSERT_EQ(r.reason, RunResult::Reason::kFatal);
+      EXPECT_EQ(core.metal().ReadCreg(kCrMcheckKind, 0, 0, 0),
+                static_cast<uint32_t>(McheckKind::kDoubleTrap));
+      EXPECT_EQ(core.metal().ReadCreg(kCrMcheckInfo, 0, 0, 0),
+                static_cast<uint32_t>(ExcCause::kMramOutOfBounds));
+      // MEPC names the access itself, which faulted at EX.
+      const uint32_t mepc = core.metal().ReadCreg(kCrMepc, 0, 0, 0);
+      const auto word = storage == MroutineStorage::kMram ? core.mram().PeekCodeWord(mepc)
+                                                          : core.bus().dram().Read32(mepc);
+      ASSERT_TRUE(word.has_value());
+      const Decoded faulting = DecodeInstr(*word);
+      EXPECT_TRUE(faulting.kind == InstrKind::kMld || faulting.kind == InstrKind::kMst);
+    }
+  }
 }
 
 }  // namespace

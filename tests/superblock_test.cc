@@ -21,6 +21,8 @@
 #include "cpu/core.h"
 #include "cpu/creg.h"
 #include "cpu/superblock.h"
+#include "ext/cpt.h"
+#include "ext/stm.h"
 #include "fault/fault.h"
 #include "metal/system.h"
 #include "snap/snapshot.h"
@@ -145,17 +147,24 @@ TEST(SuperblockTest, ByteExactAgainstPerCycleAtManySyncPoints) {
 }
 
 // Each MSIM_TRACE_KINDS row's executor class agrees with the kind's
-// InstrInfo, which the per-cycle pipeline dispatches on.
+// InstrInfo, which the per-cycle pipeline dispatches on: MRAM data accesses
+// (mld/mst, the two loads/stores of the custom-0 opcode) are Mram, other
+// loads/stores Mem, and the remaining Metal-only kinds Metal. Metal-only
+// kinds join Metal traces only.
 TEST(SuperblockTest, TraceKindClassesMatchInstrInfo) {
   auto expect_class = [](InstrKind kind, std::string_view cls) {
     const InstrInfo& info = GetInstrInfo(kind);
-    const std::string_view want = info.is_load || info.is_store ? "Mem"
-                                  : info.is_branch              ? "Branch"
-                                  : info.is_jump                ? "Jump"
-                                  : info.writes_rd              ? "Alu"
-                                                                : "Nop";
+    const bool memory = info.is_load || info.is_store;
+    const std::string_view want = memory && info.opcode == kOpMetal ? "Mram"
+                                  : memory                          ? "Mem"
+                                  : info.metal_only                 ? "Metal"
+                                  : info.is_branch                  ? "Branch"
+                                  : info.is_jump                    ? "Jump"
+                                  : info.writes_rd                  ? "Alu"
+                                                                    : "Nop";
     EXPECT_EQ(cls, want) << info.mnemonic;
-    EXPECT_TRUE(TraceSafeInstr(kind)) << info.mnemonic;
+    EXPECT_TRUE(TraceSafeInstr(kind, /*metal=*/true)) << info.mnemonic;
+    EXPECT_EQ(TraceSafeInstr(kind, /*metal=*/false), !info.metal_only) << info.mnemonic;
   };
 #define MSIM_EXPECT_CLASS(k, cls) expect_class(InstrKind::k, #cls);
   MSIM_TRACE_KINDS(MSIM_EXPECT_CLASS)
@@ -246,7 +255,7 @@ TEST(SuperblockTest, SegmentsAreBoundedByMaxLen) {
     MustHalt(*core, 20 * 150);
   }
   ExpectSameRetires(a, b);
-  const Superblock* sb = traced.superblocks().Lookup(program.symbols.at("loop"));
+  const Superblock* sb = traced.superblocks().Lookup(program.symbols.at("loop"), /*metal=*/false);
   ASSERT_NE(sb, nullptr);
   EXPECT_EQ(sb->exec_len, kSuperblockMaxLen);
   for (const SbSegment& seg : sb->segs) {
@@ -464,10 +473,10 @@ constexpr const char* kLongCounterProgram = R"(
 )";
 
 TEST(SuperblockInvalidationTest, MramScrubMatchesNoTraceReference) {
-  // Traces never contain MRAM code (the tier only runs outside Metal mode
-  // and the build walk stops at the DRAM boundary), so a corruption-scrub
-  // episode in the mroutine must leave the DRAM traces untouched AND the
-  // retire streams identical with and without the tier.
+  // The mroutine is straight-line and entered by decode-stage replacement,
+  // so it never refills the pipeline and never runs as a Metal trace: a
+  // corruption-scrub episode in it must leave the DRAM traces untouched AND
+  // the retire streams identical with and without the tier.
   CoreConfig traced_config;
   traced_config.mram_parity = false;
   CoreConfig percycle_config = PerCycleConfig();
@@ -533,40 +542,63 @@ TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
 // DRAM only when a stamp or the translation moved.
 // ---------------------------------------------------------------------------
 
-// Runs `program` on a traced and a per-cycle core in the same chunks,
-// comparing state digests at every sync point and the retire streams at the
-// end. `between(core, i)` runs on both cores after chunk i (host pokes).
-// Returns the traced core's superblock counters.
-SuperblockStats RunAgainstPerCycle(const Program& program, const std::vector<uint64_t>& chunks,
-                                   const std::function<void(Core&, size_t)>& between = {}) {
-  Core traced;  // defaults: fast_step on
-  Core percycle(PerCycleConfig());
+// Boots a traced and a per-cycle MetalSystem of `config` with `setup`, runs
+// both in `chunks`, comparing StateDigest(true) after every chunk, then runs
+// both to the end and compares the outcome and the retire streams.
+// `between(core, i)` runs on both cores after chunk i (host pokes). Returns
+// the traced core's superblock counters, and its core counters through
+// `core_stats` when set.
+SuperblockStats RunAgainstPerCycle(const CoreConfig& config,
+                                   const std::function<void(MetalSystem&)>& setup,
+                                   const std::vector<uint64_t>& chunks,
+                                   const std::function<void(Core&, size_t)>& between = {},
+                                   CoreStats* core_stats = nullptr) {
+  CoreConfig percycle_config = config;
+  percycle_config.fast_step = false;
+  MetalSystem traced(config);
+  MetalSystem percycle(percycle_config);
   std::vector<Retire> a, b;
-  RecordRetires(traced, &a);
-  RecordRetires(percycle, &b);
-  for (Core* core : {&traced, &percycle}) {
-    EXPECT_OK(core->LoadProgram(program));
+  for (MetalSystem* s : {&traced, &percycle}) {
+    setup(*s);
+    if (!s->booted()) {
+      EXPECT_OK(s->Boot());
+    }
   }
+  RecordRetires(traced.core(), &a);
+  RecordRetires(percycle.core(), &b);
   for (size_t i = 0; i < chunks.size(); ++i) {
-    for (Core* core : {&traced, &percycle}) {
-      core->Run(chunks[i]);
+    for (MetalSystem* s : {&traced, &percycle}) {
+      s->core().Run(chunks[i]);
       if (between) {
-        between(*core, i);
+        between(s->core(), i);
       }
     }
-    EXPECT_EQ(traced.cycle(), percycle.cycle());
-    EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true))
-        << "trace tier diverged from per-cycle by cycle " << traced.cycle();
+    EXPECT_EQ(traced.core().cycle(), percycle.core().cycle());
+    EXPECT_EQ(traced.core().StateDigest(true), percycle.core().StateDigest(true))
+        << "trace tier diverged from per-cycle by cycle " << traced.core().cycle()
+        << " (chunk " << i << ")";
   }
-  const RunResult rt = traced.Run(2'000'000);
-  const RunResult rp = percycle.Run(2'000'000);
+  const RunResult rt = traced.core().Run(5'000'000);
+  const RunResult rp = percycle.core().Run(5'000'000);
   EXPECT_EQ(rt.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rp.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rt.exit_code, rp.exit_code);
-  EXPECT_EQ(traced.StateDigest(true), percycle.StateDigest(true));
+  EXPECT_EQ(traced.core().StateDigest(true), percycle.core().StateDigest(true));
   ExpectSameRetires(a, b);
-  EXPECT_GT(traced.superblocks().stats().executions, 0u);
-  return traced.superblocks().stats();
+  EXPECT_GT(traced.core().superblocks().stats().executions, 0u);
+  EXPECT_EQ(percycle.core().superblocks().stats().executions, 0u);
+  if (core_stats != nullptr) {
+    *core_stats = traced.core().stats();
+  }
+  return traced.core().superblocks().stats();
+}
+
+// The same for a plain `program` on default cores.
+SuperblockStats RunAgainstPerCycle(const Program& program, const std::vector<uint64_t>& chunks,
+                                   const std::function<void(Core&, size_t)>& between = {}) {
+  return RunAgainstPerCycle(
+      CoreConfig{}, [&](MetalSystem& s) { ASSERT_OK(s.LoadProgram(program)); }, chunks,
+      between);
 }
 
 // A hot loop whose code page also holds a data word (`spare`).
@@ -831,7 +863,7 @@ TEST(SuperblockSnapshotTest, RestoreStartsHostCachesColdWithArchitecturalStatsIn
   Core restored;
   ASSERT_OK(RestoreSnapshot(restored, image));
   for (const auto& [name, addr] : program.symbols) {
-    EXPECT_EQ(restored.superblocks().Lookup(addr), nullptr) << name;
+    EXPECT_EQ(restored.superblocks().Lookup(addr, /*metal=*/false), nullptr) << name;
     EXPECT_EQ(restored.predecode().Peek(addr, restored.bus().dram().write_generation()),
               nullptr)
         << name;
@@ -848,6 +880,325 @@ TEST(SuperblockSnapshotTest, RestoreStartsHostCachesColdWithArchitecturalStatsIn
   EXPECT_EQ(WithoutHostTierMetrics(MetricsJson(restored)),
             WithoutHostTierMetrics(MetricsJson(straight)));
   EXPECT_GT(restored.superblocks().stats().executions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Metal traces and in-trace dcache misses: digest matrices against the
+// per-cycle reference, with Run chunk sizes that cut frozen miss windows,
+// trace entries and the two refill cycles.
+// ---------------------------------------------------------------------------
+
+// Chunk sizes around the 20-cycle DRAM latency and a mix of primes.
+const std::vector<uint64_t> kMetalChunks = {1, 2, 3, 5, 19, 20, 21, 37, 400, 1, 977, 4096};
+
+// The paper's STM (ext/stm.h): every load and store of a transaction is
+// intercepted into tread/twrite, whose write-set search loops chain in MRAM,
+// and tcommit validates and writes back with plw/psw. The transaction's own
+// loop refills in normal mode with interception armed, which StepFast
+// refuses.
+constexpr const char* kStmLoop = R"(
+    .equ A, 0x00600000
+  _start:
+    li s0, 150
+  again:
+    la a0, on_abort
+    menter 24
+    li t5, A
+    li s1, 3
+  rmw:
+    lw t6, 0(t5)
+    addi t6, t6, 1
+    sw t6, 0(t5)
+    addi t5, t5, 4
+    addi s1, s1, -1
+    bnez s1, rmw
+    menter 27
+    addi s0, s0, -1
+    bnez s0, again
+    li t5, A
+    lw a0, 0(t5)
+    halt a0
+  on_abort:
+    j again
+)";
+
+TEST(MetalTraceTest, StmInterceptLoopMatchesPerCycle) {
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [](MetalSystem& s) {
+        ASSERT_OK(StmExtension::Install(s, /*clock_addr=*/0x00700000,
+                                        /*vtbl_addr=*/0x00704000, /*vtbl_words=*/1024));
+        ASSERT_OK(s.LoadProgramSource(kStmLoop));
+      },
+      kMetalChunks);
+  EXPECT_GT(stats.metal_instructions, 0u);
+  EXPECT_GT(stats.chains, 0u);
+  EXPECT_GT(stats.miss_freezes, 0u);
+  EXPECT_GT(stats.refusals[static_cast<size_t>(SbRefusal::kIntercept)], 0u);
+}
+
+// The custom page-table walker (ext/cpt.h) refills a 32-entry TLB over 48
+// pages: each walk starts a Metal trace at the trap entry, and its PTE plw
+// misses the dcache right before the load-use of the loaded entry.
+TEST(MetalTraceTest, PageTableWalkerMissFreezeMatchesPerCycle) {
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [](MetalSystem& s) {
+        ASSERT_OK(CustomPageTable::Install(s, 0));
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li s0, 4
+          round:
+            li s1, 48
+            li s4, 0
+          touch:
+            slli t0, s4, 12
+            li t1, 0x00800040
+            add t0, t0, t1
+            lw t2, 0(t0)
+            addi t2, t2, 1
+            sw t2, 0(t0)
+            addi s4, s4, 7
+            andi s4, s4, 63
+            addi s1, s1, -1
+            bnez s1, touch
+            addi s0, s0, -1
+            bnez s0, round
+            halt t2
+        )"));
+        ASSERT_OK(s.Boot());
+        Core& core = s.core();
+        CustomPageTable cpt(core, 0x00400000, 0x00100000);
+        const Result<uint32_t> root = cpt.CreateAddressSpace();
+        ASSERT_TRUE(root.ok());
+        for (uint32_t page = 0; page < 16; ++page) {
+          ASSERT_OK(cpt.Map(*root, page * 4096, page * 4096, kPteR | kPteW | kPteX));
+        }
+        for (uint32_t page = 0; page < 64; ++page) {
+          const uint32_t addr = 0x00800000 + page * 4096;
+          ASSERT_OK(cpt.Map(*root, addr, addr, kPteR | kPteW));
+        }
+        ASSERT_OK(cpt.Activate(*root));
+        core.metal().WriteCreg(kCrPgEnable, 1);
+      },
+      kMetalChunks);
+  EXPECT_GT(stats.metal_instructions, 0u);
+  EXPECT_GT(stats.miss_freezes, 0u);
+}
+
+// An mroutine loop at a refill point: the loop body (from `again`) is a
+// Metal trace entered at every taken back edge, which is biased enough to
+// grow a tree segment.
+constexpr const char* kMramLoopMcode = R"(
+    .mentry 1, accumulate
+    .mentry 2, mcheck_recover
+  accumulate:
+    li t1, 12
+  again:
+    mld t0, 0(zero)
+    add t0, t0, a0
+    mst t0, 0(zero)
+    rcr t2, 9             # cycle, low word
+    rcr t3, 11            # instret, low word
+    xor a1, a1, t2
+    add a1, a1, t3
+    addi t1, t1, -1
+    bnez t1, again
+    mv a0, t0
+    mexit
+  mcheck_recover:
+    wcr 52, zero          # scrub the corrupted word
+    li a0, 1
+    mexit                 # resume after the aborted menter
+)";
+
+constexpr const char* kMramLoopProgram = R"(
+  _start:
+    li s0, 60
+    li s1, 0
+  loop:
+    li a0, 3
+    menter 1
+    add s1, s1, a0
+    xor s1, s1, a1
+    addi s0, s0, -1
+    bnez s0, loop
+    halt s1
+)";
+
+void SetUpMramLoop(MetalSystem& s) {
+  s.AddMcode(kMramLoopMcode);
+  ASSERT_OK(s.LoadProgramSource(kMramLoopProgram));
+  s.DelegateException(ExcCause::kMachineCheck, 2);
+}
+
+TEST(MetalTraceTest, RcrCycleAndInstretInsideTraceMatchPerCycle) {
+  const SuperblockStats stats = RunAgainstPerCycle(CoreConfig{}, SetUpMramLoop, kMetalChunks);
+  EXPECT_GT(stats.metal_instructions, 0u);
+  EXPECT_GT(stats.tree_transitions, 0u);
+}
+
+TEST(MetalTraceTest, CorruptDataWordBeforeInTraceMldMachineChecksPerCycle) {
+  // Corrupts the accumulator whenever a Run chunk ends between the loop's
+  // mst and its back edge, so the next mld is the first slot of a Metal
+  // trace: it exits uncommitted, and StepCycle raises the machine check.
+  std::vector<uint64_t> chunks;
+  for (int i = 0; i < 60; ++i) {
+    chunks.push_back(std::vector<uint64_t>{7, 11, 13, 17, 23}[i % 5]);
+  }
+  uint32_t loop_body = 0;
+  uint64_t machine_checks[2] = {0, 0};
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [&](MetalSystem& s) {
+        SetUpMramLoop(s);
+        ASSERT_OK(s.Boot());
+        loop_body = *s.EntryAddress(1) + 4;  // `again`
+      },
+      chunks, [&](Core& core, size_t chunk) {
+        const uint32_t fetch = core.fetch_pc();
+        if (fetch >= loop_body + 16 && fetch <= loop_body + 28) {  // rcr .. bnez
+          ASSERT_TRUE(core.mram().CorruptDataWord(0, 0xFFFFFFFFu, 1u << 4));
+        }
+        if (chunk + 1 == chunks.size()) {
+          machine_checks[core.config().fast_step ? 0 : 1] = core.stats().machine_checks;
+        }
+      });
+  EXPECT_GT(machine_checks[0], 0u);
+  EXPECT_EQ(machine_checks[0], machine_checks[1]);
+  EXPECT_GT(stats.metal_instructions, 0u);
+  EXPECT_GT(stats.mem_slow_exits, 0u);  // the failing mld left the trace uncommitted
+}
+
+TEST(MetalTraceTest, HostCodeWritesBetweenRunsRevalidateAndKillMetalTraces) {
+  uint32_t add_offset = 0;
+  uint64_t revalidations_before_patch = 0;
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [&](MetalSystem& s) {
+        SetUpMramLoop(s);
+        ASSERT_OK(s.Boot());
+        // `add t0, t0, a0`: two words past `accumulate`.
+        add_offset = *s.EntryAddress(1) - kMramCodeBase + 8;
+      },
+      kMetalChunks, [&](Core& core, size_t chunk) {
+        Mram& mram = core.mram();
+        const uint32_t word = *mram.PeekCodeWord(kMramCodeBase + add_offset);
+        if (chunk == 7) {
+          // The same word: the trace re-reads MRAM and survives.
+          ASSERT_TRUE(mram.WriteCodeWord(add_offset, word));
+        } else if (chunk == 8) {
+          if (core.config().fast_step) {
+            revalidations_before_patch = core.superblocks().stats().revalidations;
+            EXPECT_EQ(core.superblocks().stats().invalidations, 0u);
+          }
+          // `add` becomes `sub`: the cached trace must die before running.
+          ASSERT_TRUE(mram.WriteCodeWord(add_offset, word | (1u << 30)));
+        }
+      });
+  EXPECT_GT(revalidations_before_patch, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+  EXPECT_GT(stats.metal_instructions, 0u);
+}
+
+// A runaway mroutine loop under the Metal watchdog: traces clamp their cycle
+// budget to the watchdog's, so the machine check fires on exactly the
+// per-cycle cycle, and the recovery mroutine returns to the program.
+TEST(MetalTraceTest, WatchdogClampLandsOnTheFiringCycle) {
+  CoreConfig config;
+  config.metal_watchdog_cycles = 150;
+  std::vector<uint64_t> chunks = {1, 2, 3, 5, 19, 20, 21, 37, 50, 1, 1, 1, 1, 1, 1};
+  CoreStats core_stats;
+  const SuperblockStats stats = RunAgainstPerCycle(
+      config,
+      [](MetalSystem& s) {
+        s.AddMcode(R"(
+            .mentry 1, spin
+            .mentry 2, recover
+          spin:
+            li t1, 100000
+          again:
+            addi t1, t1, -1
+            mld t0, 4(zero)
+            addi t0, t0, 1
+            mst t0, 4(zero)
+            bnez t1, again
+            mexit
+          recover:
+            mld a0, 4(zero)
+            mexit
+        )");
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li s0, 3
+            li s1, 0
+          loop:
+            menter 1
+            add s1, s1, a0
+            addi s0, s0, -1
+            bnez s0, loop
+            halt s1
+        )"));
+        s.DelegateException(ExcCause::kMachineCheck, 2);
+      },
+      chunks, {}, &core_stats);
+  EXPECT_EQ(core_stats.watchdog_fires, 3u);
+  // Most of each 150-cycle budget ran in traces, up to the firing cycle.
+  EXPECT_GT(stats.metal_instructions, 3 * 50u);
+}
+
+// A normal-mode loop whose loads all miss the dcache, with a periodic timer
+// interrupt whose events cut some frozen miss windows: a window that would
+// cross the horizon leaves the miss to StepCycle, so every interrupt is
+// raised and taken on the per-cycle cycle. After chunk 10, the timer fires
+// every 7 cycles with interrupts masked, so every window would span several
+// fires that a single late tick would fold into one.
+TEST(SuperblockMissFreezeTest, NormalModeMissFreezeCutByTimerHorizon) {
+  auto setup = [](MetalSystem& s) {
+    s.AddMcode(kTimerHandler);
+    ASSERT_OK(s.LoadProgramSource(R"(
+      _start:
+        li s0, 300
+        li s1, 0
+        la t5, buf
+      loop:
+        lw t0, 0(t5)
+        add s1, s1, t0
+        lw t1, 64(t5)
+        addi t1, t1, 1
+        sw t1, 128(t5)
+        addi t5, t5, 1024
+        andi t6, s0, 15
+        bnez t6, next
+        la t5, buf
+      next:
+        addi s0, s0, -1
+        bnez s0, loop
+        halt s1
+        .data
+      buf:
+        .word 1
+    )"));
+    s.DelegateInterrupts(1);
+    ASSERT_OK(s.Boot());
+    s.core().metal().WriteCreg(kCrIenable, 1u << kIrqTimer);
+    s.core().timer().Write32(12, 97);  // interval
+    s.core().timer().Write32(4, 97);   // compare
+    s.core().timer().Write32(8, 1);    // enable
+  };
+  CoreStats core_stats;
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{}, setup, kMetalChunks,
+      [](Core& core, size_t chunk) {
+        if (chunk == 10) {
+          core.metal().WriteCreg(kCrIenable, 0);
+          core.timer().Write32(12, 7);
+        }
+      },
+      &core_stats);
+  EXPECT_GT(core_stats.interrupts, 10u);
+  EXPECT_GT(stats.miss_freezes, 0u);
+  EXPECT_GT(stats.mem_slow_exits, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@
 //                stream with transition retires canonicalized away;
 //   faststep     fast_step on vs. off (traces and the device horizon vs. the
 //                per-cycle reference), compared by retire stream and exit
-//                code; its cases also program and sample the timer.
+//                code; its cases also program and sample the timer, and
+//                their mroutines loop over dcache-conflicting plw/psw and
+//                read intercepted operands, so they run as Metal traces.
 //
 // A fourth oracle, `injection` (not part of `all` — it tests the machine's
 // fault detection, not the simulator's determinism), runs each generated
@@ -197,9 +199,32 @@ void EmitMetalInstr(Rng& rng, std::string& out, bool timer) {
   }
 }
 
+// Metal-trace traffic for the timer variant's mroutines: a bounded countdown
+// loop (s7; the generated program never touches it) whose taken back edge
+// refills the pipeline in Metal mode, so its body runs as a Metal trace,
+// with plw/psw (s6) to scratch words four lines apart in DRAM — every one
+// maps to the same dcache line, so they keep missing and freezing in-trace.
+void EmitMetalLoop(Rng& rng, std::string& out, unsigned label) {
+  out += StrFormat("  li s7, %u\nmloop%u:\n", (unsigned)rng.Range(2, 6), label);
+  const unsigned body = (unsigned)rng.Range(1, 4);
+  for (unsigned i = 0; i < body; ++i) {
+    if (rng.Chance(1, 2)) {
+      // 4 KiB apart: the size of the default 64-line, 64-byte dcache.
+      const uint32_t addr = 0x00080000u + 4096u * (uint32_t)rng.Below(4) +
+                            4u * (uint32_t)rng.Below(16);
+      out += StrFormat("  li s6, 0x%08x\n  %s %s, 0(s6)\n", addr,
+                       rng.Chance(1, 2) ? "plw" : "psw", PickReg(rng));
+    } else {
+      EmitMetalInstr(rng, out, /*timer=*/true);
+    }
+  }
+  out += StrFormat("  addi s7, s7, -1\n  bnez s7, mloop%u\n", label);
+}
+
 // With `timer`, a generated case also programs and reads the timer from
-// normal and Metal mode (EmitTimerAccess); without it, the case is exactly
-// what the seed always generated.
+// normal and Metal mode (EmitTimerAccess), and its mroutines carry Metal
+// trace traffic (EmitMetalLoop, intercepted-operand reads); without it, the
+// case is exactly what the seed always generated.
 GeneratedCase Generate(uint64_t seed, bool timer) {
   Rng rng(seed);
   GeneratedCase result;
@@ -219,6 +244,19 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
     const unsigned body = (unsigned)rng.Range(4, 12);
     for (unsigned i = 0; i < body; ++i) {
       EmitMetalInstr(rng, result.mcode, timer);
+    }
+    if (timer) {
+      if (use_intercept && entry == handler) {
+        // Read the intercepted instruction's operands; with only loads
+        // intercepted, its rd is a pool register, so mopw is safe too.
+        result.mcode += StrFormat("  mopr %s, %u\n", PickReg(rng), (unsigned)rng.Below(7));
+        if (opcode == 0x03u && rng.Chance(1, 2)) {
+          result.mcode += StrFormat("  mopw %s\n", PickReg(rng));
+        }
+      }
+      if (rng.Chance(2, 3)) {
+        EmitMetalLoop(rng, result.mcode, entry);
+      }
     }
     if (use_intercept && rng.Chance(1, 4)) {
       result.mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
