@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     for (uint64_t i = 0; i < jobs; ++i) {
       JobSpec spec;
       spec.name = "short" + std::to_string(i);
-      spec.program = short_prog;
+      spec.machine.program = short_prog;
       spec.max_cycles = 1000000;
       specs.push_back(spec);
     }
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   const auto long_job = [&](const char* name) {
     JobSpec spec;
     spec.name = name;
-    spec.program = long_prog;
+    spec.machine.program = long_prog;
     spec.max_cycles = 50000000;
     spec.checkpoint_every = 100000;
     return spec;

@@ -1,14 +1,10 @@
 #include "campaign/campaign.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <fstream>
-#include <sstream>
 
 #include "cpu/core.h"
 #include "mem/mram.h"
+#include "metal/machine_spec.h"
 #include "metal/system.h"
 #include "snap/snapshot.h"
 #include "snap/snapstream.h"
@@ -57,59 +53,25 @@ std::string HexDigest(uint64_t digest) {
   return StrFormat("0x%016llx", static_cast<unsigned long long>(digest));
 }
 
-Status WriteTextFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Internal(StrFormat("cannot write '%s'", path.c_str()));
-  }
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  out.flush();
-  if (!out.good()) {
-    return Internal(StrFormat("write to '%s' failed", path.c_str()));
-  }
-  return Status::Ok();
-}
-
-Status MakeDir(const std::string& path) {
-  if (::mkdir(path.c_str(), 0777) != 0 && errno != EEXIST) {
-    return Internal(StrFormat("cannot create directory '%s'", path.c_str()));
-  }
-  return Status::Ok();
-}
-
 // Self-contained SDC repro directory: guest sources, spec, divergence report
 // and a repro.sh replaying the corruption with `msim replay` (exit 10 =
 // divergence reproduced). The replay does not need machine-check delegation:
 // an SDC is by definition silent, so no machine check fires on the B side.
 Status HarvestSdcRepro(const CampaignOptions& options, const TrialRecord& record,
                        uint64_t trial_budget, std::string* repro_dir_name) {
-  MSIM_RETURN_IF_ERROR(MakeDir(options.out_dir));
   const std::string dir_name =
       StrFormat("sdc-%llu", static_cast<unsigned long long>(record.plan.index));
-  const std::string dir = options.out_dir + "/" + dir_name;
-  MSIM_RETURN_IF_ERROR(MakeDir(dir));
-  for (const ReproFile& file : options.repro_files) {
-    MSIM_RETURN_IF_ERROR(WriteTextFile(dir + "/" + file.name, file.contents));
-  }
-  MSIM_RETURN_IF_ERROR(WriteTextFile(dir + "/spec.txt", record.plan.spec.text + "\n"));
-  if (record.has_divergence) {
-    std::ostringstream div;
-    WriteDivergenceJson(record.divergence, div);
-    div << "\n";
-    MSIM_RETURN_IF_ERROR(WriteTextFile(dir + "/divergence.json", div.str()));
-  }
-  const std::string script = StrFormat(
-      "#!/bin/sh\n"
-      "# Silent-data-corruption repro harvested by mcamp.\n"
-      "# Replays the campaign trial in cycle-lockstep against a clean run;\n"
-      "# exit status 10 means the divergence reproduced.\n"
-      "cd \"$(dirname \"$0\")\"\n"
-      "exec \"${MSIM:-msim}\" replay %s --until-divergence \\\n"
-      "  --b-inject '%s' --max-cycles %llu\n",
-      options.repro_msim_args.c_str(), record.plan.spec.text.c_str(),
-      static_cast<unsigned long long>(trial_budget));
-  MSIM_RETURN_IF_ERROR(WriteTextFile(dir + "/repro.sh", script));
-  ::chmod((dir + "/repro.sh").c_str(), 0755);
+  std::vector<ReproFile> files = options.repro_files;
+  files.push_back({"spec.txt", record.plan.spec.text + "\n"});
+  const std::string script =
+      ReplayScript("# Silent-data-corruption repro harvested by mcamp.\n"
+                   "# Replays the campaign trial in cycle-lockstep against a clean run;\n"
+                   "# exit status 10 means the divergence reproduced.\n",
+                   options.repro_msim_args, "--b-inject " + ShellQuote(record.plan.spec.text),
+                   trial_budget);
+  MSIM_RETURN_IF_ERROR(WriteReproDir(options.out_dir, dir_name, std::move(files),
+                                     record.has_divergence ? &record.divergence : nullptr,
+                                     script));
   *repro_dir_name = dir_name;
   return Status::Ok();
 }

@@ -46,6 +46,7 @@
 
 #include "cpu/config.h"
 #include "fault/fault.h"
+#include "metal/machine_spec.h"
 #include "snap/diverge.h"
 #include "support/result.h"
 #include "trace/histogram.h"
@@ -101,12 +102,6 @@ const char* TrialOutcomeName(TrialOutcome outcome);
 // failures a campaign exists to find.
 TrialOutcome ClassifyTrial(const ArchOutcome& golden, const ArchOutcome& trial);
 
-// A file copied into every SDC repro directory (self-containment).
-struct ReproFile {
-  std::string name;
-  std::string contents;
-};
-
 struct CampaignOptions {
   // Fault space. Targets are swept round-robin; injection cycles are
   // stratified per target over the golden run's live cycle range [1, C-1]
@@ -147,7 +142,7 @@ struct CampaignOptions {
   // divergence report and a repro.sh replaying the corruption under
   // `msim replay`. Empty disables harvesting.
   std::string out_dir;
-  std::vector<ReproFile> repro_files;
+  std::vector<ReproFile> repro_files;  // copied into every SDC repro directory
   // msim arguments identifying the guest inside the repro dir, e.g.
   // "program.s --mcode mcode.s --no-parity"; repro.sh appends the replay
   // flags and the trial's --b-inject spec.

@@ -74,6 +74,8 @@ struct CoreConfig {
 
   // Safety net for runaway simulations in tests.
   uint64_t default_max_cycles = 50'000'000;
+
+  bool operator==(const CoreConfig&) const = default;
 };
 
 }  // namespace msim

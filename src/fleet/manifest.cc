@@ -9,15 +9,6 @@ namespace msim {
 
 namespace {
 
-bool ParseU64(std::string_view value, uint64_t* out) {
-  const auto parsed = ParseInt(value);
-  if (!parsed || *parsed < 0) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(*parsed);
-  return true;
-}
-
 Status KeyError(size_t line, std::string_view key, std::string_view value) {
   return ParseError(StrFormat("manifest line %zu: invalid value '%.*s' for key '%.*s'", line,
                               static_cast<int>(value.size()), value.data(),
@@ -25,32 +16,23 @@ Status KeyError(size_t line, std::string_view key, std::string_view value) {
 }
 
 // Applies `key = value` to `spec`. `is_defaults` restricts the [defaults]
-// section to the keys that make sense fleet-wide (budgets and checkpointing,
-// not programs or fault specs).
+// section to the keys that make sense fleet-wide (budgets, checkpointing and
+// storage, not programs or fault specs).
 Status ApplyKey(size_t line, std::string_view key, std::string_view value, bool is_defaults,
                 JobSpec* spec) {
+  const unsigned machine_keys = is_defaults ? kOptStorage
+                                             : kOptMcode | kOptStorage | kOptInject |
+                                                   kOptFaultSeed | kOptWatchdog;
+  size_t i = 0;
+  const auto machine_key = ParseMachineFlag({"--" + std::string(key), std::string(value)}, &i,
+                                            machine_keys, &spec->machine);
+  if (!machine_key.ok() || *machine_key) {
+    return machine_key.ok() ? Status::Ok() : KeyError(line, key, value);
+  }
   if (!is_defaults) {
     if (key == "program") {
-      spec->program = std::string(value);
+      spec->machine.program = std::string(value);
       return Status::Ok();
-    }
-    if (key == "mcode") {
-      spec->mcode.push_back(std::string(value));
-      return Status::Ok();
-    }
-    if (key == "inject") {
-      spec->inject.push_back(std::string(value));
-      return Status::Ok();
-    }
-    if (key == "fault-seed") {
-      if (!ParseU64(value, &spec->fault_seed)) {
-        return KeyError(line, key, value);
-      }
-      spec->has_fault_seed = true;
-      return Status::Ok();
-    }
-    if (key == "watchdog") {
-      return ParseU64(value, &spec->watchdog) ? Status::Ok() : KeyError(line, key, value);
     }
     if (key == "args") {
       for (std::string_view part : Split(value, ' ')) {
@@ -60,13 +42,6 @@ Status ApplyKey(size_t line, std::string_view key, std::string_view value, bool 
       }
       return Status::Ok();
     }
-  }
-  if (key == "storage") {
-    if (value != "mram" && value != "dram-cached" && value != "dram-uncached") {
-      return KeyError(line, key, value);
-    }
-    spec->storage = std::string(value);
-    return Status::Ok();
   }
   if (key == "max-cycles") {
     return ParseU64(value, &spec->max_cycles) ? Status::Ok() : KeyError(line, key, value);
@@ -119,7 +94,7 @@ Result<std::vector<JobSpec>> ParseManifest(std::string_view text) {
       return Status::Ok();
     }
     JobSpec& job = jobs.back();
-    if (job.program.empty()) {
+    if (job.machine.program.empty()) {
       return ParseError(StrFormat("job '%s' has no program", job.name.c_str()));
     }
     return Status::Ok();

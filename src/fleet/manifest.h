@@ -22,7 +22,10 @@
 //   retries = 3             # attempt failures tolerated (-1 = fleet default)
 //   args = --no-fast-step   # raw extra `msim run` arguments, space-split
 //
-// Numeric values use the strict ParseInt grammar (support/strings.h):
+// The machine keys (mcode, storage, inject, fault-seed, watchdog) are the
+// msim flags of the same names, parsed by metal/machine_spec.h; of them only
+// storage may appear in [defaults]. Numeric values use the strict ParseInt
+// grammar (support/strings.h):
 // malformed numbers, unknown keys, duplicate job names and jobs without a
 // program are parse errors, never silently ignored.
 #ifndef MSIM_FLEET_MANIFEST_H_
@@ -33,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "metal/machine_spec.h"
 #include "support/result.h"
 
 namespace msim {
@@ -41,13 +45,7 @@ namespace msim {
 // per-job robustness budgets that override the fleet-wide defaults.
 struct JobSpec {
   std::string name;
-  std::string program;
-  std::vector<std::string> mcode;
-  std::string storage;                  // empty = msim default
-  std::vector<std::string> inject;
-  bool has_fault_seed = false;
-  uint64_t fault_seed = 0;
-  uint64_t watchdog = 0;                // 0 = off
+  MachineSpec machine;
   uint64_t max_cycles = 0;              // 0 = msim default budget
   uint64_t checkpoint_every = 0;        // 0 = no checkpoints, no resume
   uint64_t deadline_ms = 0;             // 0 = inherit fleet default

@@ -44,20 +44,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-// POSIX-shell single quoting for repro.sh.
-std::string ShellQuote(const std::string& arg) {
-  std::string quoted = "'";
-  for (char c : arg) {
-    if (c == '\'') {
-      quoted += "'\\''";
-    } else {
-      quoted += c;
-    }
-  }
-  quoted += "'";
-  return quoted;
-}
-
 }  // namespace
 
 Result<ChaosSpec> ParseChaosSpec(std::string_view text) {
@@ -266,10 +252,6 @@ void FleetSupervisor::HarvestRepro(size_t index, const RunningJob& running,
   const JobSpec& spec = jobs_[index];
   JobRecord& record = records_[index];
   const std::string job_dir = JobDir(spec);
-  const std::string repro_dir = job_dir + "/repro";
-  if (!MakeDir(repro_dir).ok()) {
-    return;
-  }
   // repro.sh: the exact failing command line, runnable standalone.
   std::string repro = "#!/bin/sh\n";
   repro += StrFormat("# msimd repro for job '%s': attempt %llu ended %s (exit=%d signal=%d)\n",
@@ -284,25 +266,22 @@ void FleetSupervisor::HarvestRepro(size_t index, const RunningJob& running,
     repro += " " + ShellQuote(arg);
   }
   repro += "\n";
-  {
-    std::vector<uint8_t> bytes(repro.begin(), repro.end());
-    WriteFileBytes(repro_dir + "/repro.sh", bytes);
-    ::chmod((repro_dir + "/repro.sh").c_str(), 0755);
-  }
   // stderr tail of the failing attempt.
-  const std::string tail = ReadFileTail(running.plan.stderr_path, 4096);
-  WriteFileBytes(repro_dir + "/stderr.tail", std::vector<uint8_t>(tail.begin(), tail.end()));
+  std::vector<ReproFile> files = {{"stderr.tail", ReadFileTail(running.plan.stderr_path, 4096)}};
   // Crash dump, when the worker lived long enough to write one.
   if (const auto dump = ReadFileBytes(job_dir + "/crash.json"); dump.ok()) {
-    WriteFileBytes(repro_dir + "/crash.json", *dump);
+    files.push_back({"crash.json", std::string(dump->begin(), dump->end())});
   }
   // Newest valid checkpoint, so the repro can resume from where it died.
   if (spec.checkpoint_every != 0) {
     if (const auto found = FindLatestValidSnapshot(job_dir + "/ckpts"); found.ok()) {
       if (const auto snap = ReadFileBytes(found->path); snap.ok()) {
-        WriteFileBytes(repro_dir + "/resume.msnap", *snap);
+        files.push_back({"resume.msnap", std::string(snap->begin(), snap->end())});
       }
     }
+  }
+  if (!WriteReproDir(job_dir, "repro", std::move(files), nullptr, repro).ok()) {
+    return;
   }
   record.repro_dir = "jobs/" + record.name + "/repro";
 }

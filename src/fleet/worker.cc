@@ -25,29 +25,9 @@ AttemptPlan PlanAttempt(const JobSpec& spec, const std::string& msim_path,
   plan.stderr_path = StrFormat("%s/attempt-%llu.stderr", job_dir.c_str(),
                                (unsigned long long)attempt);
   std::vector<std::string>& argv = plan.argv;
-  argv.push_back(msim_path);
-  argv.push_back("run");
-  argv.push_back(spec.program);
-  for (const std::string& mcode : spec.mcode) {
-    argv.push_back("--mcode");
-    argv.push_back(mcode);
-  }
-  if (!spec.storage.empty()) {
-    argv.push_back("--storage");
-    argv.push_back(spec.storage);
-  }
-  for (const std::string& inject : spec.inject) {
-    argv.push_back("--inject");
-    argv.push_back(inject);
-  }
-  if (spec.has_fault_seed) {
-    argv.push_back("--fault-seed");
-    argv.push_back(StrFormat("%llu", (unsigned long long)spec.fault_seed));
-  }
-  if (spec.watchdog != 0) {
-    argv.push_back("--watchdog");
-    argv.push_back(StrFormat("%llu", (unsigned long long)spec.watchdog));
-  }
+  argv = {msim_path, "run"};
+  const std::vector<std::string> machine = MsimArgs(spec.machine);
+  argv.insert(argv.end(), machine.begin(), machine.end());
   if (spec.max_cycles != 0) {
     // The budget is absolute guest cycles for the whole job: a resume from
     // cycle C gets the remaining C-relative slice, so an uninterrupted run

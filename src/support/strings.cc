@@ -96,6 +96,15 @@ std::optional<int64_t> ParseInt(std::string_view text) {
   return negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
 }
 
+bool ParseU64(std::string_view text, uint64_t* out) {
+  const auto value = ParseInt(text);
+  if (!value || *value < 0) {
+    return false;
+  }
+  *out = static_cast<uint64_t>(*value);
+  return true;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -23,6 +23,10 @@ std::string ToLower(std::string_view text);
 // leading '-'. Returns nullopt on malformed input or overflow.
 std::optional<int64_t> ParseInt(std::string_view text);
 
+// ParseInt restricted to non-negative values; false (and *out untouched) for
+// anything else.
+bool ParseU64(std::string_view text, uint64_t* out);
+
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

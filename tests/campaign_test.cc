@@ -336,6 +336,29 @@ TEST(McampCliTest, CleanCampaignExitsZeroAndSdcCampaignExits14) {
   EXPECT_EQ(RunCommand(no_parity), kExitSdc);
 }
 
+// The harvested repro names the machine with shell-quoted copies of the
+// guest files, so spaced file names replay too, from any directory.
+TEST(McampCliTest, SdcReproReplaysSpacedFileNames) {
+  const std::string dir = testing::TempDir() + "/mcamp spaced";
+  ASSERT_EQ(RunCommand("rm -rf '" + dir + "' && mkdir -p '" + dir + "/my dir'"), 0);
+  std::ofstream(dir + "/my dir/guest one.s") << kGuest;
+  std::ofstream(dir + "/my dir/m c.s") << kMcode;
+  const std::string campaign = std::string(MCAMP_CLI_PATH) + " run '" + dir +
+                               "/my dir/guest one.s' --mcode '" + dir +
+                               "/my dir/m c.s' --mcheck-entry 2 --no-parity --target mram-data "
+                               "--locations 1 --trials 50 --out '" + dir + "/repros' 2>/dev/null";
+  ASSERT_EQ(RunCommand(campaign), kExitSdc);
+  std::ifstream script_in(dir + "/repros/sdc-0/repro.sh");
+  std::stringstream script;
+  script << script_in.rdbuf();
+  EXPECT_NE(script.str().find("replay 'guest one.s' --mcode 'mcode0-m c.s' --no-parity"),
+            std::string::npos)
+      << script.str();
+  EXPECT_EQ(RunCommand("MSIM=" + std::string(MSIM_CLI_PATH) + " sh '" + dir +
+                       "/repros/sdc-0/repro.sh' >/dev/null 2>&1"),
+            kExitDivergence);
+}
+
 TEST(McampCliTest, RejectsUsageErrors) {
   EXPECT_EQ(RunCommand(std::string(MCAMP_CLI_PATH) + " 2>/dev/null"), kExitUsage);
   EXPECT_EQ(RunCommand(std::string(MCAMP_CLI_PATH) + " run 2>/dev/null"), kExitUsage);

@@ -66,8 +66,8 @@ FleetOptions FakeWorkerOptions(const std::string& out_dir) {
 JobSpec FakeJob(const std::string& dir, const std::string& name, const std::string& directive) {
   JobSpec spec;
   spec.name = name;
-  spec.program = dir + "/" + name + ".directive";
-  WriteText(spec.program, directive + "\n");
+  spec.machine.program = dir + "/" + name + ".directive";
+  WriteText(spec.machine.program, directive + "\n");
   return spec;
 }
 
@@ -95,8 +95,8 @@ TEST(ManifestTest, ParsesDefaultsAndOverrides) {
   ASSERT_EQ(jobs->size(), 2u);
   const JobSpec& alpha = (*jobs)[0];
   EXPECT_EQ(alpha.name, "alpha");
-  EXPECT_EQ(alpha.mcode.size(), 2u);
-  EXPECT_EQ(alpha.storage, "mram");
+  EXPECT_EQ(alpha.machine.mcode.size(), 2u);
+  EXPECT_EQ(alpha.machine.config.mroutine_storage, MroutineStorage::kMram);
   EXPECT_EQ(alpha.checkpoint_every, 500u);  // inherited
   EXPECT_EQ(alpha.retries, 4);
   EXPECT_EQ(alpha.max_cycles, 1000u);
@@ -149,7 +149,7 @@ TEST(WorkerTest, ClassifiesWaitStatuses) {
 TEST(WorkerTest, PlanCarriesResumeAndShrinksBudget) {
   JobSpec spec;
   spec.name = "j";
-  spec.program = "p.s";
+  spec.machine.program = "p.s";
   spec.max_cycles = 1000;
   spec.checkpoint_every = 100;
   const AttemptPlan plan = PlanAttempt(spec, "/bin/msim", "/out/jobs/j", 2,
@@ -339,7 +339,7 @@ TEST(FleetRealMsimTest, CrashResumeStatsAreByteIdentical) {
   const auto manifest = [&](const std::string& name) {
     JobSpec spec;
     spec.name = name;
-    spec.program = program;
+    spec.machine.program = program;
     spec.max_cycles = 10000000;
     // Snapshots carry the whole guest DRAM (~20 MB): keep the cadence coarse
     // so parallel test shards don't saturate the disk and trip the deadline.
@@ -389,7 +389,7 @@ TEST(FleetRealMsimTest, GracefulEvictionWritesFinalCheckpoint) {
             "  halt t0\n");
   JobSpec spec;
   spec.name = "evictee";
-  spec.program = program;
+  spec.machine.program = program;
   spec.max_cycles = 10000000;
   spec.checkpoint_every = 50000;
   FleetOptions options = FakeWorkerOptions(dir + "/out");

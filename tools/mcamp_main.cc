@@ -40,8 +40,8 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "cli_util.h"
 #include "cpu/trap.h"
+#include "metal/machine_spec.h"
 #include "metal/system.h"
 #include "support/exit_codes.h"
 #include "support/strings.h"
@@ -82,39 +82,30 @@ std::string BaseName(const std::string& path) {
 }
 
 int CmdRun(const std::vector<std::string>& args) {
-  std::string program_path;
-  std::vector<std::string> mcode_paths;
-  CoreConfig config;
+  // The fault plan is the campaign's own, so --inject and --fault-seed are not machine flags here.
+  constexpr unsigned kCampaignOptions =
+      kOptMcode | kOptStorage | kOptNoFast | kOptNoFastStep | kOptNoParity | kOptWatchdog;
+  MachineSpec spec;
   CampaignOptions options;
   int64_t mcheck_entry = -1;
   std::string campaign_json_path;
 
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--mcheck-entry" && i + 1 < args.size()) {
+    auto machine_flag = ParseMachineFlag(args, &i, kCampaignOptions, &spec);
+    if (!machine_flag.ok()) {
+      std::fprintf(stderr, "%s\n", machine_flag.status().message().c_str());
+      return kExitUsage;
+    }
+    if (*machine_flag) {
+      continue;
+    }
+    if (arg == "--mcheck-entry" && i + 1 < args.size()) {
       uint64_t entry = 0;
       if (!ParseU64Flag("--mcheck-entry", args[++i], &entry) || entry > 255) {
         return kExitUsage;
       }
       mcheck_entry = static_cast<int64_t>(entry);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return kExitUsage;
-      }
-    } else if (arg == "--no-fast") {
-      config.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config.fast_step = false;
-    } else if (arg == "--no-parity") {
-      config.mram_parity = false;
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config.metal_watchdog_cycles)) {
-        return kExitUsage;
-      }
     } else if (arg == "--target" && i + 1 < args.size()) {
       FaultTarget target;
       const std::string& name = args[++i];
@@ -170,14 +161,14 @@ int CmdRun(const std::vector<std::string>& args) {
       options.out_dir = args[++i];
     } else if (arg == "--trial-log") {
       options.collect_trial_records = true;
-    } else if (!arg.empty() && arg[0] != '-' && program_path.empty()) {
-      program_path = arg;
+    } else if (!arg.empty() && arg[0] != '-' && spec.program.empty()) {
+      spec.program = arg;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return kExitUsage;
     }
   }
-  if (program_path.empty()) {
+  if (spec.program.empty()) {
     return Usage();
   }
   if (options.trials == 0) {
@@ -185,61 +176,34 @@ int CmdRun(const std::vector<std::string>& args) {
     return kExitUsage;
   }
 
-  auto program_source = ReadFile(program_path);
-  if (!program_source.ok()) {
-    std::fprintf(stderr, "%s\n", program_source.status().ToString().c_str());
+  auto sources = ReadMachineSources(spec);
+  if (!sources.ok()) {
+    std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
     return kExitRuntimeError;
-  }
-  std::vector<std::string> mcode_sources;
-  for (const std::string& path : mcode_paths) {
-    auto source = ReadFile(path);
-    if (!source.ok()) {
-      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-      return kExitRuntimeError;
-    }
-    mcode_sources.push_back(std::move(*source));
   }
 
   // Self-contained SDC repro dirs: the guest sources ride along, and the
-  // repro command refers to the local copies. Machine-check delegation is not
-  // part of the replay command — an SDC is silent by definition, so no
+  // repro command names the machine with the local copies. Machine-check
+  // delegation is not part of it — an SDC is silent by definition, so no
   // machine check fires during its replay.
-  options.repro_files.push_back({BaseName(program_path), *program_source});
-  std::string repro_args = BaseName(program_path);
-  for (size_t i = 0; i < mcode_paths.size(); ++i) {
-    const std::string name = StrFormat("mcode%zu-%s", i, BaseName(mcode_paths[i]).c_str());
-    options.repro_files.push_back({name, mcode_sources[i]});
-    repro_args += " --mcode " + name;
+  MachineSpec repro = spec;
+  repro.program = BaseName(spec.program);
+  options.repro_files.push_back({repro.program, sources->program});
+  for (size_t i = 0; i < spec.mcode.size(); ++i) {
+    repro.mcode[i] = StrFormat("mcode%zu-%s", i, BaseName(spec.mcode[i]).c_str());
+    options.repro_files.push_back({repro.mcode[i], sources->mcode[i]});
   }
-  if (config.mroutine_storage == MroutineStorage::kDramCached) {
-    repro_args += " --storage dram-cached";
-  } else if (config.mroutine_storage == MroutineStorage::kDramUncached) {
-    repro_args += " --storage dram-uncached";
-  }
-  if (!config.fast_transition) {
-    repro_args += " --no-fast";
-  }
-  if (!config.mram_parity) {
-    repro_args += " --no-parity";
-  }
-  if (config.metal_watchdog_cycles != 0) {
-    repro_args += StrFormat(" --watchdog %llu",
-                            (unsigned long long)config.metal_watchdog_cycles);
-  }
-  options.repro_msim_args = repro_args;
+  options.repro_msim_args = ShellJoin(MsimArgs(repro));
 
-  CampaignEngine::SystemSetup setup = [&mcode_sources, &program_source,
+  CampaignEngine::SystemSetup setup = [&loaded = *sources,
                                        mcheck_entry](MetalSystem& system) -> Status {
-    for (const std::string& source : mcode_sources) {
-      system.AddMcode(source);
-    }
     if (mcheck_entry >= 0) {
       system.DelegateException(ExcCause::kMachineCheck, static_cast<uint32_t>(mcheck_entry));
     }
-    return system.LoadProgramSource(*program_source);
+    return InstallSources(loaded, system);
   };
 
-  CampaignEngine engine(config, std::move(setup), std::move(options));
+  CampaignEngine engine(spec.config, std::move(setup), std::move(options));
   auto report = RunCampaign(engine);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());

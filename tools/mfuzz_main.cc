@@ -44,21 +44,16 @@
 // Exit: 0 = all runs clean, 10 = divergence found, 14 = silent data
 // corruption found (injection oracle), 2 = usage, 1 = error. All reporting
 // goes to stderr; artifacts go to --out (default mfuzz-out).
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "cli_util.h"
 #include "fault/fault.h"
+#include "metal/machine_spec.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
 #include "snap/snapshot.h"
@@ -88,8 +83,7 @@ int Usage() {
 // ---------------------------------------------------------------------------
 
 struct GeneratedCase {
-  std::string mcode;
-  std::string program;
+  MachineSources sources;  // one mcode module
   unsigned num_entries = 0;
 };
 
@@ -228,6 +222,8 @@ void EmitMetalLoop(Rng& rng, std::string& out, unsigned label) {
 GeneratedCase Generate(uint64_t seed, bool timer) {
   Rng rng(seed);
   GeneratedCase result;
+  std::string& mcode = result.sources.mcode.emplace_back();
+  std::string& program = result.sources.program;
   result.num_entries = (unsigned)rng.Range(2, 4);
   const bool use_intercept = rng.Chance(1, 2);
   // Entry num_entries is the interception handler (a plain generated routine).
@@ -235,39 +231,39 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
   const unsigned opcode = rng.Chance(1, 2) ? 0x03u : 0x23u;  // loads or stores
 
   for (unsigned entry = 1; entry <= result.num_entries; ++entry) {
-    result.mcode += StrFormat("  .mentry %u, routine%u\nroutine%u:\n", entry, entry, entry);
+    mcode += StrFormat("  .mentry %u, routine%u\nroutine%u:\n", entry, entry, entry);
     if (use_intercept && entry == 1) {
       // Arm slot 0; a later toggle may disarm it again (clearing bit 31).
-      result.mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
+      mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
                                 0x80000000u | opcode, handler);
     }
     const unsigned body = (unsigned)rng.Range(4, 12);
     for (unsigned i = 0; i < body; ++i) {
-      EmitMetalInstr(rng, result.mcode, timer);
+      EmitMetalInstr(rng, mcode, timer);
     }
     if (timer) {
       if (use_intercept && entry == handler) {
         // Read the intercepted instruction's operands; with only loads
         // intercepted, its rd is a pool register, so mopw is safe too.
-        result.mcode += StrFormat("  mopr %s, %u\n", PickReg(rng), (unsigned)rng.Below(7));
+        mcode += StrFormat("  mopr %s, %u\n", PickReg(rng), (unsigned)rng.Below(7));
         if (opcode == 0x03u && rng.Chance(1, 2)) {
-          result.mcode += StrFormat("  mopw %s\n", PickReg(rng));
+          mcode += StrFormat("  mopw %s\n", PickReg(rng));
         }
       }
       if (rng.Chance(2, 3)) {
-        EmitMetalLoop(rng, result.mcode, entry);
+        EmitMetalLoop(rng, mcode, entry);
       }
     }
     if (use_intercept && rng.Chance(1, 4)) {
-      result.mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
+      mcode += StrFormat("  li t0, 0x%08x\n  li t1, %u\n  mintset t0, t1\n",
                                 rng.Chance(1, 2) ? (0x80000000u | opcode) : opcode, handler);
     }
-    result.mcode += "  mexit\n";
+    mcode += "  mexit\n";
   }
 
-  result.program += "_start:\n  la t6, scratch\n";
+  program += "_start:\n  la t6, scratch\n";
   if (timer) {
-    result.program += "  li s8, 0xF0001000\n  li s9, 0\n";
+    program += "  li s8, 0xF0001000\n  li s9, 0\n";
   }
   const unsigned blocks = (unsigned)rng.Range(5, 12);
   unsigned next_label = 0;
@@ -275,28 +271,28 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
     switch (rng.Below(timer ? 8 : 7)) {
       case 0: {  // bounded loop, body may re-enter Metal mode (the hot path)
         const unsigned label = next_label++;
-        result.program += StrFormat("  li s11, %u\nloop%u:\n", (unsigned)rng.Range(2, 8), label);
+        program += StrFormat("  li s11, %u\nloop%u:\n", (unsigned)rng.Range(2, 8), label);
         const unsigned body = (unsigned)rng.Range(1, 3);
         for (unsigned i = 0; i < body; ++i) {
           if (rng.Chance(1, 3)) {
-            result.program +=
+            program +=
                 StrFormat("  menter %u\n", (unsigned)rng.Range(1, result.num_entries));
           } else {
-            EmitAlu(rng, result.program);
+            EmitAlu(rng, program);
           }
         }
-        result.program += StrFormat("  addi s11, s11, -1\n  bnez s11, loop%u\n", label);
+        program += StrFormat("  addi s11, s11, -1\n  bnez s11, loop%u\n", label);
         break;
       }
       case 1:  // Metal transition
-        result.program += StrFormat("  menter %u\n", (unsigned)rng.Range(1, result.num_entries));
+        program += StrFormat("  menter %u\n", (unsigned)rng.Range(1, result.num_entries));
         break;
       case 2:  // scratch-memory traffic (interception targets these, too)
         if (rng.Chance(1, 2)) {
-          result.program +=
+          program +=
               StrFormat("  sw %s, %u(t6)\n", PickReg(rng), (unsigned)rng.Below(16) * 4);
         } else {
-          result.program +=
+          program +=
               StrFormat("  lw %s, %u(t6)\n", PickReg(rng), (unsigned)rng.Below(16) * 4);
         }
         break;
@@ -316,9 +312,9 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
           const auto& m = kMemOps[rng.Below(8)];
           const unsigned offset = (unsigned)rng.Below(64 / m.width) * m.width;
           const char* reg = PickReg(rng);
-          result.program += StrFormat("  %s %s, %u(t6)\n", m.op, reg, offset);
+          program += StrFormat("  %s %s, %u(t6)\n", m.op, reg, offset);
           if (!m.store && rng.Chance(1, 3)) {
-            result.program += StrFormat("  add %s, %s, %s\n", PickReg(rng), reg, reg);
+            program += StrFormat("  add %s, %s, %s\n", PickReg(rng), reg, reg);
           }
         }
         break;
@@ -334,33 +330,33 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
         } kStores[] = {{"sb", 1}, {"sh", 2}, {"sw", 4}};
         const auto& s = kStores[rng.Below(3)];
         const unsigned offset = (unsigned)rng.Below(8 / s.width) * s.width;
-        result.program += StrFormat("  la s10, _start\n  %s %s, %u(s10)\n", s.op,
+        program += StrFormat("  la s10, _start\n  %s %s, %u(s10)\n", s.op,
                                     PickReg(rng), offset);
         break;
       }
       case 7: {  // timer programming, then a bounded loop that samples
                  // PENDING and COMPARE every iteration, so fires are visible
         const char* reg = PickReg(rng);
-        result.program += StrFormat(
+        program += StrFormat(
             "  lw %s, 0(s8)\n  addi %s, %s, %u\n  sw %s, 4(s8)\n"
             "  li %s, %u\n  sw %s, 12(s8)\n  li %s, %u\n  sw %s, 8(s8)\n",
             reg, reg, reg, (unsigned)rng.Range(1, 32), reg, reg,
             rng.Chance(1, 3) ? 0u : (unsigned)rng.Range(1, 24), reg, reg,
             rng.Chance(7, 8) ? 1u : 0u, reg);
         const unsigned label = next_label++;
-        result.program +=
+        program +=
             StrFormat("  li s11, %u\nloop%u:\n", (unsigned)rng.Range(2, 12), label);
-        EmitAlu(rng, result.program);
+        EmitAlu(rng, program);
         if (rng.Chance(1, 2)) {
-          EmitTimerAccess(rng, result.program);
+          EmitTimerAccess(rng, program);
         }
-        result.program += StrFormat(
+        program += StrFormat(
             "  li %s, 0xF0000000\n  lw %s, 0(%s)\n  xor s9, s9, %s\n"
             "  lw %s, 4(s8)\n  add s9, s9, %s\n"
             "  addi s11, s11, -1\n  bnez s11, loop%u\n",
             reg, reg, reg, reg, reg, reg, label);
         if (rng.Chance(1, 2)) {  // acknowledge, so a later fire is visible
-          result.program += StrFormat("  li %s, 0xF0000000\n  li t6, -1\n  sw t6, 8(%s)\n"
+          program += StrFormat("  li %s, 0xF0000000\n  li t6, -1\n  sw t6, 8(%s)\n"
                                       "  la t6, scratch\n",
                                       reg, reg);
         }
@@ -369,20 +365,20 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
       default: {
         const unsigned count = (unsigned)rng.Range(1, 3);
         for (unsigned i = 0; i < count; ++i) {
-          EmitAlu(rng, result.program);
+          EmitAlu(rng, program);
         }
         break;
       }
     }
   }
-  result.program += StrFormat("  li a0, %u\n", (unsigned)rng.Below(256));
+  program += StrFormat("  li a0, %u\n", (unsigned)rng.Below(256));
   if (timer) {
-    result.program += "  xor a0, a0, s9\n";
+    program += "  xor a0, a0, s9\n";
   }
-  result.program += "  halt a0\n";
-  result.program += ".data\nscratch:\n";
+  program += "  halt a0\n";
+  program += ".data\nscratch:\n";
   for (int i = 0; i < 16; ++i) {
-    result.program += StrFormat("  .word 0x%08x\n", rng.Next32());
+    program += StrFormat("  .word 0x%08x\n", rng.Next32());
   }
   return result;
 }
@@ -391,11 +387,12 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
 // Oracles.
 // ---------------------------------------------------------------------------
 
+// Machine A is always the base machine; B is a variant of it.
 struct Oracle {
   const char* name;
-  CoreConfig config_a;
   CoreConfig config_b;
   LockstepOptions options;
+  const char* b_flags = "";  // how `msim replay` derives B from A
   // Runs the timer-traffic variant of each case (Generate). Only sound when
   // A and B have identical timing: the cases make the cycle count visible.
   bool timer = false;
@@ -405,14 +402,15 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
                                  uint64_t max_cycles) {
   std::vector<Oracle> oracles;
   if (which == "all" || which == "determinism") {
-    Oracle o{"determinism", base, base, {}};
+    Oracle o{"determinism", base, {}};
     o.options.granularity = CompareGranularity::kCycle;
     o.options.max_cycles = max_cycles;
     oracles.push_back(o);
   }
   if (which == "all" || which == "storage") {
-    Oracle o{"storage", base, base, {}};
+    Oracle o{"storage", base, {}};
     o.config_b.mroutine_storage = MroutineStorage::kDramCached;
+    o.b_flags = "--b-storage dram-cached";
     o.options.granularity = CompareGranularity::kRetire;
     o.options.max_cycles = max_cycles;
     o.options.metal_pc_insensitive = true;
@@ -423,8 +421,9 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
     oracles.push_back(o);
   }
   if (which == "all" || which == "fast") {
-    Oracle o{"fast", base, base, {}};
+    Oracle o{"fast", base, {}};
     o.config_b.fast_transition = false;
+    o.b_flags = "--b-no-fast";
     o.options.granularity = CompareGranularity::kRetire;
     o.options.max_cycles = max_cycles;
     o.options.ignore_transition_retires = true;
@@ -436,8 +435,9 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
     // must match, and the timer traffic folds COUNT, COMPARE and PENDING
     // reads into the compared exit code. Retire granularity because
     // cycle-granular lockstep would never run the trace tier.
-    Oracle o{"faststep", base, base, {}};
+    Oracle o{"faststep", base, {}};
     o.config_b.fast_step = false;
+    o.b_flags = "--b-no-fast-step";
     o.options.granularity = CompareGranularity::kRetire;
     o.options.max_cycles = max_cycles;
     o.timer = true;
@@ -447,8 +447,7 @@ std::vector<Oracle> BuildOracles(const std::string& which, const CoreConfig& bas
 }
 
 Status BuildSystem(MetalSystem& system, const GeneratedCase& c) {
-  system.AddMcode(c.mcode);
-  MSIM_RETURN_IF_ERROR(system.LoadProgramSource(c.program));
+  MSIM_RETURN_IF_ERROR(InstallSources(c.sources, system));
   return system.Boot();
 }
 
@@ -456,13 +455,13 @@ Status BuildSystem(MetalSystem& system, const GeneratedCase& c) {
 // finds the latest cycle S from which a snapshot of the reference machine,
 // restored into both sides, still reproduces the divergence. The returned
 // window [S, diverge_cycle] is the smallest state-context the bug needs.
-Result<uint64_t> ShrinkByCheckpointBisection(const GeneratedCase& c, const Oracle& oracle,
-                                             uint64_t diverge_cycle) {
+Result<uint64_t> ShrinkByCheckpointBisection(const GeneratedCase& c, const CoreConfig& config_a,
+                                             const Oracle& oracle, uint64_t diverge_cycle) {
   uint64_t lo = 0;  // known-reproducing snapshot cycle
   uint64_t hi = diverge_cycle;
   while (lo + 1 < hi) {
     const uint64_t mid = lo + (hi - lo) / 2;
-    MetalSystem reference(oracle.config_a);
+    MetalSystem reference(config_a);
     MSIM_RETURN_IF_ERROR(BuildSystem(reference, c));
     reference.core().Run(mid);
     if (reference.core().cycle() != mid || reference.core().halted()) {
@@ -470,7 +469,7 @@ Result<uint64_t> ShrinkByCheckpointBisection(const GeneratedCase& c, const Oracl
       continue;
     }
     const std::vector<uint8_t> image = SaveSnapshot(reference.core());
-    MetalSystem a(oracle.config_a);
+    MetalSystem a(config_a);
     MetalSystem b(oracle.config_b);
     MSIM_RETURN_IF_ERROR(BuildSystem(a, c));
     MSIM_RETURN_IF_ERROR(BuildSystem(b, c));
@@ -488,53 +487,24 @@ Result<uint64_t> ShrinkByCheckpointBisection(const GeneratedCase& c, const Oracl
   return lo;
 }
 
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  out << content;
-  return out.good();
-}
-
+// Writes the repro directory <out_dir>/case-<seed>-<oracle>: the case's
+// sources, the fault spec (if any), divergence.json and `repro_script`, a
+// repro.sh that needs only the msim CLI, not mfuzz or the seed.
 int WriteArtifacts(const std::string& out_dir, uint64_t seed, const char* oracle_name,
                    const GeneratedCase& c, const DivergenceReport& report,
-                   uint64_t max_cycles) {
-  if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", out_dir.c_str(), std::strerror(errno));
+                   const std::string& repro_script, const std::string& spec_text = "") {
+  std::vector<ReproFile> files = {{"program.s", c.sources.program},
+                                  {"mcode.s", c.sources.mcode[0]}};
+  if (!spec_text.empty()) {
+    files.push_back({"spec.txt", spec_text + "\n"});
+  }
+  const std::string name = StrFormat("case-%llu-%s", (unsigned long long)seed, oracle_name);
+  if (Status status = WriteReproDir(out_dir, name, std::move(files), &report, repro_script);
+      !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  const std::string dir = StrFormat("%s/case-%llu-%s", out_dir.c_str(),
-                                    (unsigned long long)seed, oracle_name);
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", dir.c_str(), std::strerror(errno));
-    return 1;
-  }
-  bool ok = WriteTextFile(dir + "/program.s", c.program);
-  ok &= WriteTextFile(dir + "/mcode.s", c.mcode);
-  {
-    std::ofstream out(dir + "/divergence.json");
-    WriteDivergenceJson(report, out);
-    out << "\n";
-    ok &= out.good();
-  }
-  // A repro that needs only the msim CLI, not mfuzz or the seed.
-  std::string repro = "#!/bin/sh\n# Reproduces the divergence found by mfuzz.\n";
-  const char* b_flags = "";
-  if (std::strcmp(oracle_name, "storage") == 0) {
-    b_flags = " --b-storage dram-cached";
-  } else if (std::strcmp(oracle_name, "fast") == 0) {
-    b_flags = " --b-no-fast";
-  } else if (std::strcmp(oracle_name, "faststep") == 0) {
-    b_flags = " --b-no-fast-step";
-  }
-  repro += StrFormat(
-      "exec msim replay program.s --mcode mcode.s --until-divergence%s --max-cycles %llu\n",
-      b_flags, (unsigned long long)max_cycles);
-  ok &= WriteTextFile(dir + "/repro.sh", repro);
-  ::chmod((dir + "/repro.sh").c_str(), 0755);
-  if (!ok) {
-    std::fprintf(stderr, "failed writing artifacts under '%s'\n", dir.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[mfuzz] artifacts: %s\n", dir.c_str());
+  std::fprintf(stderr, "[mfuzz] artifacts: %s/%s\n", out_dir.c_str(), name.c_str());
   return 0;
 }
 
@@ -570,52 +540,13 @@ FaultSpec DeriveInjectionSpec(uint64_t seed, const CoreConfig& config, uint64_t 
   return spec;
 }
 
-int WriteInjectionArtifacts(const std::string& out_dir, uint64_t seed, const GeneratedCase& c,
-                            const FaultSpec& spec, const DivergenceReport& report,
-                            uint64_t budget, const CoreConfig& config) {
-  if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", out_dir.c_str(), std::strerror(errno));
-    return 1;
-  }
-  const std::string dir =
-      StrFormat("%s/case-%llu-injection", out_dir.c_str(), (unsigned long long)seed);
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create '%s': %s\n", dir.c_str(), std::strerror(errno));
-    return 1;
-  }
-  bool ok = WriteTextFile(dir + "/program.s", c.program);
-  ok &= WriteTextFile(dir + "/mcode.s", c.mcode);
-  ok &= WriteTextFile(dir + "/spec.txt", spec.text + "\n");
-  {
-    std::ofstream out(dir + "/divergence.json");
-    WriteDivergenceJson(report, out);
-    out << "\n";
-    ok &= out.good();
-  }
-  std::string repro =
-      "#!/bin/sh\n# Replays the silent data corruption found by the mfuzz injection oracle:\n"
-      "# machine B runs with the fault injected, machine A clean, compared per cycle.\n"
-      "cd \"$(dirname \"$0\")\"\n";
-  repro += StrFormat(
-      "exec \"${MSIM:-msim}\" replay program.s --mcode mcode.s --until-divergence%s "
-      "--b-inject '%s' --max-cycles %llu\n",
-      config.mram_parity ? "" : " --no-parity", spec.text.c_str(), (unsigned long long)budget);
-  ok &= WriteTextFile(dir + "/repro.sh", repro);
-  ::chmod((dir + "/repro.sh").c_str(), 0755);
-  if (!ok) {
-    std::fprintf(stderr, "failed writing artifacts under '%s'\n", dir.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[mfuzz] artifacts: %s\n", dir.c_str());
-  return 0;
-}
-
 // One injection case: clean golden run, one injected rerun, campaign
 // classification. Returns true when the case is a finding (an SDC — silent
 // architectural divergence with no machine check), after pinpointing the
 // first divergent cycle and writing the repro directory.
-Result<bool> RunInjectionCase(uint64_t seed, const GeneratedCase& c, const CoreConfig& config,
+Result<bool> RunInjectionCase(uint64_t seed, const GeneratedCase& c, const MachineSpec& machine,
                               uint64_t max_cycles, const std::string& out_dir) {
+  const CoreConfig& config = machine.config;
   MetalSystem golden_sys(config);
   MSIM_RETURN_IF_ERROR(BuildSystem(golden_sys, c));
   golden_sys.core().Run(max_cycles);
@@ -663,7 +594,11 @@ Result<bool> RunInjectionCase(uint64_t seed, const GeneratedCase& c, const CoreC
   options.max_cycles = budget;
   MSIM_ASSIGN_OR_RETURN(const DivergenceReport report, RunLockstep(a, b, options));
   WriteDivergenceText(report, std::cerr);
-  if (WriteInjectionArtifacts(out_dir, seed, c, spec, report, budget, config) != 0) {
+  const std::string script = ReplayScript(
+      "# Replays the silent data corruption found by the mfuzz injection oracle:\n"
+      "# machine B runs with the fault injected, machine A clean, compared per cycle.\n",
+      ShellJoin(MsimArgs(machine)), "--b-inject " + ShellQuote(spec.text), budget);
+  if (WriteArtifacts(out_dir, seed, "injection", c, report, script, spec.text) != 0) {
     return Internal("failed writing injection artifacts");
   }
   return true;
@@ -678,11 +613,17 @@ int main(int argc, char** argv) {
   uint64_t max_cycles = 200000;
   std::string oracle_name = "all";
   std::string out_dir = "mfuzz-out";
-  bool no_parity = false;
+  // Every oracle's machine A, named as in a case's repro directory.
+  MachineSpec base;
+  base.program = "program.s";
+  base.mcode = {"mcode.s"};
 
   const std::vector<std::string> args(argv + 1, argv + argc);
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    if (ParseMachineFlag(args, &i, kOptNoParity, &base).value()) {
+      continue;
+    }
     if (arg == "--seed" && i + 1 < args.size()) {
       if (!ParseU64Flag("--seed", args[++i], &base_seed)) {
         return 2;
@@ -709,8 +650,6 @@ int main(int argc, char** argv) {
                      oracle_name.c_str());
         return 2;
       }
-    } else if (arg == "--no-parity") {
-      no_parity = true;
     } else if (arg == "--out" && i + 1 < args.size()) {
       out_dir = args[++i];
     } else {
@@ -722,8 +661,8 @@ int main(int argc, char** argv) {
     runs = 100;
   }
 
-  CoreConfig base_config;
-  base_config.mram_parity = !no_parity;
+  const CoreConfig& base_config = base.config;
+  const std::string repro_args = ShellJoin(MsimArgs(base));
   const bool injection = oracle_name == "injection";
   const std::vector<Oracle> oracles =
       injection ? std::vector<Oracle>{} : BuildOracles(oracle_name, base_config, max_cycles);
@@ -742,7 +681,7 @@ int main(int argc, char** argv) {
     const uint64_t seed = base_seed + i;
     const GeneratedCase plain = Generate(seed, /*timer=*/false);
     if (injection) {
-      auto found = RunInjectionCase(seed, plain, base_config, max_cycles, out_dir);
+      auto found = RunInjectionCase(seed, plain, base, max_cycles, out_dir);
       if (!found.ok()) {
         std::fprintf(stderr, "[mfuzz] seed %llu oracle injection: %s\n",
                      (unsigned long long)seed, found.status().ToString().c_str());
@@ -760,7 +699,7 @@ int main(int argc, char** argv) {
     const GeneratedCase timed = Generate(seed, /*timer=*/true);
     for (const Oracle& oracle : oracles) {
       const GeneratedCase& c = oracle.timer ? timed : plain;
-      MetalSystem a(oracle.config_a);
+      MetalSystem a(base_config);
       MetalSystem b(oracle.config_b);
       if (Status status = BuildSystem(a, c); !status.ok()) {
         std::fprintf(stderr, "[mfuzz] seed %llu: generated case does not assemble: %s\n",
@@ -783,7 +722,7 @@ int main(int argc, char** argv) {
                      (unsigned long long)seed, oracle.name);
         WriteDivergenceText(*report, std::cerr);
         if (oracle.options.granularity == CompareGranularity::kCycle) {
-          auto window = ShrinkByCheckpointBisection(c, oracle, report->cycle_a);
+          auto window = ShrinkByCheckpointBisection(c, base_config, oracle, report->cycle_a);
           if (window.ok()) {
             std::fprintf(stderr,
                          "[mfuzz] shrunk: divergence reproduces from a snapshot at cycle %llu "
@@ -792,8 +731,10 @@ int main(int argc, char** argv) {
                          (unsigned long long)(report->cycle_a - *window));
           }
         }
-        if (int rc = WriteArtifacts(out_dir, seed, oracle.name, c, *report, max_cycles);
-            rc != 0) {
+        const std::string script =
+            ReplayScript("# Reproduces the divergence found by mfuzz.\n",
+                         repro_args, oracle.b_flags, max_cycles);
+        if (int rc = WriteArtifacts(out_dir, seed, oracle.name, c, *report, script); rc != 0) {
           return rc;
         }
         return kExitDivergence;

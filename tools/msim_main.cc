@@ -67,17 +67,18 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/assembler.h"
-#include "cli_util.h"
 #include "cpu/core.h"
 #include "fault/crash_dump.h"
 #include "fault/fault.h"
 #include "isa/disasm.h"
+#include "metal/machine_spec.h"
 #include "metal/system.h"
 #include "snap/diverge.h"
 #include "snap/snapshot.h"
@@ -224,18 +225,32 @@ bool WriteTraceJson(const RingBufferSink& ring, const SpanSink* spans, const std
   return out.good();
 }
 
+// Reads the spec's files once and installs them into every given system.
+// Exit status 1 on failure, 0 on success.
+int InstallMachine(const MachineSpec& spec, std::initializer_list<MetalSystem*> systems) {
+  auto sources = ReadMachineSources(spec);
+  if (!sources.ok()) {
+    std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
+    return 1;
+  }
+  for (MetalSystem* system : systems) {
+    if (Status status = InstallSources(*sources, *system); !status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", spec.program.c_str(), status.ToString().c_str());
+      return 1;
+    }
+  }
+  return 0;
+}
+
 int CmdRun(const std::vector<std::string>& args) {
-  std::string program_path;
-  std::vector<std::string> mcode_paths;
-  CoreConfig config;
+  MachineSpec spec;
+  const CoreConfig& config = spec.config;
   uint64_t max_cycles = 0;
   bool trace_stats = false;
   uint64_t trace_limit = 0;
   std::string stats_json_path;
   std::string trace_json_path;
   bool profile_mroutines = false;
-  std::vector<std::string> inject_specs;
-  uint64_t fault_seed = 0;
   std::string crash_dump_path;
   uint64_t flight_events = FlightRecorder::kDefaultCapacity;
   uint64_t metrics_every = 0;
@@ -247,36 +262,20 @@ int CmdRun(const std::vector<std::string>& args) {
 
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-fast") {
-      config.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config.fast_step = false;
-    } else if (arg == "--max-cycles" && i + 1 < args.size()) {
+    auto machine_flag = ParseMachineFlag(args, &i, kMachineFlags, &spec);
+    if (!machine_flag.ok()) {
+      std::fprintf(stderr, "%s\n", machine_flag.status().message().c_str());
+      return 2;
+    }
+    if (*machine_flag) {
+      continue;
+    }
+    if (arg == "--max-cycles" && i + 1 < args.size()) {
       if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
         return 2;
       }
-    } else if (arg == "--inject" && i + 1 < args.size()) {
-      inject_specs.push_back(args[++i]);
     } else if (arg == "--list-fault-targets") {
       list_fault_targets = true;
-    } else if (arg == "--fault-seed" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--fault-seed", args[++i], &fault_seed)) {
-        return 2;
-      }
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config.metal_watchdog_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--no-parity") {
-      config.mram_parity = false;
     } else if (arg == "--crash-dump" && i + 1 < args.size()) {
       crash_dump_path = args[++i];
     } else if (arg == "--flight-events" && i + 1 < args.size()) {
@@ -327,8 +326,8 @@ int CmdRun(const std::vector<std::string>& args) {
           return 2;
         }
       }
-    } else if (!arg.empty() && arg[0] != '-' && program_path.empty()) {
-      program_path = arg;
+    } else if (!arg.empty() && arg[0] != '-' && spec.program.empty()) {
+      spec.program = arg;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return 2;
@@ -338,7 +337,7 @@ int CmdRun(const std::vector<std::string>& args) {
     std::fputs(DescribeFaultTargets(config).c_str(), stdout);
     return kExitOk;
   }
-  if (program_path.empty()) {
+  if (spec.program.empty()) {
     return Usage();
   }
   if ((checkpoint_every != 0) != !checkpoint_dir.empty()) {
@@ -351,22 +350,8 @@ int CmdRun(const std::vector<std::string>& args) {
   }
 
   MetalSystem system(config);
-  for (const std::string& path : mcode_paths) {
-    auto source = ReadFile(path);
-    if (!source.ok()) {
-      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-      return 1;
-    }
-    system.AddMcode(*source);
-  }
-  auto program_source = ReadFile(program_path);
-  if (!program_source.ok()) {
-    std::fprintf(stderr, "%s\n", program_source.status().ToString().c_str());
-    return 1;
-  }
-  if (Status status = system.LoadProgramSource(*program_source); !status.ok()) {
-    std::fprintf(stderr, "%s: %s\n", program_path.c_str(), status.ToString().c_str());
-    return 1;
+  if (int rc = InstallMachine(spec, {&system}); rc != 0) {
+    return rc;
   }
 
   // Fault injection: parse AND validate specs up front — malformed specs,
@@ -374,20 +359,12 @@ int CmdRun(const std::vector<std::string>& args) {
   // not silently-inert runs. A restored run's budget is relative to the
   // restore point while trigger cycles are absolute, so the trigger-cycle
   // check only applies to cold starts.
-  FaultEngine fault_engine(fault_seed);
+  FaultEngine fault_engine(spec.fault_seed);
   const uint64_t validate_budget =
       restore_path.empty() ? (max_cycles != 0 ? max_cycles : config.default_max_cycles) : 0;
-  for (const std::string& text : inject_specs) {
-    auto spec = ParseFaultSpec(text);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
-    if (Status status = ValidateFaultSpec(*spec, config, validate_budget); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 2;
-    }
-    fault_engine.AddSpec(*spec);
+  if (Status status = AddFaultSpecs(spec, validate_budget, fault_engine); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 2;
   }
   if (fault_engine.num_specs() != 0) {
     fault_engine.RegisterMetrics(system.core().metrics());
@@ -648,7 +625,7 @@ int CmdRun(const std::vector<std::string>& args) {
     io_ok &= metrics_out.good();
   }
   if (!stats_json_path.empty()) {
-    io_ok &= WriteStatsJson(system, result, reason_name, program_path,
+    io_ok &= WriteStatsJson(system, result, reason_name, spec.program,
                             want_profile ? &profiler : nullptr, stats_json_path);
   }
   if (!trace_json_path.empty()) {
@@ -690,52 +667,34 @@ int CmdRun(const std::vector<std::string>& args) {
 // divergence. With no --b-* overrides B is an exact copy of A, which checks
 // that the machine itself is deterministic.
 int CmdReplay(const std::vector<std::string>& args) {
-  std::string program_path;
-  std::vector<std::string> mcode_paths;
-  CoreConfig config_a;
+  MachineSpec spec_a;
+  MachineSpec checked_b;  // takes the --b- flags as they are read, to report a bad one there
+  std::vector<size_t> b_flags;  // where they are, to apply them to B once A is complete
   uint64_t max_cycles = 0;
-  std::vector<std::string> inject_a;
-  uint64_t fault_seed_a = 0;
-  bool b_storage_set = false;
-  MroutineStorage b_storage = MroutineStorage::kMram;
-  int b_fast = -1;  // -1 = inherit A's setting, 0 = slow, 1 = fast
-  int b_fast_step = -1;  // same convention, for CoreConfig::fast_step
-  std::vector<std::string> inject_b;
-  uint64_t fault_seed_b = 0;
-  bool b_seed_set = false;
   std::string compare_mode = "auto";
   std::string divergence_json_path;
 
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--mcode" && i + 1 < args.size()) {
-      mcode_paths.push_back(args[++i]);
-    } else if (arg == "--storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &config_a.mroutine_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return 2;
+    const size_t at = i;
+    auto machine_flag = ParseMachineFlag(args, &i, kMachineFlags, &spec_a);
+    if (machine_flag.ok() && !*machine_flag) {
+      machine_flag = ParseMachineFlag(args, &i, kReplayBFlags, &checked_b, "--b-");
+      if (machine_flag.ok() && *machine_flag) {
+        b_flags.push_back(at);
       }
-    } else if (arg == "--no-fast") {
-      config_a.fast_transition = false;
-    } else if (arg == "--no-fast-step") {
-      config_a.fast_step = false;
-    } else if (arg == "--max-cycles" && i + 1 < args.size()) {
+    }
+    if (!machine_flag.ok()) {
+      std::fprintf(stderr, "%s\n", machine_flag.status().message().c_str());
+      return 2;
+    }
+    if (*machine_flag) {
+      continue;
+    }
+    if (arg == "--max-cycles" && i + 1 < args.size()) {
       if (!ParseU64Flag("--max-cycles", args[++i], &max_cycles)) {
         return 2;
       }
-    } else if (arg == "--inject" && i + 1 < args.size()) {
-      inject_a.push_back(args[++i]);
-    } else if (arg == "--fault-seed" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--fault-seed", args[++i], &fault_seed_a)) {
-        return 2;
-      }
-    } else if (arg == "--watchdog" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--watchdog", args[++i], &config_a.metal_watchdog_cycles)) {
-        return 2;
-      }
-    } else if (arg == "--no-parity") {
-      config_a.mram_parity = false;
     } else if (arg == "--until-divergence") {
       // The only mode replay has; accepted so invocations read as intended.
     } else if (arg == "--compare" && i + 1 < args.size()) {
@@ -745,51 +704,28 @@ int CmdReplay(const std::vector<std::string>& args) {
                      compare_mode.c_str());
         return 2;
       }
-    } else if (arg == "--b-storage" && i + 1 < args.size()) {
-      const std::string& mode = args[++i];
-      if (!ParseStorageMode(mode, &b_storage)) {
-        std::fprintf(stderr, "unknown storage mode '%s'\n", mode.c_str());
-        return 2;
-      }
-      b_storage_set = true;
-    } else if (arg == "--b-fast") {
-      b_fast = 1;
-    } else if (arg == "--b-no-fast") {
-      b_fast = 0;
-    } else if (arg == "--b-fast-step") {
-      b_fast_step = 1;
-    } else if (arg == "--b-no-fast-step") {
-      b_fast_step = 0;
-    } else if (arg == "--b-inject" && i + 1 < args.size()) {
-      inject_b.push_back(args[++i]);
-    } else if (arg == "--b-fault-seed" && i + 1 < args.size()) {
-      if (!ParseU64Flag("--b-fault-seed", args[++i], &fault_seed_b)) {
-        return 2;
-      }
-      b_seed_set = true;
     } else if (arg == "--divergence-json" && i + 1 < args.size()) {
       divergence_json_path = args[++i];
-    } else if (!arg.empty() && arg[0] != '-' && program_path.empty()) {
-      program_path = arg;
+    } else if (!arg.empty() && arg[0] != '-' && spec_a.program.empty()) {
+      spec_a.program = arg;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return 2;
     }
   }
-  if (program_path.empty()) {
+  if (spec_a.program.empty()) {
     return Usage();
   }
 
-  CoreConfig config_b = config_a;
-  if (b_storage_set) {
-    config_b.mroutine_storage = b_storage;
+  // B is A with the --b- flags applied, except that it injects only its own
+  // --b-inject faults.
+  MachineSpec spec_b = spec_a;
+  spec_b.inject.clear();
+  for (size_t at : b_flags) {
+    (void)ParseMachineFlag(args, &at, kReplayBFlags, &spec_b, "--b-");
   }
-  if (b_fast != -1) {
-    config_b.fast_transition = (b_fast == 1);
-  }
-  if (b_fast_step != -1) {
-    config_b.fast_step = (b_fast_step == 1);
-  }
+  const CoreConfig& config_a = spec_a.config;
+  const CoreConfig& config_b = spec_b.config;
 
   // Cycle-granularity lockstep compares full per-cycle state digests, which
   // only lines up when both machines have identical timing. Fault injection
@@ -835,43 +771,16 @@ int CmdReplay(const std::vector<std::string>& args) {
 
   MetalSystem system_a(config_a);
   MetalSystem system_b(config_b);
-  for (const std::string& path : mcode_paths) {
-    auto source = ReadFile(path);
-    if (!source.ok()) {
-      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-      return 1;
-    }
-    system_a.AddMcode(*source);
-    system_b.AddMcode(*source);
+  if (int rc = InstallMachine(spec_a, {&system_a, &system_b}); rc != 0) {
+    return rc;
   }
-  auto program_source = ReadFile(program_path);
-  if (!program_source.ok()) {
-    std::fprintf(stderr, "%s\n", program_source.status().ToString().c_str());
-    return 1;
-  }
-  for (MetalSystem* system : {&system_a, &system_b}) {
-    if (Status status = system->LoadProgramSource(*program_source); !status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", program_path.c_str(), status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  FaultEngine fault_a(fault_seed_a);
-  FaultEngine fault_b(b_seed_set ? fault_seed_b : fault_seed_a);
+  FaultEngine fault_a(spec_a.fault_seed);
+  FaultEngine fault_b(spec_b.fault_seed);
   const uint64_t replay_budget = max_cycles != 0 ? max_cycles : config_a.default_max_cycles;
-  for (const auto& [specs, engine] :
-       {std::pair{&inject_a, &fault_a}, std::pair{&inject_b, &fault_b}}) {
-    for (const std::string& text : *specs) {
-      auto spec = ParseFaultSpec(text);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-        return 2;
-      }
-      if (Status status = ValidateFaultSpec(*spec, config_a, replay_budget); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 2;
-      }
-      engine->AddSpec(*spec);
+  for (const auto& [spec, engine] : {std::pair{&spec_a, &fault_a}, std::pair{&spec_b, &fault_b}}) {
+    if (Status status = AddFaultSpecs(*spec, replay_budget, *engine); !status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 2;
     }
   }
   if (fault_a.num_specs() != 0) {

@@ -16,10 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "cli_util.h"
 #include "fleet/manifest.h"
 #include "fleet/report.h"
 #include "fleet/scheduler.h"
+#include "metal/machine_spec.h"
 #include "support/exit_codes.h"
 #include "support/strings.h"
 
@@ -202,7 +202,7 @@ int CheckManifest(int argc, char** argv) {
   }
   std::printf("%zu job(s) ok\n", jobs->size());
   for (const JobSpec& job : *jobs) {
-    std::printf("  %s: %s%s\n", job.name.c_str(), job.program.c_str(),
+    std::printf("  %s: %s%s\n", job.name.c_str(), job.machine.program.c_str(),
                 job.checkpoint_every != 0 ? " (checkpointed)" : "");
   }
   return kExitOk;
