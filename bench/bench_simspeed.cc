@@ -30,6 +30,8 @@
 #include "asm/assembler.h"
 #include "bench/bench_util.h"
 #include "cpu/core.h"
+#include "cpu/creg.h"
+#include "ext/cpt.h"
 #include "ext/stm.h"
 #include "metal/system.h"
 #include "snap/snapshot.h"
@@ -156,6 +158,57 @@ void BootInterceptLoop(MetalSystem& system) {
                               /*vtbl_words=*/1024);
   (void)system.LoadProgramSource(kInterceptLoop);
   (void)system.Boot();
+}
+
+// The paper's custom page tables (ext/cpt.h): a stride over 64 data pages,
+// twice the TLB, so every access misses the TLB and the mcode radix walker
+// refills it. Each walk's mexit resumes the faulting lw, which misses the
+// dcache: the cycles after the splice run as adopted traces under fast_step
+// and per cycle in the *StepCycle twin; CI gates the ratio
+// (pagetable_faststep_speedup).
+const char* kPageTableLoop = R"(
+  _start:
+    li s0, 20
+  round:
+    li s1, 64
+    li s4, 0
+  touch:
+    slli t0, s4, 12
+    li t1, 0x00800040
+    add t0, t0, t1
+    lw t2, 0(t0)
+    addi t2, t2, 1
+    sw t2, 0(t0)
+    addi s4, s4, 7
+    andi s4, s4, 63
+    addi s1, s1, -1
+    bnez s1, touch
+    addi s0, s0, -1
+    bnez s0, round
+    halt zero
+)";
+
+// Boots the page-table guest on a fresh system: text and data pages mapped
+// through the walker's tables, paging on.
+void BootPageTableLoop(MetalSystem& system) {
+  (void)CustomPageTable::Install(system, 0);
+  (void)system.LoadProgramSource(kPageTableLoop);
+  (void)system.Boot();
+  Core& core = system.core();
+  CustomPageTable cpt(core, 0x00400000, 0x00100000);
+  const Result<uint32_t> root = cpt.CreateAddressSpace();
+  if (!root.ok()) {
+    return;
+  }
+  for (uint32_t page = 0; page < 16; ++page) {
+    (void)cpt.Map(*root, page * 4096, page * 4096, kPteR | kPteW | kPteX);
+  }
+  for (uint32_t page = 0; page < 64; ++page) {
+    const uint32_t addr = 0x00800000 + page * 4096;
+    (void)cpt.Map(*root, addr, addr, kPteR | kPteW);
+  }
+  (void)cpt.Activate(*root);
+  core.metal().WriteCreg(kCrPgEnable, 1);
 }
 
 // Runs `source` to completion once per iteration under `config`, reporting
@@ -359,20 +412,20 @@ double MeasureMachinesPerSec(int reps) {
   return best;
 }
 
-// The STM intercept guest (a booted MetalSystem) under fast_step on and off.
-// Reps alternate the two configs, and the ratio is the median of the
+// A Metal guest (a MetalSystem booted by `boot`) under fast_step on and
+// off. Reps alternate the two configs, and the ratio is the median of the
 // per-pair ratios: a shared host's speed swings within seconds, and a pair
 // run back to back sees the same host.
-struct InterceptRates {
+struct FastStepRates {
   double fast = 0.0;     // best-of-N sim-instr/s, fast_step on
   double slow = 0.0;     // best-of-N sim-instr/s, fast_step off
   double speedup = 0.0;  // median over pairs of fast / slow
 };
 
-InterceptRates MeasureIntercept(int reps) {
-  const auto rate = [](const CoreConfig& config) {
+FastStepRates MeasureFastStepPairs(void (*boot)(MetalSystem&), int reps) {
+  const auto rate = [boot](const CoreConfig& config) {
     MetalSystem system(config);
-    BootInterceptLoop(system);
+    boot(system);
     const auto t0 = std::chrono::steady_clock::now();
     const RunResult result = system.Run(5'000'000);
     const auto t1 = std::chrono::steady_clock::now();
@@ -382,7 +435,7 @@ InterceptRates MeasureIntercept(int reps) {
   CoreConfig fast_config;
   CoreConfig slow_config;
   slow_config.fast_step = false;
-  InterceptRates rates;
+  FastStepRates rates;
   std::vector<double> ratios;
   for (int rep = 0; rep < reps; ++rep) {
     const double fast = rate(fast_config);
@@ -419,7 +472,8 @@ int RunBenchReport(int argc, char** argv) {
   const double memcopy_slow = MeasureInstrPerSec(kMemCopyLoop, slow_config, kReps);
   const double strided = MeasureInstrPerSec(kStridedStoreLoop, fast_config, kReps);
   const double mixed = MeasureInstrPerSec(kMixedAluMemLoop, fast_config, kReps);
-  const InterceptRates intercept = MeasureIntercept(3 * kReps);
+  const FastStepRates intercept = MeasureFastStepPairs(BootInterceptLoop, 3 * kReps);
+  const FastStepRates pagetable = MeasureFastStepPairs(BootPageTableLoop, 3 * kReps);
   const double machines = MeasureMachinesPerSec(5);
   std::printf("BM_AluLoop                %12.0f sim-instr/s (traced)\n", fast);
   std::printf("BM_AluLoopStepCycle       %12.0f sim-instr/s (fast_step off)\n", slow);
@@ -437,12 +491,16 @@ int RunBenchReport(int argc, char** argv) {
               intercept.fast);
   std::printf("BM_InterceptLoopStepCycle %12.0f sim-instr/s (fast_step off)\n",
               intercept.slow);
+  std::printf("BM_PageTableLoop          %12.0f sim-instr/s (walker refills, adopted traces)\n",
+              pagetable.fast);
+  std::printf("BM_PageTableLoopStepCycle %12.0f sim-instr/s (fast_step off)\n", pagetable.slow);
   std::printf("BM_FreshMachineCheckpoint %12.0f machines/s (build, run, save, restore, digest)\n",
               machines);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
   std::printf("speedup (memloop traced/stepcycle) %6.2fx\n",
               memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
   std::printf("speedup (intercept fast/stepcycle) %6.2fx (median pair)\n", intercept.speedup);
+  std::printf("speedup (pagetable fast/stepcycle) %6.2fx (median pair)\n", pagetable.speedup);
   report.AddRow("BM_AluLoop").Field("sim_instr_per_sec", fast);
   report.AddRow("BM_AluLoopStepCycle").Field("sim_instr_per_sec", slow);
   report.AddRow("BM_AluLoopObserved").Field("sim_instr_per_sec", observed);
@@ -452,11 +510,14 @@ int RunBenchReport(int argc, char** argv) {
   report.AddRow("BM_MixedAluMemLoop").Field("sim_instr_per_sec", mixed);
   report.AddRow("BM_InterceptLoop").Field("sim_instr_per_sec", intercept.fast);
   report.AddRow("BM_InterceptLoopStepCycle").Field("sim_instr_per_sec", intercept.slow);
+  report.AddRow("BM_PageTableLoop").Field("sim_instr_per_sec", pagetable.fast);
+  report.AddRow("BM_PageTableLoopStepCycle").Field("sim_instr_per_sec", pagetable.slow);
   report.AddRow("BM_FreshMachineCheckpoint").Field("machines_per_sec", machines);
   report.AddRow("speedup").Field("fast_over_stepcycle", slow > 0.0 ? fast / slow : 0.0);
   report.AddRow("memloop_superblock_speedup")
       .Field("traced_over_stepcycle", memcopy_slow > 0.0 ? memcopy / memcopy_slow : 0.0);
   report.AddRow("intercept_faststep_speedup").Field("fast_over_stepcycle", intercept.speedup);
+  report.AddRow("pagetable_faststep_speedup").Field("fast_over_stepcycle", pagetable.speedup);
   return report.WriteIfRequested(argc, argv) ? 0 : 1;
 }
 

@@ -46,6 +46,14 @@ uint32_t LowestSetBit(uint32_t mask) {
   return value;
 }
 
+// True if the executor label of `d` reads a GPR operand before its MEM
+// slice, and that operand is `rd`: branches and memory slots, which decide
+// their exits before the cycle commits.
+bool SbReadsBeforeMem(const Decoded& d, uint8_t rd) {
+  const InstrInfo& info = d.info();
+  return (info.is_branch || info.is_load || info.is_store) && InstrReadsGpr(d, rd);
+}
+
 [[gnu::always_inline]] inline bool DramStore(Bus& bus, InstrKind kind, uint32_t paddr,
                                              uint32_t value) {
   switch (GetInstrInfo(kind).mem_size) {
@@ -174,18 +182,37 @@ RunResult Core::Run(uint64_t max_cycles, uint64_t max_retires) {
   }
   const uint64_t start_cycle = cycle_;
   const uint64_t start_instret = stats_.instret;
+  // StepFast refuses every call while a fault engine is attached, so such a
+  // run steps per cycle at one compare per cycle and counts one refusal.
+  const bool traced = config_.fast_step && fault_engine_ == nullptr;
   if (config_.fast_step) {
     // Host-side device calls (SchedulePacket, register pokes, a restore) may
     // have moved the next event since the last Run.
     device_horizon_ = bus_.NextDeviceEventCycle(cycle_);
-  }
-  while (!halted_ && !has_fatal_ && cycle_ - start_cycle < max_cycles &&
-         (max_retires == 0 || stats_.instret - start_instret < max_retires)) {
-    if (config_.fast_step && FastStepMayStart() &&
-        StepFast(max_cycles - (cycle_ - start_cycle),
-                 max_retires == 0 ? 0 : max_retires - (stats_.instret - start_instret)) != 0) {
-      continue;
+    if (!traced) {
+      superblocks_.CountRefusal(SbRefusal::kFaultEngine);
     }
+  }
+  const auto running = [&] {
+    return !halted_ && !has_fatal_ && cycle_ - start_cycle < max_cycles &&
+           (max_retires == 0 || stats_.instret - start_instret < max_retires);
+  };
+  while (running()) {
+    if (traced && FastStepMayStart()) {
+      if (!arch_metal_ && metal_.AnyInterceptEnabled()) {
+        // StepFast's intercept guard, counted without the call: transaction
+        // bodies step per cycle with interception armed.
+        superblocks_.CountRefusal(SbRefusal::kIntercept);
+      } else if (StepFast(max_cycles - (cycle_ - start_cycle),
+                          max_retires == 0 ? 0
+                                           : max_retires - (stats_.instret - start_instret)) !=
+                     0 &&
+                 !running()) {
+        break;
+      }
+    }
+    // A StepFast call that commits cycles stops where no trace can go on
+    // (or at the device horizon), so the next cycle is StepCycle's.
     StepCycle();
   }
   // Return with the devices current, so host code sees the same state as
@@ -271,12 +298,14 @@ void Core::StepCycle() {
 // code with 1-cycle icache-hit fetches, no armed intercept and no
 // deliverable interrupt; in Metal mode, mroutine code from MRAM with its
 // 1-cycle fetch port. Either way there is no fault engine and no device
-// event before the horizon. It starts only on an empty pipeline — both
-// latches invalid, MEM and the fetch unit idle — which is exactly the state
-// after a taken branch, a trap or intercept entry or a cold start, and runs
-// trace to trace until a trace exit leaves an op latched or no ready trace
-// starts at the refill pc. The caller then continues with StepCycle, the
-// per-cycle reference.
+// event before the horizon. It starts on an empty pipeline — both latches
+// invalid, MEM and the fetch unit idle: the state after a taken branch, a
+// trap or intercept entry or a cold start — or adopts a live pipeline whose
+// latches hold consecutive words of one trace (RunTraces), such as the
+// cycles after a menter/mexit splice, a resumed miss or a Run boundary. It
+// runs trace to trace until a trace exit leaves an op latched or no ready
+// trace starts at the refill pc. The caller then continues with StepCycle,
+// the per-cycle reference.
 //
 // Every condition that could make a cycle deviate from the trace's shape is
 // checked BEFORE the cycle is committed, so a StepFast exit always lands on
@@ -505,6 +534,117 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     return ready;
   };
 
+  // Pipeline adoption: the entry prologue for a non-empty pipeline, the
+  // inverse of sb_writeback_latches. The latches must hold consecutive words
+  // of one ready trace segment, in the call's mode, as plain ops: EX (when
+  // valid) is executable slot e, ID slot e + 1, a valid skid buffer slot
+  // e + 2 (depth 1), and the fetch pc the slot after those. With EX empty
+  // (a refill cycle or a load-use bubble) ID's slot is e + 1 = 0 or later.
+  // The segment is the one the last trace run stopped in at this cycle
+  // (sb_resume_), else the root of the trace at EX's (or ID's) pc, looked up
+  // or built as at a refill. ex_mem_, live or stale, becomes the pending MEM
+  // op: a live one must be a DRAM (or, in Metal mode, MRAM data) access of
+  // the call's mode that the executor's MEM slice completes exactly, and a
+  // multi-cycle one commits its frozen window through sb_freeze_fetch, as a
+  // dispatched miss does. Returns the segment and e, or a null trace after
+  // counting a refusal. Out of line: it runs once per call.
+  struct SbAdoption {
+    Superblock* sb = nullptr;
+    SbSegment* seg = nullptr;
+    uint32_t ready = 0;
+    uint32_t delta = 0;
+    int32_t e = 0;
+  };
+  auto sb_adopt = [&]() __attribute__((noinline)) -> SbAdoption {
+    const bool ex = id_ex_.valid;
+    const uint32_t entry_pc = ex ? id_ex_.pc : if_id_.pc;
+    const MemOp& mem = ex_mem_;
+    const bool window = mem.valid && mem.wait > 1;
+    // `memo`: remember the refused pc, so the next cycle's call at the same
+    // pc (EX or MEM held, nothing else moved) refuses without a second
+    // lookup, build walk or segment probe.
+    const auto refuse = [&](bool memo) -> SbAdoption {
+      superblocks_.CountRefusal(SbRefusal::kPipeline);
+      if (memo) {
+        sb_refused_ = {entry_pc, cycle_};
+      }
+      return {};
+    };
+    const auto plain = [](const FetchSlot& f) {
+      return f.valid && f.metal == metal && f.fault == ExcCause::kNone && f.fault_addr == 0;
+    };
+    if (!plain(if_id_) || (fetch_buffer_.valid && !plain(fetch_buffer_)) ||
+        (ex && (id_ex_.metal != metal || id_ex_.has_transition() || id_ex_.intercepted ||
+                id_ex_.fetch_fault != ExcCause::kNone))) {
+      return refuse(false);
+    }
+    if (mem.valid &&
+        (mem.metal != metal || mem.wait == 0 ||
+         (mem.target == MemOp::Target::kDram
+              ? mem.paddr >= dram_size || dram_size - mem.paddr < GetInstrInfo(mem.kind).mem_size
+              : !metal || mem.target != MemOp::Target::kMramData ||
+                    (!mem.is_store && !mram_.DataParityOk(mem.paddr))))) {
+      return refuse(false);
+    }
+    if (entry_pc == sb_refused_.pc && cycle_ == sb_refused_.cycle + 1) {
+      return refuse(true);
+    }
+    SbAdoption a;
+    if (sb_resume_.cycle == cycle_ && sb_resume_.sb != nullptr && sb_resume_.sb->valid &&
+        sb_resume_.sb->metal == metal) {
+      for (SbSegment& seg : sb_resume_.sb->segs) {
+        if (seg.base == sb_resume_.base) {
+          a.sb = sb_resume_.sb;
+          a.seg = &seg;
+        }
+      }
+    }
+    if (a.sb == nullptr) {
+      a.sb = superblocks_.Lookup(entry_pc, metal);
+      if (a.sb == nullptr) {
+        a.sb = superblocks_.Build(entry_pc, metal, code);
+      } else if (a.sb->grow_pending) {
+        superblocks_.MaybeGrow(*a.sb, code);
+      }
+      if (a.sb == nullptr) {
+        return refuse(true);
+      }
+      a.seg = &a.sb->segs[0];
+    }
+    a.ready = sb_seg_ready(*a.sb, *a.seg, &a.delta);
+    const uint32_t offset = entry_pc - a.seg->start;
+    if (a.ready < kSuperblockMinLen || offset % 4 != 0 || offset / 4 >= a.ready) {
+      return refuse(true);
+    }
+    const SbSlot* slots = a.sb->slots.data() + a.seg->base;
+    const int32_t len = static_cast<int32_t>(a.ready);
+    const int32_t exec_len = static_cast<int32_t>(std::min(a.seg->exec_len, a.ready));
+    const int32_t depth = fetch_buffer_.valid ? 1 : 0;
+    a.e = static_cast<int32_t>(offset / 4) - (ex ? 0 : 1);
+    const auto holds = [&](int32_t i, uint32_t latch_pc, uint32_t raw) {
+      return i < len && slots[i].addr == latch_pc && slots[i].d.raw == raw;
+    };
+    if ((ex && (a.e >= exec_len || slots[a.e].d.raw != id_ex_.d.raw)) ||
+        !holds(a.e + 1, if_id_.pc, if_id_.raw) ||
+        (depth != 0 && !holds(a.e + 2, fetch_buffer_.pc, fetch_buffer_.raw)) ||
+        fetch_pc_ != a.seg->start + 4 * static_cast<uint32_t>(a.e + 2 + depth)) {
+      return refuse(true);
+    }
+    // A multi-cycle op commits its frozen window in one step, as after an
+    // in-trace miss: at depth 0 the skid slot its first frozen cycle
+    // fetches must be ready (one slot further when the bubble cycle goes
+    // first).
+    const bool code_store = mem.valid && mem.is_store &&
+                            mem.target == MemOp::Target::kDram && sb_code_page(mem.paddr);
+    if (window && (code_store || (depth == 0 && a.e + (ex ? 2 : 3) >= len))) {
+      return refuse(true);
+    }
+    // A store into the segment's code still to land: the exact fetch check
+    // merges it, as for an in-trace store.
+    sb_exact |= code_store;
+    return a;
+  };
+
 // Superblock executor cycle fragments (see the executor loop below). Each
 // committed trace cycle performs exactly StepCycle's work for that cycle —
 // same counters, same tracer events, same latch evolution — with the
@@ -680,13 +820,13 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 // Plain dispatch: the access becomes the pending MEM op and the frontend
 // keeps streaming. A miss then freezes the pipeline: its first frozen cycle
 // counts MEM down, EX holds its op (MEM is busy), ID holds, and a free skid
-// buffer takes one fetch; sb_freeze commits the rest.
+// buffer takes one fetch; sb_freeze_fetch commits the window.
 //
 // Load-use stall (stall_after): the next slot reads this load's rd, so
 // StageId holds it and emits kStall. At depth 0 the cycle's fetch still
 // runs, parking its word in the skid buffer; at depth 1 the buffer is
 // already held and NO fetch starts (pc unchanged). Either way the next
-// cycle is a forced bubble (sb_bubble), which a missed load also freezes
+// cycle is a forced bubble (sb_ex_empty), which a missed load also freezes
 // after. The depth-1 stall needs a next executable slot, which stall_after
 // implies.
 #define MSIM_SB_MEM_GO(mem_target)                                       \
@@ -701,16 +841,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
       if (!sb_miss) {                                                    \
         goto sb_next;                                                    \
       }                                                                  \
-      ++cycle_;                                                          \
-      --sb_pend.wait;                                                    \
-      if (depth == 0) {                                                  \
-        const SbSlot& sb_fs = slots[e + 2];                              \
-        MSIM_SB_NOTE_FETCH(sb_fs);                                       \
-        sh_buf = &sb_fs;                                                 \
-        pc = sb_fs.addr + 4;                                             \
-        depth = 1;                                                       \
-      }                                                                  \
-      goto sb_freeze;                                                    \
+      goto sb_freeze_fetch;                                              \
     }                                                                    \
     if (depth == 0) {                                                    \
       MSIM_SB_FETCH_OR_EXIT();                                           \
@@ -726,7 +857,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
       pc = sb_fs.addr + 4;                                               \
       depth = 1;                                                         \
       last_redirect = false;                                             \
-      goto sb_bubble;                                                    \
+      goto sb_ex_empty;                                                    \
     }                                                                    \
     if (e + 1 >= exec_len) {                                             \
       goto sb_exit_uncommitted;                                          \
@@ -737,7 +868,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     ++stats_.load_use_stalls;                                            \
     tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, metal); \
     last_redirect = false;                                               \
-    goto sb_bubble;                                                      \
+    goto sb_ex_empty;                                                      \
   } while (0)
 
 // Retire bookkeeping for an op of the call's mode (Core::Retire).
@@ -780,10 +911,11 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 // A conditional branch: taken resolves via sb_taken_cond (bias counters and
 // possible tree transition) with no fetch — the speculative fall-through
 // word is squashed, exactly as per-cycle; not-taken is a straight-line
-// cycle with no writeback. Operands read the CURRENT register file: any
-// pending load completing this cycle has an older rd (stall_after would
-// have inserted the bubble otherwise), so evaluation before completion is
-// safe. Bias counters freeze once the slot is linked or refused.
+// cycle with no writeback. Operands read the CURRENT register file, before
+// this cycle's MEM slice: a pending load completing this cycle never feeds
+// them (stall_after inserts the bubble, and sb_load_use leaves the cycle
+// after a frozen window to StepCycle). Bias counters freeze once the slot
+// is linked or refused.
 #define MSIM_SB_Branch(k)                                                \
   sb_x_##k : {                                                           \
     if (BranchTaken(InstrKind::k, MSIM_SB_A, MSIM_SB_B)) {               \
@@ -802,15 +934,14 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     goto sb_next;                                                        \
   }
 
-// A jump: the target reads rs1 BEFORE the link write (rd may alias rs1). A
-// pending load completing this cycle cannot feed rs1 (stall_after would
-// have inserted the bubble), so the pre-completion read is exact; MEM's rd
-// write lands before the link's.
+// A jump: no pre-commit check, so the target reads rs1 after MEM's rd write
+// lands (a load completing this cycle may feed it) and BEFORE the link
+// write (rd may alias rs1).
 #define MSIM_SB_Jump(k)                                                  \
   sb_x_##k : {                                                           \
-    sb_tgt = JumpTarget(InstrKind::k, MSIM_SB_A, MSIM_SB_IMM, es->addr); \
     ++cycle_;                                                            \
     MSIM_SB_COMPLETE_PEND();                                             \
+    sb_tgt = JumpTarget(InstrKind::k, MSIM_SB_A, MSIM_SB_IMM, es->addr); \
     if (es->d.rd != 0) {                                                 \
       regs_[es->d.rd] = AluResult(InstrKind::k, 0, 0, 0, es->addr);      \
     }                                                                    \
@@ -832,64 +963,103 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 #define MSIM_SB_TARGET_Mem(k) sb_x_mem
 #define MSIM_SB_TARGET_Mram(k) sb_x_mram
 
+  // Executor state. The slot window: `slots` is the running segment's first
+  // slot, `len` its ready slots, `exec_len` the executable ones, and
+  // `fdelta` the physical rebase of their addresses (0 when unpaged,
+  // identity-mapped or Metal). `e` is the slot position of the EX stage this
+  // cycle; -2/-1 are the two refill cycles before slots[0] reaches EX.
+  // Invariant after every committed cycle at depth 0: EX holds slot e, ID
+  // holds slot e + 1, the next fetch is slot e + 2. A load-use stall or a
+  // dcache miss enters the skid regime (depth 1): the buffer holds slot
+  // e + 2 and fetches run one ahead, until a redirect drains it — exactly
+  // the per-cycle skid.
+  Superblock* sb = nullptr;
+  SbSlot* slots = nullptr;
+  int32_t len = 0;
+  int32_t exec_len = 0;
+  uint32_t fdelta = 0;
+  int32_t e = -2;
+  int32_t depth = 0;
+  bool ex_empty = false;  // a cycle with EX empty in flight (sb_ex_empty)
+  const SbSlot* sh_ex = nullptr;
+  const SbSlot* sh_id = nullptr;
+  const SbSlot* sh_buf = nullptr;
+  SbSlot* es = nullptr;
+  uint32_t sb_tgt = 0;
+  uint64_t sb_entry_retired = 0;
+
+  // Threaded dispatch: one indirect jump per instruction, indexed by the
+  // slot's InstrKind. Kinds outside MSIM_TRACE_KINDS never reach a slot
+  // (the build walk refuses them).
+  static const std::array<const void*, static_cast<size_t>(InstrKind::kCount)> kSbGoto = ({
+    std::array<const void*, static_cast<size_t>(InstrKind::kCount)> t;
+    t.fill(&&sb_exit_uncommitted);
+#define MSIM_SB_GOTO(k, cls) t[static_cast<size_t>(InstrKind::k)] = &&MSIM_SB_TARGET_##cls(k);
+    MSIM_TRACE_KINDS(MSIM_SB_GOTO)
+#undef MSIM_SB_GOTO
+    t;
+  });
+
+  if (id_ex_.valid || if_id_.valid || fetch_buffer_.valid || ex_mem_.valid) {
+    const SbAdoption adopted = sb_adopt();
+    if (adopted.sb == nullptr) {
+      return 0;
+    }
+    superblocks_.CountAdoption();
+    sb = adopted.sb;
+    slots = sb->slots.data() + adopted.seg->base;
+    len = static_cast<int32_t>(adopted.ready);
+    exec_len = static_cast<int32_t>(std::min(adopted.seg->exec_len, adopted.ready));
+    fdelta = adopted.delta;
+    e = adopted.e;
+    depth = fetch_buffer_.valid ? 1 : 0;
+    // EX keeps its own payload until a slot shifts in (sh_ex stays null).
+    sh_id = &slots[e + 1];
+    sh_buf = depth != 0 ? &slots[e + 2] : nullptr;
+    sb_pend = ex_mem_;
+    sb_mem_any = true;
+    if (!id_ex_.valid) {
+      goto sb_ex_empty;  // EX empty: ID's op shifts in, MEM counts down
+    }
+    if (sb_pend.valid && sb_pend.wait > 1) {
+      goto sb_freeze_fetch;  // EX and ID held behind a multi-cycle MEM op
+    }
+    goto sb_load_use;
+  }
+
   while (cycle_ < cycle_limit && retired < retire_limit) {
     // Refill point: both latches empty (the entry state, or the state after
     // a taken branch out of a trace). Every entry guard stays valid across
     // the whole call (see above), and no interrupt can become pending before
     // the horizon.
-    Superblock* sb = superblocks_.Lookup(pc, metal);
-    if (sb == nullptr) {
-      sb = superblocks_.Build(pc, metal, code);
-    } else if (sb->grow_pending) {
-      // Deferred tree growth (a biased branch observed by an earlier
-      // executor run) applies only here: the walk reallocates slot
-      // storage, which must never happen while executor slot pointers are
-      // live.
-      superblocks_.MaybeGrow(*sb, code);
+    {
+      sb = superblocks_.Lookup(pc, metal);
+      if (sb == nullptr) {
+        sb = superblocks_.Build(pc, metal, code);
+      } else if (sb->grow_pending) {
+        // Deferred tree growth (a biased branch observed by an earlier
+        // executor run) applies only at trace entry: the walk reallocates
+        // slot storage, which must never happen while executor slot
+        // pointers are live.
+        superblocks_.MaybeGrow(*sb, code);
+      }
+      uint32_t entry_delta = 0;
+      const uint32_t entry_len = sb != nullptr ? sb_seg_ready(*sb, sb->segs[0], &entry_delta) : 0;
+      if (entry_len < kSuperblockMinLen) {
+        break;  // no ready trace at the refill pc: per-cycle stepping takes over
+      }
+      superblocks_.CountExecution();
+      slots = sb->slots.data();
+      len = static_cast<int32_t>(entry_len);
+      exec_len = static_cast<int32_t>(std::min(sb->exec_len, entry_len));
+      fdelta = entry_delta;
     }
-    uint32_t sb_entry_delta = 0;
-    const uint32_t sb_entry_len =
-        sb != nullptr ? sb_seg_ready(*sb, sb->segs[0], &sb_entry_delta) : 0;
-    if (sb_entry_len < kSuperblockMinLen) {
-      break;  // no ready trace at the refill pc: per-cycle stepping takes over
-    }
-    superblocks_.CountExecution();
-    const uint64_t sb_entry_retired = retired;
-    SbSlot* slots = sb->slots.data();
-    int32_t len = static_cast<int32_t>(sb_entry_len);
-    int32_t exec_len =
-        sb->exec_len < sb_entry_len ? static_cast<int32_t>(sb->exec_len) : len;
-    // Physical rebase for the current segment's slot addresses (0 when
-    // unpaged, identity-mapped or Metal).
-    uint32_t fdelta = sb_entry_delta;
-    // Slot position of the EX stage this cycle; -2/-1 are the two
-    // refill cycles before slots[0] reaches EX. Invariant after every
-    // committed cycle at depth 0: EX holds slot e, ID holds slot e + 1,
-    // the next fetch is slot e + 2. A load-use stall or a dcache miss
-    // enters the skid regime (depth 1): the buffer holds slot e + 2 and
-    // fetches run one ahead, until a redirect drains it — exactly the
-    // per-cycle skid.
-    int32_t e = -2;
-    int32_t depth = 0;
-    bool in_bubble = false;  // load-use bubble cycle in flight
-    const SbSlot* sh_ex = nullptr;
-    const SbSlot* sh_id = nullptr;
-    const SbSlot* sh_buf = nullptr;
-    SbSlot* es = nullptr;
-    uint32_t sb_tgt = 0;
-
-    // Threaded dispatch: one indirect jump per instruction, indexed by the
-    // slot's InstrKind. Kinds outside MSIM_TRACE_KINDS never reach a slot
-    // (the build walk refuses them).
-    static const std::array<const void*, static_cast<size_t>(InstrKind::kCount)> kSbGoto =
-        ({
-          std::array<const void*, static_cast<size_t>(InstrKind::kCount)> t;
-          t.fill(&&sb_exit_uncommitted);
-#define MSIM_SB_GOTO(k, cls) t[static_cast<size_t>(InstrKind::k)] = &&MSIM_SB_TARGET_##cls(k);
-          MSIM_TRACE_KINDS(MSIM_SB_GOTO)
-#undef MSIM_SB_GOTO
-          t;
-        });
+    sb_entry_retired = retired;
+    e = -2;
+    depth = 0;
+    sh_ex = nullptr;
+    sh_id = nullptr;
+    sh_buf = nullptr;
 
   sb_next:
     // The loop's budget/horizon condition, re-checked per cycle with one
@@ -962,18 +1132,16 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     }
     const bool sb_miss = !dcache_.Probe(sb_pa);
     // A dcache miss holds MEM for miss_wait cycles: the dispatch cycle,
-    // then miss_wait - 1 frozen cycles committed in one step, during which
-    // no exit check runs — so the whole window must fit the budget and the
-    // horizon now, and at depth 0 the skid slot the first frozen cycle
-    // fetches must be ready. With the exact fetch check on, a store into
-    // the running segment's code, or a degenerate miss latency below two
-    // cycles, StepCycle takes the miss instead.
+    // then miss_wait - 1 frozen cycles committed in one step, up to the
+    // budget and the horizon (sb_freeze_fetch). At depth 0 the skid slot the
+    // first frozen cycle fetches must be ready. With the exact fetch check
+    // on, a store into the running segment's code, or a degenerate miss
+    // latency below two cycles, StepCycle takes the miss instead.
     // (A store completing in the dispatch cycle cannot turn the check on:
     // its own dispatch in this segment already did.)
     const uint32_t miss_wait = dcache_.miss_latency();
     if (sb_miss &&
-        (miss_wait < 2 || cycle_ + miss_wait > cycle_limit || sb_exact ||
-         (sb_st && sb_code_page(sb_pa)) ||
+        (miss_wait < 2 || sb_exact || (sb_st && sb_code_page(sb_pa)) ||
          (!es->stall_after && depth == 0 && e + 3 >= len))) [[unlikely]] {
       goto sb_exit_mem_slow;
     }
@@ -1001,13 +1169,15 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     MSIM_SB_MEM_GO(MemOp::Target::kMramData);
   }
 
-  sb_bubble:
-    // The forced cycle after a load-use stall: EX is empty (no
-    // dispatch, no retire from EX), the stalled consumer advances from
-    // the buffer into ID next, and the frontend fetches one ahead. A
-    // stalled load that hit completes at the top of this cycle; one that
-    // missed counts down here and freezes after it.
-    in_bubble = true;
+  sb_ex_empty:
+    // A cycle with EX empty and a MEM op possibly pending: the forced
+    // bubble after a load-use stall, or the first cycle of an adopted
+    // pipeline whose EX is empty. Nothing dispatches or retires from EX,
+    // ID's op (the stalled consumer, after a stall) moves into EX, and the
+    // frontend fetches (one ahead, from a live skid). A load that hit
+    // completes at the top of this cycle; one that missed counts down here
+    // and freezes after it.
+    ex_empty = true;
     if (!(cycle_ < cycle_limit && retired + (sb_pend.valid ? 1u : 0u) < retire_limit)) {
       goto sb_exit_uncommitted;
     }
@@ -1016,19 +1186,48 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     MSIM_SB_COMPLETE_PEND();
     last_redirect = false;
     MSIM_SB_COMMIT_FETCH();
-    in_bubble = false;
+    ex_empty = false;
     if (sb_pend.wait <= 1) {
-      goto sb_next;
+      goto sb_load_use;
     }
 
-  sb_freeze:
-    // The rest of a miss's frozen window: MEM counts down to its last
-    // cycle while every other stage holds (EX waits on MEM, ID on EX, the
-    // fetch unit on the full skid buffer). Nothing retires or fetches and
-    // no event fires, so the cycles commit in one step; the window was
-    // checked against the budget and the horizon at dispatch.
-    cycle_ += sb_pend.wait - 1;
-    sb_pend.wait = 1;
+  sb_freeze_fetch:
+    // A miss's first frozen cycle: MEM counts down, EX waits on MEM and ID
+    // on EX, and a free skid buffer takes one fetch.
+    if (cycle_ >= cycle_limit) {
+      goto sb_exit_uncommitted;
+    }
+    ++cycle_;
+    --sb_pend.wait;
+    if (depth == 0) {
+      const SbSlot& sb_fs = slots[e + 2];
+      MSIM_SB_NOTE_FETCH(sb_fs);
+      sh_buf = &sb_fs;
+      pc = sb_fs.addr + 4;
+      depth = 1;
+    }
+    // The rest of the frozen window: MEM counts down to its last cycle
+    // while every other stage holds (the fetch unit on the full skid
+    // buffer). Nothing retires or fetches and no event fires, so the cycles
+    // commit in one step. A window that crosses the budget or the horizon
+    // commits up to it and exits frozen, which is a per-cycle state too.
+    {
+      const uint64_t frozen = std::min<uint64_t>(sb_pend.wait - 1, cycle_limit - cycle_);
+      cycle_ += frozen;
+      sb_pend.wait -= static_cast<uint32_t>(frozen);
+    }
+    if (sb_pend.wait > 1) {
+      goto sb_exit_uncommitted;
+    }
+  sb_load_use:
+    // After a bubble or a frozen window a pending load may complete at the
+    // top of the next cycle, in which EX runs slot e, its consumer. Branch
+    // and memory slots read their operands before their MEM slice, so such
+    // a consumer of the load's rd leaves that cycle to StepCycle.
+    if (sb_pend.valid && !sb_pend.is_store && SbReadsBeforeMem(slots[e].d, sb_pend.rd))
+        [[unlikely]] {
+      goto sb_exit_uncommitted;
+    }
     goto sb_next;
 
   sb_taken_cond:
@@ -1125,12 +1324,13 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     superblocks_.Invalidate(*sb);
   sb_exit_uncommitted:
     // Exit BEFORE the current cycle commits, with the latches exactly as a
-    // per-cycle run would hold them here: slot e in EX (unless this is a
-    // bubble cycle, whose EX is empty), slot e + 1 in ID, the skid word in
-    // the buffer. StepCycle continues this very cycle.
-    sb_writeback_latches(sh_ex, sh_id, sh_buf, e >= 0 && !in_bubble,
+    // per-cycle run would hold them here: slot e in EX (unless this
+    // cycle's EX is empty), slot e + 1 in ID, the skid word in the buffer.
+    // StepCycle continues this very cycle.
+    sb_writeback_latches(sh_ex, sh_id, sh_buf, e >= 0 && !ex_empty,
                          e + 1 >= 0 && e + 1 < len, depth != 0);
     superblocks_.CreditInstructions(retired - sb_entry_retired, metal);
+    sb_resume_ = {sb, static_cast<uint32_t>(slots - sb->slots.data()), cycle_};
     break;
   }
 
@@ -1162,6 +1362,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 #undef MSIM_SB_TARGET_Mram
 
   const uint64_t committed = cycle_ - start;
+  superblocks_.CountCycles(committed);
   if (committed != 0) {
     // Exact member-state writeback (the trace exits wrote the latches).
     // Fields a per-cycle run would have left untouched keep their values;
@@ -2288,6 +2489,8 @@ Status Core::RestoreState(SnapReader& r) {
   // could otherwise alias stale predecode entries.
   predecode_.InvalidateAll();
   superblocks_.InvalidateAll();
+  sb_resume_ = {};
+  sb_refused_ = {};
   for (uint32_t& reg : regs_) {
     reg = r.U32();
   }

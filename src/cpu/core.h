@@ -101,18 +101,19 @@ class Core {
   // them only at their event horizon.
   void StepCycle();
 
-  // Hot-path stepping (docs/performance.md): from an empty pipeline, runs
-  // superblock traces (cpu/superblock.h) of the current mode — DRAM code in
-  // normal mode, MRAM-resident mroutine code in Metal mode — without
-  // per-cycle device polling or latch shuffling, returning as soon as a
-  // trace exit leaves an op latched or anything interesting — a mode
-  // transition, an icache miss, an MMIO access, a pending device event —
-  // is next. Cycle-exact: after N committed cycles the machine state
-  // is byte-identical to N StepCycle calls (enforced by `msim replay
-  // --b-no-fast-step` and the mfuzz "faststep" oracle). Returns the number of
-  // cycles committed; 0 when the current state is not eligible (caller falls
-  // back to StepCycle). `max_retires` (0 = unlimited) additionally bounds the
-  // number of retired instructions, for Run's retire bound.
+  // Hot-path stepping (docs/performance.md): from an empty pipeline, or by
+  // adopting latches a trace can represent, runs superblock traces
+  // (cpu/superblock.h) of the current mode — DRAM code in normal mode,
+  // MRAM-resident mroutine code in Metal mode — without per-cycle device
+  // polling or latch shuffling, returning as soon as a trace cannot go on
+  // or anything interesting — a mode transition, an icache miss, an MMIO
+  // access, a pending device event — is next. Cycle-exact: after N
+  // committed cycles the machine state is byte-identical to N StepCycle
+  // calls (enforced by `msim replay --b-no-fast-step` and the mfuzz
+  // "faststep" oracle). Returns the number of cycles committed; 0 when the
+  // current state is not eligible (caller falls back to StepCycle).
+  // `max_retires` (0 = unlimited) additionally bounds the number of retired
+  // instructions, for Run's retire bound.
   uint64_t StepFast(uint64_t max_cycles, uint64_t max_retires = 0);
 
   // Runs until halt, fatal error or the cycle budget is exhausted, or — when
@@ -298,16 +299,14 @@ class Core {
   }
 
   // StepFast's cheapest entry conditions, inline so Run skips the
-  // out-of-line call on the per-cycle path, where StepFast would refuse:
-  // one mode front to back (the committed and the fetch mode agree, no
-  // transition in flight), and an empty pipeline — both latches invalid,
-  // MEM and the fetch unit idle. That is the refill state after a taken
-  // branch, a trap or intercept entry or a cold start, and the only state a
-  // trace can start from. StepFast checks the remaining guards itself.
+  // out-of-line call on the per-cycle path where StepFast would refuse: one
+  // mode front to back (the committed and the fetch mode agree, no
+  // transition in flight) and an idle fetch unit. StepFast then starts
+  // from an empty pipeline, or adopts the latches (RunTraces), and checks
+  // the remaining guards itself.
   bool FastStepMayStart() const {
-    return arch_metal_ == frontend_metal_ && inflight_mode_ops_ == 0 && !id_ex_.valid &&
-           !if_id_.valid && !ex_mem_.valid && !fetch_inflight_ && fetch_wait_ == 0 &&
-           !fetch_buffer_.valid;
+    return arch_metal_ == frontend_metal_ && inflight_mode_ops_ == 0 && !fetch_inflight_ &&
+           fetch_wait_ == 0;
   }
 
   // StepFast's trace executor for one mode (core.cc).
@@ -429,6 +428,23 @@ class Core {
   bool bus_fault_armed_ = false;
   uint32_t bus_fault_and_ = 0xFFFFFFFFu;
   uint32_t bus_fault_xor_ = 0;
+
+  // Host-tier memos of StepFast's pipeline adoption (RunTraces); neither is
+  // machine state, and a restore clears both. sb_resume_ is where the last
+  // trace run stopped uncommitted: the trace, its running segment's slot
+  // base and the cycle. A call at that same cycle (the next Run chunk)
+  // resumes that segment instead of building a trace at a mid-trace pc.
+  // sb_refused_ is the pc of the last refused adoption and its cycle: a
+  // call at the same pc one cycle later (EX or MEM held) refuses at once.
+  struct SbResumePoint {
+    Superblock* sb = nullptr;
+    uint32_t base = 0;
+    uint64_t cycle = ~uint64_t{0};
+  } sb_resume_;
+  struct SbRefusedEntry {
+    uint32_t pc = 0;
+    uint64_t cycle = ~uint64_t{0};
+  } sb_refused_;
 
   // Hazard bookkeeping: rd of a load processed by EX this cycle (load-use).
   bool ex_load_this_cycle_ = false;

@@ -234,10 +234,9 @@ Superblock* SuperblockCache::Build(uint32_t start, bool metal, const SbCode& cod
   if (traces_.empty()) {
     return nullptr;
   }
-  std::vector<SbSlot> slots;
-  slots.reserve(16);
+  scratch_.clear();
   SbSegment seg;
-  const uint32_t exec_len = WalkSegment(start, metal, code, &slots, &seg);
+  const uint32_t exec_len = WalkSegment(start, metal, code, &scratch_, &seg);
   if (exec_len == 0) {
     return nullptr;
   }
@@ -250,7 +249,7 @@ Superblock* SuperblockCache::Build(uint32_t start, bool metal, const SbCode& cod
   sb.start = start;
   sb.exec_len = exec_len;
   sb.len = seg.len;
-  sb.slots = std::move(slots);
+  sb.slots.assign(scratch_.begin(), scratch_.end());
   sb.segs.assign(1, seg);
   sb.grow_pending = false;
   sb.grow_slot = 0;
@@ -300,7 +299,12 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
   registry.Register("superblock", "builds", &stats_.builds,
                     "superblock traces constructed");
   registry.Register("superblock", "executions", &stats_.executions,
-                    "trace executions entered at a pipeline refill point");
+                    "trace executions entered at a pipeline refill point or by "
+                    "adopting a latched pipeline");
+  registry.Register("superblock", "adoptions", &stats_.adoptions,
+                    "trace executions entered from a non-empty pipeline");
+  registry.Register("superblock", "cycles", &stats_.cycles,
+                    "cycles committed by the trace tier, in both modes");
   registry.Register("superblock", "chains", &stats_.chains,
                     "taken branches chained directly into a cached trace");
   registry.Register("superblock", "instructions", &stats_.instructions,
@@ -327,7 +331,7 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
 #define MSIM_SB_REGISTER_REFUSAL(k, name, help)                                  \
   registry.Register("superblock", "refused_" #name,                              \
                     &stats_.refusals[static_cast<size_t>(SbRefusal::k)],         \
-                    "StepFast calls refused: " help);
+                    "tier entries refused: " help);
   MSIM_SB_REFUSALS(MSIM_SB_REGISTER_REFUSAL)
 #undef MSIM_SB_REGISTER_REFUSAL
 }

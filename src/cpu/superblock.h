@@ -3,12 +3,13 @@
 //
 // A superblock is a straight-line run of trace-safe instructions starting at
 // a pipeline refill point (a branch target, a trap or intercept entry, or a
-// cold entry), extended THROUGH not-taken conditional branches and
-// terminated by an unconditional jump (jal/jalr), the first trace-unsafe or
-// unfetchable word, the end of its code region, or kSuperblockMaxLen. A
-// trace is of one mode: a normal-mode trace holds DRAM code, a Metal trace
-// (Superblock::metal) holds mroutine code from the MRAM code segment, where
-// the Metal-only kinds (MSIM_TRACE_KINDS) join it.
+// cold entry) or at the oldest op of an adopted pipeline (such as the word
+// after a menter/mexit splice), extended THROUGH not-taken conditional
+// branches and terminated by an unconditional jump (jal/jalr), the first
+// trace-unsafe or unfetchable word, the end of its code region, or
+// kSuperblockMaxLen. A trace is of one mode: a normal-mode trace holds DRAM
+// code, a Metal trace (Superblock::metal) holds mroutine code from the MRAM
+// code segment, where the Metal-only kinds (MSIM_TRACE_KINDS) join it.
 // Core::StepFast executes whole traces with a computed-goto inner loop over
 // predecoded slots, dispatching once per instruction instead of re-deciding
 // branch direction and decode per cycle; a taken branch whose target starts
@@ -53,9 +54,11 @@
 // machine state byte-identical to N Core::StepCycle calls (enforced by
 // `msim replay --b-no-fast-step`, the mfuzz "faststep" oracle and the
 // superblock_test digest matrices). Three mechanisms carry the contract:
-//   * Entry guards. StepFast starts a trace only on an empty pipeline (both
-//     latches invalid, MEM and the fetch unit idle — the refill state) with
-//     no mode transition in flight, no fault engine, machine check or armed
+//   * Entry guards. StepFast starts a trace on an empty pipeline (both
+//     latches invalid, MEM and the fetch unit idle — the refill state), or
+//     adopts latches that hold consecutive words of one ready trace segment
+//     (a live MEM op becoming the trace's pending op), with no mode
+//     transition or fetch in flight, no fault engine, machine check or armed
 //     bus fault, and the device-event horizon ahead. Normal mode also needs
 //     no armed intercept and no pending interrupt, every icache line
 //     spanning the entered segment resident and — with paging on — a single
@@ -217,7 +220,7 @@ struct Superblock {
   uint32_t grow_slot = 0;
 };
 
-// The StepFast entry guards that refuse a call outright, each counted in
+// The StepFast entry guards that refuse a tier entry, each counted in
 // SuperblockStats::refusals and reported as superblock.refused_<name>.
 #define MSIM_SB_REFUSALS(X)                                                  \
   X(kFaultEngine, fault_engine, "a fault engine is attached")               \
@@ -227,7 +230,8 @@ struct Superblock {
   X(kMetalStorage, metal_storage, "Metal code is not MRAM-resident")        \
   X(kWatchdog, watchdog, "the Metal watchdog budget is exhausted")          \
   X(kIntercept, intercept, "normal mode with an intercept armed")           \
-  X(kInterrupt, interrupt, "normal mode with an interrupt pending")
+  X(kInterrupt, interrupt, "normal mode with an interrupt pending")         \
+  X(kPipeline, pipeline, "the latched pipeline is not a trace state")
 
 enum class SbRefusal : uint8_t {
 #define MSIM_SB_REFUSAL_ENUM(k, name, help) k,
@@ -238,7 +242,9 @@ enum class SbRefusal : uint8_t {
 
 struct SuperblockStats {
   uint64_t builds = 0;         // traces constructed (build walk succeeded)
-  uint64_t executions = 0;     // trace entries at a pipeline refill point
+  uint64_t executions = 0;     // trace entries: refill points and adopted pipelines
+  uint64_t adoptions = 0;      // the part of `executions` entered from a non-empty pipeline
+  uint64_t cycles = 0;         // cycles committed by the trace tier, in both modes
   uint64_t chains = 0;         // taken branches that chained trace-to-trace
   uint64_t instructions = 0;   // instructions retired inside traces
   uint64_t invalidations = 0;  // traces killed (stale raw word, InvalidateAll)
@@ -351,6 +357,11 @@ class SuperblockCache {
 
   // Executor counter ports (Core::StepFast).
   void CountExecution() { ++stats_.executions; }
+  void CountAdoption() {
+    ++stats_.executions;
+    ++stats_.adoptions;
+  }
+  void CountCycles(uint64_t n) { stats_.cycles += n; }
   void CountChain() { ++stats_.chains; }
   void CountTreeTransition() { ++stats_.tree_transitions; }
   void CountMemFastHit() { ++stats_.mem_fast_hits; }
@@ -382,6 +393,8 @@ class SuperblockCache {
 
   std::vector<Superblock> traces_;
   uint32_t mask_ = 0;
+  // Build's walk buffer, kept so a walk that finds no trace allocates nothing.
+  std::vector<SbSlot> scratch_;
   SuperblockStats stats_;
 };
 

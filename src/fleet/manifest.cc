@@ -65,6 +65,17 @@ Status ApplyKey(size_t line, std::string_view key, std::string_view value, bool 
                               is_defaults ? " in [defaults]" : ""));
 }
 
+// `line` without a trailing comment: a '#' or ';' that follows whitespace
+// starts one, so values may still contain either character.
+std::string_view StripTrailingComment(std::string_view line) {
+  for (size_t i = 1; i < line.size(); ++i) {
+    if ((line[i] == '#' || line[i] == ';') && (line[i - 1] == ' ' || line[i - 1] == '\t')) {
+      return TrimWhitespace(line.substr(0, i));
+    }
+  }
+  return line;
+}
+
 }  // namespace
 
 bool IsValidJobName(std::string_view name) {
@@ -102,7 +113,7 @@ Result<std::vector<JobSpec>> ParseManifest(std::string_view text) {
 
   for (std::string_view raw : Split(text, '\n')) {
     ++line_number;
-    std::string_view line = TrimWhitespace(raw);
+    const std::string_view line = StripTrailingComment(TrimWhitespace(raw));
     if (line.empty() || line[0] == '#' || line[0] == ';') {
       continue;
     }

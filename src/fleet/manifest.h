@@ -4,7 +4,7 @@
 // supervisor (src/fleet/scheduler.h) executes across a pool of msim worker
 // processes. The format is line-based INI:
 //
-//   # comment (also ';')
+//   # comment (also ';'); a '#' or ';' after whitespace starts a trailing one
 //   [defaults]              # optional; applies to jobs defined BELOW it
 //   checkpoint-every = 5000
 //   retries = 2

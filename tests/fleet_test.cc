@@ -108,6 +108,25 @@ TEST(ManifestTest, ParsesDefaultsAndOverrides) {
   EXPECT_EQ(beta.extra_args[0], "--no-fast-step");
 }
 
+TEST(ManifestTest, StripsTrailingComments) {
+  const auto jobs = ParseManifest(
+      "[defaults]              ; fleet-wide\n"
+      "storage = mram   # mram | dram-cached\n"
+      "[job sweep-mram]        # names must be unique\n"
+      "program = x.s   # required\n"
+      "mcode = m#1.s\t; a '#' inside a value stays\n"
+      "retries = 3 ;\n");
+  ASSERT_TRUE(jobs.ok()) << jobs.status().message();
+  ASSERT_EQ(jobs->size(), 1u);
+  const JobSpec& job = (*jobs)[0];
+  EXPECT_EQ(job.name, "sweep-mram");
+  EXPECT_EQ(job.machine.program, "x.s");
+  EXPECT_EQ(job.machine.config.mroutine_storage, MroutineStorage::kMram);
+  ASSERT_EQ(job.machine.mcode.size(), 1u);
+  EXPECT_EQ(job.machine.mcode[0], "m#1.s");
+  EXPECT_EQ(job.retries, 3);
+}
+
 TEST(ManifestTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseManifest("").ok());
   EXPECT_FALSE(ParseManifest("[job a]\n").ok());                      // no program

@@ -684,7 +684,12 @@ constexpr const char* kCounterProgram = R"(
 constexpr uint32_t kCounterMcodeWords = 5;
 
 TEST(PredecodeInvalidationTest, MstKeepsMramGenerationAndDecodesWarm) {
-  MetalSystem cached;  // defaults
+  // Per-cycle stepping, so every fetch goes through the predecode cache:
+  // under fast_step the mroutine runs as a Metal trace from the cycle after
+  // its menter splice, and trace fetches never consult the cache.
+  CoreConfig cached_config;
+  cached_config.fast_step = false;
+  MetalSystem cached(cached_config);
   MetalSystem reference(ReferenceConfig());
   for (MetalSystem* s : {&cached, &reference}) {
     s->AddMcode(kCounterMcode);

@@ -28,6 +28,7 @@
 #include "snap/snapshot.h"
 #include "snap/snapstream.h"
 #include "support/exit_codes.h"
+#include "support/rng.h"
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
 
@@ -922,15 +923,14 @@ constexpr const char* kStmLoop = R"(
     j again
 )";
 
+void SetUpStmLoop(MetalSystem& s) {
+  ASSERT_OK(StmExtension::Install(s, /*clock_addr=*/0x00700000, /*vtbl_addr=*/0x00704000,
+                                  /*vtbl_words=*/1024));
+  ASSERT_OK(s.LoadProgramSource(kStmLoop));
+}
+
 TEST(MetalTraceTest, StmInterceptLoopMatchesPerCycle) {
-  const SuperblockStats stats = RunAgainstPerCycle(
-      CoreConfig{},
-      [](MetalSystem& s) {
-        ASSERT_OK(StmExtension::Install(s, /*clock_addr=*/0x00700000,
-                                        /*vtbl_addr=*/0x00704000, /*vtbl_words=*/1024));
-        ASSERT_OK(s.LoadProgramSource(kStmLoop));
-      },
-      kMetalChunks);
+  const SuperblockStats stats = RunAgainstPerCycle(CoreConfig{}, SetUpStmLoop, kMetalChunks);
   EXPECT_GT(stats.metal_instructions, 0u);
   EXPECT_GT(stats.chains, 0u);
   EXPECT_GT(stats.miss_freezes, 0u);
@@ -939,49 +939,49 @@ TEST(MetalTraceTest, StmInterceptLoopMatchesPerCycle) {
 
 // The custom page-table walker (ext/cpt.h) refills a 32-entry TLB over 48
 // pages: each walk starts a Metal trace at the trap entry, and its PTE plw
-// misses the dcache right before the load-use of the loaded entry.
+// misses the dcache right before the load-use of the loaded entry. After
+// each walk's mexit the retried lw misses too.
+void SetUpPageTableGuest(MetalSystem& s) {
+  ASSERT_OK(CustomPageTable::Install(s, 0));
+  ASSERT_OK(s.LoadProgramSource(R"(
+    _start:
+      li s0, 4
+    round:
+      li s1, 48
+      li s4, 0
+    touch:
+      slli t0, s4, 12
+      li t1, 0x00800040
+      add t0, t0, t1
+      lw t2, 0(t0)
+      addi t2, t2, 1
+      sw t2, 0(t0)
+      addi s4, s4, 7
+      andi s4, s4, 63
+      addi s1, s1, -1
+      bnez s1, touch
+      addi s0, s0, -1
+      bnez s0, round
+      halt t2
+  )"));
+  ASSERT_OK(s.Boot());
+  Core& core = s.core();
+  CustomPageTable cpt(core, 0x00400000, 0x00100000);
+  const Result<uint32_t> root = cpt.CreateAddressSpace();
+  ASSERT_TRUE(root.ok());
+  for (uint32_t page = 0; page < 16; ++page) {
+    ASSERT_OK(cpt.Map(*root, page * 4096, page * 4096, kPteR | kPteW | kPteX));
+  }
+  for (uint32_t page = 0; page < 64; ++page) {
+    const uint32_t addr = 0x00800000 + page * 4096;
+    ASSERT_OK(cpt.Map(*root, addr, addr, kPteR | kPteW));
+  }
+  ASSERT_OK(cpt.Activate(*root));
+  core.metal().WriteCreg(kCrPgEnable, 1);
+}
+
 TEST(MetalTraceTest, PageTableWalkerMissFreezeMatchesPerCycle) {
-  const SuperblockStats stats = RunAgainstPerCycle(
-      CoreConfig{},
-      [](MetalSystem& s) {
-        ASSERT_OK(CustomPageTable::Install(s, 0));
-        ASSERT_OK(s.LoadProgramSource(R"(
-          _start:
-            li s0, 4
-          round:
-            li s1, 48
-            li s4, 0
-          touch:
-            slli t0, s4, 12
-            li t1, 0x00800040
-            add t0, t0, t1
-            lw t2, 0(t0)
-            addi t2, t2, 1
-            sw t2, 0(t0)
-            addi s4, s4, 7
-            andi s4, s4, 63
-            addi s1, s1, -1
-            bnez s1, touch
-            addi s0, s0, -1
-            bnez s0, round
-            halt t2
-        )"));
-        ASSERT_OK(s.Boot());
-        Core& core = s.core();
-        CustomPageTable cpt(core, 0x00400000, 0x00100000);
-        const Result<uint32_t> root = cpt.CreateAddressSpace();
-        ASSERT_TRUE(root.ok());
-        for (uint32_t page = 0; page < 16; ++page) {
-          ASSERT_OK(cpt.Map(*root, page * 4096, page * 4096, kPteR | kPteW | kPteX));
-        }
-        for (uint32_t page = 0; page < 64; ++page) {
-          const uint32_t addr = 0x00800000 + page * 4096;
-          ASSERT_OK(cpt.Map(*root, addr, addr, kPteR | kPteW));
-        }
-        ASSERT_OK(cpt.Activate(*root));
-        core.metal().WriteCreg(kCrPgEnable, 1);
-      },
-      kMetalChunks);
+  const SuperblockStats stats = RunAgainstPerCycle(CoreConfig{}, SetUpPageTableGuest, kMetalChunks);
   EXPECT_GT(stats.metal_instructions, 0u);
   EXPECT_GT(stats.miss_freezes, 0u);
 }
@@ -1199,6 +1199,335 @@ TEST(SuperblockMissFreezeTest, NormalModeMissFreezeCutByTimerHorizon) {
   EXPECT_GT(core_stats.interrupts, 10u);
   EXPECT_GT(stats.miss_freezes, 0u);
   EXPECT_GT(stats.mem_slow_exits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Live-pipeline entry: StepFast adopts latched pipelines (docs/performance.md,
+// "Entry guards"), so traces resume after menter/mexit splices, resumed
+// misses and at every Run boundary.
+// ---------------------------------------------------------------------------
+
+// Seeded Run chunks of 1 to 64 cycles around a stretch of Run(1) calls, so
+// Run boundaries land on every pipeline phase.
+std::vector<uint64_t> LiveEntryChunks(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> chunks;
+  for (int i = 0; i < 80; ++i) {
+    chunks.push_back(rng.Range(1, 64));
+  }
+  chunks.insert(chunks.end(), 300, 1);
+  for (int i = 0; i < 80; ++i) {
+    chunks.push_back(rng.Range(1, 64));
+  }
+  return chunks;
+}
+
+TEST(LivePipelineEntryTest, StmLoopMatchesPerCycleAtRandomChunks) {
+  const SuperblockStats stats =
+      RunAgainstPerCycle(CoreConfig{}, SetUpStmLoop, LiveEntryChunks(1));
+  EXPECT_GT(stats.adoptions, 0u);
+  EXPECT_GT(stats.metal_instructions, 0u);
+}
+
+TEST(LivePipelineEntryTest, PageTableWalkerMatchesPerCycleAtRandomChunks) {
+  const SuperblockStats stats =
+      RunAgainstPerCycle(CoreConfig{}, SetUpPageTableGuest, LiveEntryChunks(2));
+  EXPECT_GT(stats.adoptions, 0u);
+  EXPECT_GT(stats.miss_freezes, 0u);
+}
+
+TEST(LivePipelineEntryTest, NoopMroutineLoopMatchesPerCycleAtRandomChunks) {
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [](MetalSystem& s) {
+        s.AddMcode(R"(
+            .mentry 1, noop
+          noop:
+            mexit
+        )");
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li t0, 400
+            li a1, 0
+          loop:
+            menter 1
+            addi a1, a1, 3
+            xor a1, a1, t0
+            addi t0, t0, -1
+            bnez t0, loop
+            halt a1
+        )"));
+      },
+      LiveEntryChunks(3));
+  EXPECT_GT(stats.adoptions, 0u);
+}
+
+TEST(LivePipelineEntryTest, MixedProgramMatchesPerCycleAtRandomChunks) {
+  const SuperblockStats stats = RunAgainstPerCycle(MustAssemble(kMixedProgram), LiveEntryChunks(4));
+  EXPECT_GT(stats.adoptions, 0u);
+  EXPECT_GT(stats.chains, 0u);
+}
+
+// Steps `reference` per cycle until `reached` holds, and `adopter` (a
+// fast_step machine driven through StepCycle, the per-cycle reference
+// itself) in lockstep, so both stop on the same latched state.
+void StepBothUntil(MetalSystem& adopter, MetalSystem& reference,
+                   const std::function<bool(Core&)>& reached) {
+  for (int i = 0; i < 100000 && !reached(reference.core()); ++i) {
+    adopter.core().StepCycle();
+    reference.core().StepCycle();
+  }
+  ASSERT_TRUE(reached(reference.core()));
+  ASSERT_EQ(adopter.core().StateDigest(true), reference.core().StateDigest(true));
+}
+
+// A dcache miss dispatched per cycle, with a timer event in the middle of
+// its frozen window: the adopted window commits up to the horizon, the
+// firing cycle runs per cycle, and the rest of the window is adopted again.
+// The interrupt is taken on the per-cycle cycle.
+TEST(LivePipelineEntryTest, AdoptedMissWindowCutByTimerHorizon) {
+  const auto boot = [](MetalSystem& s) {
+    s.AddMcode(kTimerHandler);
+    ASSERT_OK(s.LoadProgramSource(R"(
+      _start:
+        li s0, 40
+        li s1, 0
+        la t5, buf
+      loop:
+        lw t0, 0(t5)
+        addi s2, s2, 1
+        add s1, s1, t0
+        addi t5, t5, 1024
+        addi s0, s0, -1
+        bnez s0, loop
+        halt s1
+        .data
+      buf:
+        .word 1
+    )"));
+    s.DelegateInterrupts(1);
+    ASSERT_OK(s.Boot());
+    s.core().metal().WriteCreg(kCrIenable, 1u << kIrqTimer);
+  };
+  MetalSystem adopter;
+  MetalSystem reference(PerCycleConfig());
+  boot(adopter);
+  boot(reference);
+  std::vector<Retire> a, b;
+  RecordRetires(adopter.core(), &a);
+  RecordRetires(reference.core(), &b);
+  StepBothUntil(adopter, reference,
+                [](Core& core) { return core.dcache().stats().misses >= 2; });
+  const uint64_t dispatch = reference.core().cycle();
+  for (MetalSystem* s : {&adopter, &reference}) {
+    s->core().timer().Write32(4, static_cast<uint32_t>(dispatch + 7));  // compare
+    s->core().timer().Write32(8, 1);                                    // enable
+  }
+  const uint64_t adoptions = adopter.core().superblocks().stats().adoptions;
+  adopter.core().Run(5);
+  reference.core().Run(5);
+  EXPECT_EQ(adopter.core().superblocks().stats().adoptions, adoptions + 1);
+  EXPECT_EQ(adopter.core().StateDigest(true), reference.core().StateDigest(true));
+  const RunResult ra = adopter.core().Run(100000);
+  const RunResult rb = reference.core().Run(100000);
+  EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
+  EXPECT_EQ(ra.exit_code, rb.exit_code);
+  EXPECT_EQ(adopter.core().StateDigest(true), reference.core().StateDigest(true));
+  ExpectSameRetires(a, b);
+  EXPECT_EQ(adopter.core().stats().interrupts, 1u);
+  EXPECT_EQ(reference.core().stats().interrupts, 1u);
+}
+
+// The load-use bubble state: the load just left EX for MEM, its consumer
+// waits in ID and EX is empty. StepFast adopts it with EX empty and the
+// load as the pending MEM op.
+TEST(LivePipelineEntryTest, AdoptsTheLoadUseBubble) {
+  const auto boot = [](MetalSystem& s) {
+    ASSERT_OK(s.LoadProgramSource(R"(
+      _start:
+        la t5, buf
+        li s0, 30
+      loop:
+        lw t0, 0(t5)
+        addi t1, t0, 1
+        sw t1, 0(t5)
+        addi s0, s0, -1
+        bnez s0, loop
+        lw a0, 0(t5)
+        halt a0
+        .data
+      buf:
+        .word 5
+    )"));
+  };
+  MetalSystem adopter;
+  MetalSystem reference(PerCycleConfig());
+  boot(adopter);
+  boot(reference);
+  std::vector<Retire> a, b;
+  RecordRetires(adopter.core(), &a);
+  RecordRetires(reference.core(), &b);
+  // Run into the loop, then to the end of a stall cycle.
+  StepBothUntil(adopter, reference,
+                [](Core& core) { return core.stats().load_use_stalls >= 3; });
+  EXPECT_GT(adopter.core().StepFast(1000), 0u);
+  EXPECT_EQ(adopter.core().superblocks().stats().adoptions, 1u);
+  while (reference.core().cycle() < adopter.core().cycle()) {
+    reference.core().StepCycle();
+  }
+  EXPECT_EQ(adopter.core().StateDigest(true), reference.core().StateDigest(true));
+  const RunResult ra = adopter.core().Run(100000);
+  const RunResult rb = reference.core().Run(100000);
+  EXPECT_EQ(ra.exit_code, 35u);
+  EXPECT_EQ(rb.exit_code, 35u);
+  EXPECT_EQ(adopter.core().StateDigest(true), reference.core().StateDigest(true));
+  ExpectSameRetires(a, b);
+}
+
+// A missed load whose consumer is a branch, a jalr or a load: after the
+// frozen window the load completes in the cycle its consumer runs, and the
+// consumer must read the loaded value (a branch and a memory slot leave
+// that cycle to StepCycle; a jump reads its target after MEM).
+TEST(LivePipelineEntryTest, ConsumerOfAMissedLoadReadsTheLoadedValue) {
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [](MetalSystem& s) {
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li s0, 60
+            li s1, 0
+            la t5, buf
+            la t6, ptrs
+          loop:
+            lw t0, 0(t5)
+            bne t0, zero, skip
+            addi s1, s1, 1
+          skip:
+            lw t2, 0(t6)
+            lw t3, 0(t2)
+            add s1, s1, t3
+            lw t4, 4(t6)
+            jalr ra, 0(t4)
+            addi t5, t5, 1024
+            addi s0, s0, -1
+            bnez s0, loop
+            halt s1
+          bump:
+            addi s1, s1, 5
+            ret
+            .data
+          ptrs:
+            .word ptrs
+            .word bump
+          buf:
+            .word 1
+        )"));
+      },
+      LiveEntryChunks(5));
+  EXPECT_GT(stats.miss_freezes, 0u);
+}
+
+// Normal mode with an intercept armed refuses every StepFast call, so no
+// normal-mode trace runs; the mroutine it calls still runs as an adopted
+// Metal trace.
+TEST(LivePipelineEntryTest, ArmedInterceptRefusesNormalModeAdoption) {
+  const SuperblockStats stats = RunAgainstPerCycle(
+      CoreConfig{},
+      [](MetalSystem& s) {
+        s.AddMcode(R"(
+            .mentry 1, spin
+          spin:
+            li t1, 20
+          again:
+            addi t1, t1, -1
+            add a1, a1, t1
+            bnez t1, again
+            mexit
+        )");
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li s0, 30
+          loop:
+            menter 1
+            addi s1, s1, 1
+            addi s0, s0, -1
+            bnez s0, loop
+            halt s1
+        )"));
+        ASSERT_OK(s.Boot());
+        // Intercept fence, which the program never executes, into entry 5.
+        s.core().metal().ApplyMintset((1u << 31) | 0x0F, 5);
+      },
+      LiveEntryChunks(6));
+  EXPECT_GT(stats.adoptions, 0u);
+  EXPECT_EQ(stats.instructions, stats.metal_instructions);
+  EXPECT_GT(stats.refusals[static_cast<size_t>(SbRefusal::kIntercept)], 0u);
+}
+
+// With a fault engine attached Run never calls StepFast and counts one
+// refusal per call; a direct StepFast on a latched pipeline refuses too.
+TEST(LivePipelineEntryTest, FaultEngineRefusesAdoption) {
+  Core core;
+  ASSERT_OK(core.LoadProgram(MustAssemble(kMixedProgram)));
+  FaultEngine engine(/*seed=*/3);
+  ASSERT_OK(engine.AddSpec("mreg@900000:at=3,bit=0"));  // never fires here
+  core.SetFaultEngine(&engine);
+  for (int i = 0; i < 5; ++i) {
+    core.StepCycle();
+  }
+  EXPECT_EQ(core.StepFast(1000), 0u);
+  for (int i = 0; i < 4; ++i) {
+    core.Run(100);
+  }
+  const SuperblockStats& stats = core.superblocks().stats();
+  EXPECT_EQ(stats.executions, 0u);
+  EXPECT_EQ(stats.adoptions, 0u);
+  // One per Run call, plus the direct call when the fetch unit was idle.
+  EXPECT_GE(stats.refusals[static_cast<size_t>(SbRefusal::kFaultEngine)], 4u);
+}
+
+// The watchdog clamp on an mroutine adopted right after its menter splice:
+// the machine check fires on the per-cycle cycle.
+TEST(LivePipelineEntryTest, WatchdogClampOnAnAdoptedMroutine) {
+  CoreConfig config;
+  config.metal_watchdog_cycles = 150;
+  CoreStats core_stats;
+  const SuperblockStats stats = RunAgainstPerCycle(
+      config,
+      [](MetalSystem& s) {
+        s.AddMcode(R"(
+            .mentry 1, spin
+            .mentry 2, recover
+          spin:
+            li t1, 100000
+          again:
+            addi t1, t1, -1
+            mld t0, 4(zero)
+            addi t0, t0, 1
+            mst t0, 4(zero)
+            bnez t1, again
+            mexit
+          recover:
+            mld a0, 4(zero)
+            mexit
+        )");
+        ASSERT_OK(s.LoadProgramSource(R"(
+          _start:
+            li s0, 3
+            li s1, 0
+          loop:
+            menter 1
+            add s1, s1, a0
+            addi s0, s0, -1
+            bnez s0, loop
+            halt s1
+        )"));
+        s.DelegateException(ExcCause::kMachineCheck, 2);
+      },
+      {100000}, {}, &core_stats);
+  EXPECT_EQ(core_stats.watchdog_fires, 3u);
+  EXPECT_GT(stats.adoptions, 0u);
+  EXPECT_GT(stats.cycles, 3 * 100u);
 }
 
 // ---------------------------------------------------------------------------
