@@ -55,15 +55,11 @@ struct CoreConfig {
   // machine). 0 disables the watchdog.
   uint64_t metal_watchdog_cycles = 0;
 
-  // Simulation-speed machinery (docs/performance.md). Neither knob is
+  // Simulation-speed machinery (docs/performance.md). The knob is not
   // architecturally visible: traced and per-cycle stepping produce
   // byte-identical machine state, enforced by `msim replay --b-no-fast-step`
   // and the mfuzz "faststep" oracle.
   //
-  // Predecode cache entries (0 disables; rounded up to a power of two).
-  // Host-tier only: never serialized and not part of the snapshot config
-  // hash (snap/snapshot.h).
-  uint32_t predecode_entries = 4096;
   // The one stepping knob. On, Core::Run steps DRAM code and MRAM-resident
   // mroutines through the superblock trace tier (cpu/superblock.h) and
   // everything else per cycle;

@@ -76,7 +76,6 @@ Core::Core(const CoreConfig& config)
               config.dram_latency),
       dcache_(config.dcache_lines, config.dcache_line_size, config.cache_hit_latency,
               config.dram_latency),
-      predecode_(config.predecode_entries),
       superblocks_(config.fast_step) {
   // Device map; AttachDevice only fails on overlap, which is impossible here.
   (void)bus_.AttachDevice(InterruptController::kDefaultBase, &intc_);
@@ -128,7 +127,6 @@ void Core::RegisterMetrics() {
   dcache_.RegisterMetrics(metrics_, "dcache");
   mmu_.tlb().RegisterMetrics(metrics_);
   mram_.RegisterMetrics(metrics_);
-  predecode_.RegisterMetrics(metrics_);
   superblocks_.RegisterMetrics(metrics_);
   metal_.RegisterMetrics(metrics_);
   metrics_.RegisterFn("nic", "packets_delivered",
@@ -150,7 +148,6 @@ void Core::SetTraceSink(TraceSink* sink) {
 Status Core::LoadProgram(const Program& program) {
   MSIM_RETURN_IF_ERROR(bus_.dram().LoadSection(program.text));
   MSIM_RETURN_IF_ERROR(bus_.dram().LoadSection(program.data));
-  predecode_.InvalidateAll();
   superblocks_.InvalidateAll();
   SetPc(program.entry);
   return Status::Ok();
@@ -171,7 +168,6 @@ void Core::ResetStats() {
   dcache_.ResetStats();
   mmu_.tlb().ResetStats();
   mram_.ResetStats();
-  predecode_.ResetStats();
   superblocks_.ResetStats();
   metal_.ResetStats();
 }
@@ -2052,36 +2048,18 @@ void Core::IdReplacementChain(Op& op) {
   for (int guard = 0; guard < 4; ++guard) {
     if (op.d.kind == InstrKind::kMenter && !op.metal) {
       const uint32_t handler = metal_.EntryAddress(static_cast<uint32_t>(op.d.imm) & 63);
-      if (!Mram::InCodeRange(handler)) {
-        return;  // unconfigured entry: let EX raise the fault
+      if (!Mram::InCodeRange(handler) || (handler & 3) != 0) {
+        return;  // unconfigured or misaligned entry: let EX raise the fault
       }
-      // Predecoded combinational MRAM read (same contract as AccessFetch: a
-      // generation hit trusts the cached word and skips the parity check; a
-      // word that fails decode still reaches EX and traps identically to the
-      // slow path, because the cached decode IS the decode of the fetched
-      // word).
-      const uint64_t gen = mram_.generation();
-      Decoded d;
-      if (const Decoded* hit = predecode_.Find(handler, gen)) {
-        mram_.NoteCachedFetch(handler);
-        d = *hit;
-      } else {
-        const auto word = mram_.FetchWord(handler);
-        if (!word) {
-          return;
-        }
-        if (mram_.CodeParityError(handler)) {
-          // Corrupted first instruction: fall back to the EX slow path, whose
-          // redirected fetch re-detects the mismatch and machine-checks.
-          return;
-        }
-        if (const Decoded* verified = predecode_.Verify(handler, gen, *word)) {
-          d = *verified;
-        } else {
-          d = DecodeInstr(*word);
-          predecode_.Insert(handler, gen, *word, d);
-        }
+      // Combinational MRAM read (same contract as AccessFetch). A word that
+      // fails decode still reaches EX and traps identically to the slow path.
+      const Mram::CodeFetch fetch = mram_.FetchCodeWord(handler);
+      if (!fetch.parity_ok) {
+        // Corrupted first instruction: fall back to the EX slow path, whose
+        // redirected fetch re-detects the mismatch and machine-checks.
+        return;
       }
+      const Decoded d = DecodeMemoized(fetch.word);
       // Replace menter with the first mroutine instruction (paper §2.2).
       if (!op.has_transition()) {
         ++inflight_mode_ops_;
@@ -2126,22 +2104,11 @@ void Core::IdReplacementChain(Op& op) {
       if (paddr >= kMmioBase || !icache_.Probe(paddr)) {
         return;
       }
-      const uint64_t gen = bus_.dram().write_generation();
-      Decoded d;
-      if (const Decoded* hit = predecode_.Find(paddr, gen)) {
-        d = *hit;
-      } else {
-        const auto word = bus_.dram().Read32(paddr);
-        if (!word) {
-          return;
-        }
-        if (const Decoded* verified = predecode_.Verify(paddr, gen, *word)) {
-          d = *verified;
-        } else {
-          d = DecodeInstr(*word);
-          predecode_.Insert(paddr, gen, *word, d);
-        }
+      const auto word = bus_.dram().Read32(paddr);
+      if (!word) {
+        return;
       }
+      const Decoded d = DecodeMemoized(*word);
       icache_.Access(paddr);  // count the hit
       if (!op.has_transition()) {
         ++inflight_mode_ops_;
@@ -2181,7 +2148,7 @@ void Core::StageId() {
   op.fetch_fault_addr = if_id_.fault_addr;
 
   if (op.fetch_fault == ExcCause::kNone) {
-    op.d = if_id_.d;  // predecoded at fetch (AccessFetch)
+    op.d = if_id_.d;  // decoded at fetch (AccessFetch)
 
     // Load-use hazard: the load is in EX this cycle; stall one cycle.
     if (ex_load_this_cycle_ && InstrReadsGpr(op.d, ex_load_rd_)) {
@@ -2235,42 +2202,17 @@ Core::FetchResult Core::AccessFetch(uint32_t pc, bool metal_frontend, bool timin
       r.fault_addr = pc;
       return r;
     }
-    // Predecoded MRAM fetch. A generation hit means no code write, scrub or
-    // injected code corruption since the fill, so the cached word is the
-    // backing word and the parity re-check (which passed at fill time) is
-    // skipped — code parity state cannot change without the generation
-    // changing. Data-segment traffic (mst) leaves the generation alone.
-    const uint64_t gen = mram_.generation();
-    if (const Decoded* hit = predecode_.Find(pc, gen)) {
-      mram_.NoteCachedFetch(pc);  // count + trace exactly like FetchWord
-      r.ok = true;
-      r.raw = hit->raw;
-      r.d = *hit;
-      r.latency = config_.mram_latency;
-      return r;
-    }
-    const auto word = mram_.FetchWord(pc);
-    if (!word) {
-      r.fault = ExcCause::kBusError;
-      r.fault_addr = pc;
-      return r;
-    }
-    if (mram_.CodeParityError(pc)) {
+    const Mram::CodeFetch fetch = mram_.FetchCodeWord(pc);
+    if (!fetch.parity_ok) {
       // The word is untrustworthy; deliver a machine check instead of
-      // decoding it (the EX stage maps this cause to kMramCodeParity). Not
-      // cached: a parity-failing word must keep failing on every fetch.
+      // decoding it (the EX stage maps this cause to kMramCodeParity).
       r.fault = ExcCause::kMachineCheck;
       r.fault_addr = pc;
       return r;
     }
     r.ok = true;
-    r.raw = *word;
-    if (const Decoded* verified = predecode_.Verify(pc, gen, *word)) {
-      r.d = *verified;
-    } else {
-      r.d = DecodeInstr(*word);
-      predecode_.Insert(pc, gen, *word, r.d);
-    }
+    r.raw = fetch.word;
+    r.d = DecodeMemoized(fetch.word);
     r.latency = config_.mram_latency;
     return r;
   }
@@ -2290,31 +2232,15 @@ Core::FetchResult Core::AccessFetch(uint32_t pc, bool metal_frontend, bool timin
     r.fault_addr = pc;
     return r;
   }
-  // Predecoded DRAM fetch, keyed on the physical word address (virtual
-  // aliases of one physical line share the entry) and the DRAM write
-  // generation (every store path — pipeline, loader, host helpers — funnels
-  // through PhysicalMemory and bumps it, so self-modifying code misses).
-  const uint64_t gen = bus_.dram().write_generation();
-  if (const Decoded* hit = predecode_.Find(paddr, gen)) {
-    r.ok = true;
-    r.raw = hit->raw;
-    r.d = *hit;
-  } else {
-    const auto word = bus_.dram().Read32(paddr);
-    if (!word) {
-      r.fault = ExcCause::kBusError;
-      r.fault_addr = pc;
-      return r;
-    }
-    r.ok = true;
-    r.raw = *word;
-    if (const Decoded* verified = predecode_.Verify(paddr, gen, *word)) {
-      r.d = *verified;
-    } else {
-      r.d = DecodeInstr(*word);
-      predecode_.Insert(paddr, gen, *word, r.d);
-    }
+  const auto word = bus_.dram().Read32(paddr);
+  if (!word) {
+    r.fault = ExcCause::kBusError;
+    r.fault_addr = pc;
+    return r;
   }
+  r.ok = true;
+  r.raw = *word;
+  r.d = DecodeMemoized(*word);
   if (metal_frontend && config_.mroutine_storage == MroutineStorage::kDramUncached) {
     // PALcode-style handler: fetched uncached from main memory.
     r.latency = config_.dram_latency;
@@ -2483,11 +2409,10 @@ void Core::SaveState(SnapWriter& w, bool include_dram) const {
 }
 
 Status Core::RestoreState(SnapReader& r) {
-  // Restore replaces DRAM and MRAM wholesale. Neither host-tier cache is
-  // part of this stream (both are architecturally invisible, like the
-  // stepping mode), so both start cold: the restored write generations
-  // could otherwise alias stale predecode entries.
-  predecode_.InvalidateAll();
+  // Restore replaces DRAM and MRAM wholesale. The superblock cache is not
+  // part of this stream (it is architecturally invisible, like the stepping
+  // mode), so it starts cold: the restored MRAM generation could otherwise
+  // alias a stale Metal trace.
   superblocks_.InvalidateAll();
   sb_resume_ = {};
   sb_refused_ = {};
@@ -2580,6 +2505,14 @@ Status Core::RestoreState(SnapReader& r) {
   stats_.machine_checks = r.U64();
   stats_.watchdog_fires = r.U64();
   MSIM_RETURN_IF_ERROR(r.ToStatus("core scalar state"));
+  // The pipeline indexes with these unchecked (StageEx's chain loops,
+  // GetInstrInfo), so an out-of-range value fails here instead.
+  if (id_ex_.chain_len > id_ex_.chain.size()) {
+    return InvalidArgument("snapshot ID/EX chain length is out of range");
+  }
+  if (ex_mem_.kind >= InstrKind::kCount) {
+    return InvalidArgument("snapshot EX/MEM instruction kind is out of range");
+  }
 
   MSIM_RETURN_IF_ERROR(metal_.RestoreState(r));
   MSIM_RETURN_IF_ERROR(mram_.RestoreState(r));

@@ -37,7 +37,6 @@
 #include "asm/program.h"
 #include "cpu/config.h"
 #include "cpu/metal_unit.h"
-#include "cpu/predecode.h"
 #include "cpu/superblock.h"
 #include "cpu/trap.h"
 #include "dev/console.h"
@@ -138,8 +137,6 @@ class Core {
   ConsoleDevice& console() { return console_; }
   Cache& icache() { return icache_; }
   Cache& dcache() { return dcache_; }
-  PredecodeCache& predecode() { return predecode_; }
-  const PredecodeCache& predecode() const { return predecode_; }
   SuperblockCache& superblocks() { return superblocks_; }
   const SuperblockCache& superblocks() const { return superblocks_; }
 
@@ -204,10 +201,10 @@ class Core {
   // Metal unit, MRAM (with shadow/parity), TLB, caches, devices, statistics
   // and — when `include_dram` — physical memory (sparse). The byte stream is
   // deterministic: two machines in identical states serialize identically.
-  // The host-tier predecode and superblock caches are not machine state and
-  // are not serialized.
+  // The host-tier superblock cache is not machine state and is not
+  // serialized.
   void SaveState(SnapWriter& w, bool include_dram = true) const;
-  // Inverse of SaveState; both host-tier caches start cold. The core must
+  // Inverse of SaveState; the superblock cache starts cold. The core must
   // have been constructed with the same CoreConfig (snapshot.h validates
   // this via CoreConfigHash before calling).
   Status RestoreState(SnapReader& r);
@@ -267,7 +264,7 @@ class Core {
     bool valid = false;
     uint32_t pc = 0;
     uint32_t raw = 0;
-    Decoded d;  // predecoded at fetch; meaningful only when fault == kNone
+    Decoded d;  // decoded at fetch; meaningful only when fault == kNone
     bool metal = false;
     ExcCause fault = ExcCause::kNone;
     uint32_t fault_addr = 0;
@@ -363,7 +360,7 @@ class Core {
   struct FetchResult {
     bool ok = false;
     uint32_t raw = 0;
-    Decoded d;  // filled (via the predecode cache) when ok
+    Decoded d;  // filled (via DecodeMemoized) when ok
     uint32_t latency = 1;
     ExcCause fault = ExcCause::kNone;
     uint32_t fault_addr = 0;
@@ -384,7 +381,6 @@ class Core {
   Mmu mmu_;
   Cache icache_;
   Cache dcache_;
-  PredecodeCache predecode_;
   SuperblockCache superblocks_;
   MetalUnit metal_;
   InterruptController intc_;

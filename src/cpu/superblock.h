@@ -11,7 +11,7 @@
 // code, a Metal trace (Superblock::metal) holds mroutine code from the MRAM
 // code segment, where the Metal-only kinds (MSIM_TRACE_KINDS) join it.
 // Core::StepFast executes whole traces with a computed-goto inner loop over
-// predecoded slots, dispatching once per instruction instead of re-deciding
+// decoded slots, dispatching once per instruction instead of re-deciding
 // branch direction and decode per cycle; a taken branch whose target starts
 // another cached trace of the same mode chains directly into it.
 //
@@ -89,8 +89,8 @@
 // CoreConfig::fast_step, the tier is invisible, snapshots stay portable
 // across it, and a restored machine starts with a cold trace cache (Core
 // invalidates it on restore). The tier's counters are host-tier metrics,
-// so a restored or per-cycle run reports different "superblock" (and
-// "predecode") components while every architectural counter matches.
+// so a restored or per-cycle run reports a different "superblock" component
+// while every architectural counter matches.
 #ifndef MSIM_CPU_SUPERBLOCK_H_
 #define MSIM_CPU_SUPERBLOCK_H_
 
@@ -350,9 +350,9 @@ class SuperblockCache {
   }
 
   // Kills every trace (program load, snapshot restore). Counts one
-  // invalidation only when at least one live trace died: unlike the
-  // predecode cache this keeps the counter identical across stepping modes
-  // (a run that never built a trace reports 0, whichever mode ran).
+  // invalidation only when at least one live trace died, which keeps the
+  // counter identical across stepping modes (a run that never built a trace
+  // reports 0, whichever mode ran).
   void InvalidateAll();
 
   // Executor counter ports (Core::StepFast).

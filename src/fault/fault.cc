@@ -311,10 +311,6 @@ void FaultEngine::Apply(Core& core, const FaultSpec& spec) {
       location = spec.has_at ? (spec.at & ~3u)
                              : static_cast<uint32_t>(rng_.Below(kMramCodeSize / 4)) * 4;
       core.mram().CorruptCodeWord(location, and_mask, xor_mask);
-      // CorruptCodeWord bumps the MRAM generation (predecode entries go
-      // stale); drop the cache outright so the upset is visible even to a
-      // same-word revalidation.
-      core.predecode().InvalidateAll();
       break;
     }
     case FaultTarget::kMramData: {
@@ -339,8 +335,6 @@ void FaultEngine::Apply(Core& core, const FaultSpec& spec) {
       location =
           spec.has_at ? spec.at : static_cast<uint32_t>(rng_.Below(core.icache().num_lines()));
       core.icache().CorruptLine(location, and_mask, xor_mask);
-      // An upset frontend structure must not keep serving predecoded words.
-      core.predecode().InvalidateAll();
       break;
     }
     case FaultTarget::kDCache: {

@@ -4,15 +4,8 @@
 #include <cstring>
 
 #include "snap/snapstream.h"
-#include "support/bits.h"
 
 namespace msim {
-
-namespace {
-
-uint8_t WordParity(uint32_t word) { return static_cast<uint8_t>(Popcount(word) & 1); }
-
-}  // namespace
 
 Mram::Mram()
     : code_(kMramCodeSize, 0),
@@ -22,25 +15,8 @@ Mram::Mram()
       code_parity_(kMramCodeSize / 4, 0),
       data_parity_(kMramDataSize / 4, 0) {}
 
-uint32_t Mram::LoadWord(const std::vector<uint8_t>& segment, uint32_t offset) const {
-  uint32_t word;
-  std::memcpy(&word, &segment[offset], 4);
-  return word;
-}
-
 void Mram::StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word) {
   std::memcpy(&segment[offset], &word, 4);
-}
-
-std::optional<uint32_t> Mram::FetchWord(uint32_t addr) const {
-  if (!InCodeRange(addr) || (addr & 3) != 0) {
-    return std::nullopt;
-  }
-  ++stats_.code_fetches;
-  if (tracer_ != nullptr) {
-    tracer_->Emit(TraceEventKind::kMramAccess, addr, /*arg0=*/0, /*arg1=*/0, /*metal=*/true);
-  }
-  return LoadWord(code_, addr - kMramCodeBase);
 }
 
 std::optional<uint32_t> Mram::PeekCodeWord(uint32_t addr) const {
@@ -92,14 +68,6 @@ bool Mram::WriteData32(uint32_t offset, uint32_t value) {
   StoreWord(data_, offset, value);
   StoreWord(data_shadow_, offset, value);
   data_parity_[offset / 4] = WordParity(value);
-  return true;
-}
-
-bool Mram::CodeParityError(uint32_t addr) const {
-  if (!InCodeRange(addr) || (addr & 3) != 0 || PeekCodeWord(addr).has_value()) {
-    return false;
-  }
-  ++stats_.parity_errors;
   return true;
 }
 

@@ -17,7 +17,9 @@
 #ifndef MSIM_MEM_MRAM_H_
 #define MSIM_MEM_MRAM_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -40,7 +42,7 @@ struct MramStats {
   uint64_t code_fetches = 0;  // successful fetch-port reads
   uint64_t data_reads = 0;
   uint64_t data_writes = 0;
-  uint64_t parity_errors = 0;   // mismatches observed by CodeParityError/DataParityError
+  uint64_t parity_errors = 0;   // mismatches observed by FetchCodeWord/DataParityError
   uint64_t words_corrupted = 0; // CorruptCodeWord/CorruptDataWord applications
   uint64_t words_scrubbed = 0;  // words restored from the shadow copy
 };
@@ -53,15 +55,34 @@ class Mram {
     return addr >= kMramCodeBase && addr < kMramCodeBase + kMramCodeSize;
   }
 
-  // Fetch port (1-cycle; used combinationally for decode-stage replacement).
-  // Returns the stored (possibly corrupted) word; the caller checks
-  // CodeParityError to decide whether it is trustworthy.
-  std::optional<uint32_t> FetchWord(uint32_t addr) const;
+  // Fetch port (1-cycle; also read combinationally by the decode-stage
+  // replacement chain). `addr` must be an aligned code address. Returns the
+  // stored (possibly corrupted) word and whether it passes parity (always
+  // true with parity off); counts the fetch, counts a parity error on a
+  // mismatch and emits a kMramAccess event.
+  struct CodeFetch {
+    uint32_t word;
+    bool parity_ok;
+  };
+  CodeFetch FetchCodeWord(uint32_t addr) const {
+    ++stats_.code_fetches;
+    if (tracer_ != nullptr) {
+      tracer_->Emit(TraceEventKind::kMramAccess, addr, /*arg0=*/0, /*arg1=*/0, /*metal=*/true);
+    }
+    const uint32_t offset = addr - kMramCodeBase;
+    const uint32_t word = LoadWord(code_, offset);
+    const bool parity_ok = !parity_enabled_ || WordParity(word) == code_parity_[offset / 4];
+    if (!parity_ok) {
+      ++stats_.parity_errors;
+    }
+    return {word, parity_ok};
+  }
 
-  // Accounting for a fetch served from the predecode cache: counts the code
-  // fetch and emits the same trace event FetchWord would, without touching
-  // the array. Keeps mram.code_fetches and the kMramAccess trace stream
-  // identical between cached and cold fetch paths.
+  // Accounting for a fetch the superblock trace executor commits from a
+  // decoded slot: counts the code fetch and emits the same trace event
+  // FetchCodeWord would, without touching the array. Keeps
+  // mram.code_fetches and the kMramAccess trace stream identical between
+  // traced and per-cycle stepping.
   void NoteCachedFetch(uint32_t addr) const {
     ++stats_.code_fetches;
     if (tracer_ != nullptr) {
@@ -83,8 +104,8 @@ class Mram {
 
   // Monotonic mutation counter covering the CODE segment: bumped by loader
   // code writes, code corruption behind the write path, scrubs, Clear and
-  // RestoreState. The predecode cache keys decoded mroutine words on it, so
-  // any code mutation forces a re-fetch + parity re-check before a cached
+  // RestoreState. Metal superblock traces (cpu/superblock.h) stamp their
+  // segments with it, so any code mutation forces a rebuild before a traced
   // decode is trusted again. Data-segment writes (mst) and data corruption
   // leave it alone: no decode depends on data, and every mld re-checks data
   // parity itself.
@@ -101,10 +122,8 @@ class Mram {
   void SetParityEnabled(bool enabled) { parity_enabled_ = enabled; }
   bool parity_enabled() const { return parity_enabled_; }
 
-  // True when parity is enabled and the stored word's parity bit mismatches
-  // its contents. `addr` is a code address; `offset` a data byte offset.
-  // Counts a parity error when it returns true.
-  bool CodeParityError(uint32_t addr) const;
+  // True when parity is enabled and the stored data word at byte `offset`
+  // mismatches its parity bit. Counts a parity error when it returns true.
   bool DataParityError(uint32_t offset) const;
 
   // Fault-injection ports: rewrite the stored word as (word & and_mask) ^
@@ -131,7 +150,14 @@ class Mram {
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  uint32_t LoadWord(const std::vector<uint8_t>& segment, uint32_t offset) const;
+  static uint32_t LoadWord(const std::vector<uint8_t>& segment, uint32_t offset) {
+    uint32_t word;
+    std::memcpy(&word, &segment[offset], 4);
+    return word;
+  }
+  // Returned as bool so that GCC folds it into an inline parity test
+  // instead of a popcount library call.
+  static bool WordParity(uint32_t word) { return (std::popcount(word) & 1) != 0; }
   void StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word);
 
   std::vector<uint8_t> code_;

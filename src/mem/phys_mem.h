@@ -68,10 +68,10 @@ class PhysicalMemory {
   void Clear();
 
   // Monotonic mutation counter: bumped by every successful write, section
-  // load, Clear and RestoreState. The predecode cache (src/cpu/predecode.h)
-  // keys decoded DRAM words on this, so any write path — pipeline stores,
-  // the loader, host-side pokes through Bus — implicitly invalidates stale
-  // decodes without a snoop port.
+  // load, Clear and RestoreState. Serialized, so it is part of the state
+  // digest; the simulator itself does not read it (host tiers use the page
+  // stamps below). Dropping it changes every digest, so it waits for a
+  // snapshot-format change.
   uint64_t write_generation() const { return write_generation_; }
 
   // Host-side per-page stamp: every write path (Write*, LoadSection, Clear,

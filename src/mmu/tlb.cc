@@ -50,17 +50,17 @@ void Tlb::Insert(uint32_t vaddr, uint32_t pte, uint16_t asid) {
       return;
     }
   }
-  // Prefer an invalid slot; else round-robin.
-  for (uint32_t i = 0; i < entries_.size(); ++i) {
-    const uint32_t index = (next_victim_ + i) % entries_.size();
-    if (!entries_[index].valid) {
-      entries_[index] = TlbEntry{true, vpn, asid, pte};
-      next_victim_ = (index + 1) % static_cast<uint32_t>(entries_.size());
-      return;
+  // Prefer the first invalid slot scanning round-robin from the victim; a
+  // full scan wraps back to the victim itself, which is then evicted.
+  const uint32_t size = capacity();
+  uint32_t index = next_victim_;
+  for (uint32_t i = 0; i < size && entries_[index].valid; ++i) {
+    if (++index == size) {
+      index = 0;
     }
   }
-  entries_[next_victim_] = TlbEntry{true, vpn, asid, pte};
-  next_victim_ = (next_victim_ + 1) % static_cast<uint32_t>(entries_.size());
+  entries_[index] = TlbEntry{true, vpn, asid, pte};
+  next_victim_ = index + 1 == size ? 0 : index + 1;
 }
 
 uint32_t Tlb::Probe(uint32_t vaddr, uint16_t asid) const {
@@ -141,7 +141,11 @@ Status Tlb::RestoreState(SnapReader& r) {
   stats_.hits = r.U64();
   stats_.misses = r.U64();
   stats_.insertions = r.U64();
-  return r.ToStatus("tlb entries");
+  MSIM_RETURN_IF_ERROR(r.ToStatus("tlb entries"));
+  if (next_victim_ >= capacity()) {
+    return InvalidArgument("snapshot TLB victim index is out of range");
+  }
+  return Status::Ok();
 }
 
 }  // namespace msim

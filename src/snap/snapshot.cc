@@ -39,10 +39,9 @@ uint64_t CoreConfigHash(const CoreConfig& config) {
   w.U32(config.dram_handler_data_base);
   w.Bool(config.mram_parity);
   w.U64(config.metal_watchdog_cycles);
-  // fast_step and predecode_entries are deliberately ABSENT: the stepping
-  // mode and the host-tier caches are architecturally invisible, and
-  // snapshots must stay portable across them (the lockstep compare restores
-  // one snapshot into both a fast and a slow core).
+  // fast_step is deliberately ABSENT: the stepping mode is architecturally
+  // invisible, and snapshots must stay portable across it (the lockstep
+  // compare restores one snapshot into both a fast and a slow core).
   return w.digest();
 }
 

@@ -36,14 +36,13 @@ class Core;
 struct CoreConfig;
 
 // Version 3: host-tier caches left the format. The core payload no longer
-// carries the predecode cache (version 2 added it), predecode_entries left
-// the config hash, and a restored machine starts both the predecode and the
-// superblock caches cold.
+// carries the decoded-instruction cache that version 2 added, its size left
+// the config hash, and a restored machine starts the superblock cache cold.
 inline constexpr uint32_t kSnapshotVersion = 3;
 
-// FNV-1a over every CoreConfig field except the host-tier knobs fast_step
-// and predecode_entries; two configs hash equal iff a snapshot taken under
-// one can be restored under the other.
+// FNV-1a over every CoreConfig field except the host-tier knob fast_step;
+// two configs hash equal iff a snapshot taken under one can be restored
+// under the other.
 uint64_t CoreConfigHash(const CoreConfig& config);
 
 struct SnapshotSection {

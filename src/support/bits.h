@@ -32,15 +32,6 @@ constexpr bool FitsUnsigned(uint64_t value, unsigned bits) {
   return bits >= 64 || value < (uint64_t{1} << bits);
 }
 
-// Number of set bits in `value`.
-constexpr unsigned Popcount(uint32_t value) {
-  unsigned count = 0;
-  for (; value != 0; value &= value - 1) {
-    ++count;
-  }
-  return count;
-}
-
 // True if `value` is a power of two (and non-zero).
 constexpr bool IsPowerOfTwo(uint64_t value) { return value != 0 && (value & (value - 1)) == 0; }
 

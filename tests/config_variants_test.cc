@@ -113,8 +113,8 @@ TEST_P(StorageVariantTest, StmCommitWorks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, StorageVariantTest, ::testing::Range(0, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return ConfigName(AllMetalConfigs()[info.param]);
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           return ConfigName(AllMetalConfigs()[param_info.param]);
                          });
 
 // ---- Timing monotonicity ---------------------------------------------------
@@ -212,9 +212,9 @@ TEST_P(DisasmCoverage, EveryInstructionRendersItsMnemonic) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, DisasmCoverage,
                          ::testing::Range(1, static_cast<int>(InstrKind::kCount)),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& param_info) {
                            return std::string(
-                               GetInstrInfo(static_cast<InstrKind>(info.param)).mnemonic);
+                               GetInstrInfo(static_cast<InstrKind>(param_info.param)).mnemonic);
                          });
 
 }  // namespace

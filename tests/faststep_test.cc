@@ -1,14 +1,17 @@
-// Predecode cache + hot-path stepping (docs/performance.md).
+// Hot-path stepping (docs/performance.md).
 //
 // Two properties are under test, both "invisible by construction":
 //   1. StepFast is cycle- and byte-exact: after the same number of cycles a
 //      fast_step core serializes to the identical SaveState stream as a
 //      per-cycle core, on plain loops and on the paper's Metal guests.
-//   2. The predecode cache never changes behavior: for every invalidation
-//      source in the coherence matrix (loader code writes, MRAMSCRUB,
-//      fault-engine flips behind the write path, self-modifying DRAM stores,
-//      snapshot restore) the retire stream matches a no-cache reference core
-//      cycle for cycle.
+//   2. Code mutation is observed alike: for every source of changed code
+//      (loader code writes, MRAMSCRUB, fault-engine flips behind the write
+//      path, self-modifying DRAM stores, snapshot restore) the traced retire
+//      stream matches the per-cycle reference cycle for cycle. The
+//      PredecodeInvalidationTest/PredecodeTrapTest suite names date from an
+//      address-keyed decode cache that needed this coherence; per-cycle
+//      fetch now decodes by the word itself (DecodeMemoized), so the matrix
+//      pins the trace tier's validation against the reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -59,11 +62,10 @@ void ExpectSameRetires(const std::vector<Retire>& a, const std::vector<Retire>& 
   }
 }
 
-// A no-cache, per-cycle reference configuration. Both knobs are
-// architecturally invisible, so a default core must match it cycle-exactly.
+// The per-cycle reference configuration. Stepping is architecturally
+// invisible, so a default (traced) core must match it cycle-exactly.
 CoreConfig ReferenceConfig() {
   CoreConfig config;
-  config.predecode_entries = 0;
   config.fast_step = false;
   return config;
 }
@@ -269,10 +271,10 @@ TEST(FastStepTest, ByteExactAgainstPerCycleAtManySyncPoints) {
                  {"custom_page_tables", BootCustomPageTables}};
   for (const auto& guest : kGuests) {
     SCOPED_TRACE(guest.name);
-    CoreConfig fast_config;  // defaults: fast_step on, predecode on
+    CoreConfig fast_config;  // defaults: fast_step on
     MetalSystem fast_system(fast_config);
     CoreConfig slow_config = fast_config;
-    slow_config.fast_step = false;  // same predecode geometry, per-cycle stepping
+    slow_config.fast_step = false;
     MetalSystem slow_system(slow_config);
     guest.boot(fast_system);
     guest.boot(slow_system);
@@ -607,11 +609,11 @@ TEST(FastStepTest, LockstepPumpIsCleanOnPaperAndTimerGuests) {
 }
 
 // ---------------------------------------------------------------------------
-// Invalidation matrix: every coherence source vs the no-cache reference.
+// Invalidation matrix: every source of code mutation, traced vs per-cycle.
 // ---------------------------------------------------------------------------
 
 // Patches its own inner loop after three iterations: the stored word must
-// take effect on the very next fetch, exactly as without the cache.
+// take effect on the very next fetch.
 constexpr const char* kSelfModifyingProgram = R"(
   _start:
     la t0, slot
@@ -635,29 +637,21 @@ constexpr const char* kSelfModifyingProgram = R"(
 )";
 
 TEST(PredecodeInvalidationTest, SelfModifyingStoreMatchesNoCacheReference) {
-  // Trace fetches bypass the predecode cache, so the per-cycle core is the
-  // one whose hits prove the cache served the loop; the traced core must
-  // match the reference all the same.
-  CoreConfig percycle_config;
-  percycle_config.fast_step = false;
-  Core cached(percycle_config);  // predecode on, every cycle per-cycle
-  Core traced;                   // defaults: predecode on, fast_step on
+  Core traced;  // defaults: fast_step on
   Core reference(ReferenceConfig());
-  std::vector<Retire> a, b, c;
-  for (const auto& [core, retires] :
-       {std::pair{&cached, &a}, std::pair{&traced, &b}, std::pair{&reference, &c}}) {
+  std::vector<Retire> a, b;
+  for (const auto& [core, retires] : {std::pair{&traced, &a}, std::pair{&reference, &b}}) {
     ASSERT_OK(core->LoadProgram(MustAssemble(kSelfModifyingProgram)));
     RecordRetires(*core, retires);
     // 3 iterations of +1, then the patched +5 for the remaining 3.
     MustHalt(*core, 18);
   }
-  ExpectSameRetires(a, c);
-  ExpectSameRetires(b, c);
-  EXPECT_GT(cached.predecode().stats().hits, 0u);
+  ExpectSameRetires(a, b);
+  EXPECT_GT(traced.superblocks().stats().executions, 0u);
 }
 
 // Accumulates into MRAM data with mld/mst. The MRAM generation covers the
-// code segment only, so the mst does not evict the mroutine's own decodes.
+// code segment only, so the mst does not invalidate the mroutine's trace.
 constexpr const char* kCounterMcode = R"(
     .mentry 1, count_add
   count_add:
@@ -681,43 +675,28 @@ constexpr const char* kCounterProgram = R"(
     halt s1
 )";
 
-constexpr uint32_t kCounterMcodeWords = 5;
-
 TEST(PredecodeInvalidationTest, MstKeepsMramGenerationAndDecodesWarm) {
-  // Per-cycle stepping, so every fetch goes through the predecode cache:
-  // under fast_step the mroutine runs as a Metal trace from the cycle after
-  // its menter splice, and trace fetches never consult the cache.
-  CoreConfig cached_config;
-  cached_config.fast_step = false;
-  MetalSystem cached(cached_config);
+  MetalSystem traced;  // defaults: fast_step on
   MetalSystem reference(ReferenceConfig());
-  for (MetalSystem* s : {&cached, &reference}) {
+  for (MetalSystem* s : {&traced, &reference}) {
     s->AddMcode(kCounterMcode);
     ASSERT_OK(s->LoadProgramSource(kCounterProgram));
     ASSERT_OK(s->Boot());
   }
   std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
+  RecordRetires(traced.core(), &a);
   RecordRetires(reference.core(), &b);
-  const uint64_t gen_at_boot = cached.core().mram().generation();
-  MustHalt(cached, 70);
+  const uint64_t gen_at_boot = traced.core().mram().generation();
+  MustHalt(traced, 70);
   MustHalt(reference, 70);
   ExpectSameRetires(a, b);
-  // Ten mst commits moved neither generation.
-  EXPECT_EQ(cached.core().mram().stats().data_writes, 10u);
-  EXPECT_EQ(cached.core().mram().generation(), gen_at_boot);
+  // Ten mst commits moved neither generation, so the Metal trace built on
+  // the first call stayed valid for the other nine.
+  EXPECT_EQ(traced.core().mram().stats().data_writes, 10u);
+  EXPECT_EQ(traced.core().mram().generation(), gen_at_boot);
   EXPECT_EQ(reference.core().mram().generation(), gen_at_boot);
-  // So every mroutine word decoded on the first call is still a generation
-  // hit after the last mst, and later calls were served by Find hits
-  // instead of re-verification.
-  const Mram& mram = cached.core().mram();
-  for (uint32_t i = 0; i < kCounterMcodeWords; ++i) {
-    EXPECT_NE(cached.core().predecode().Peek(kMramCodeBase + 4 * i, mram.generation()),
-              nullptr)
-        << "mroutine word " << i;
-  }
-  EXPECT_EQ(cached.core().predecode().stats().verified_hits, 0u);
-  EXPECT_GE(cached.core().predecode().stats().hits, 9 * kCounterMcodeWords);
+  EXPECT_GT(traced.core().superblocks().stats().executions, 0u);
+  EXPECT_EQ(traced.core().superblocks().stats().invalidations, 0u);
 }
 
 // 400 invocations (exit 2800): long enough that mid-run corruption at a few
@@ -735,138 +714,108 @@ constexpr const char* kLongCounterProgram = R"(
     halt s1
 )";
 
-TEST(PredecodeInvalidationTest, CodeCorruptionAndLoaderWriteInvalidateMramDecodes) {
-  // The code-segment mutators still move the generation: with parity off a
-  // flip behind the write path (add -> sub at bit 30) must replace the warm
-  // decode, and a loader WriteCodeWord restoring the word must replace it
-  // again — on the cached core exactly as on the no-cache reference.
-  CoreConfig cached_config;
-  cached_config.mram_parity = false;
-  CoreConfig reference_config = ReferenceConfig();
-  reference_config.mram_parity = false;
-  MetalSystem cached(cached_config);
-  MetalSystem reference(reference_config);
-  for (MetalSystem* s : {&cached, &reference}) {
-    s->AddMcode(kCounterMcode);
-    ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
-    ASSERT_OK(s->Boot());
+// A traced machine and the per-cycle reference, parity off, running
+// kLongCounterProgram over kCounterMcode.
+struct CounterPair {
+  CounterPair() : traced(Config(true)), reference(Config(false)) {
+    for (MetalSystem* s : {&traced, &reference}) {
+      s->AddMcode(kCounterMcode);
+      EXPECT_OK(s->LoadProgramSource(kLongCounterProgram));
+    }
+    RecordRetires(traced.core(), &traced_retires);
+    RecordRetires(reference.core(), &reference_retires);
   }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
+  static CoreConfig Config(bool fast_step) {
+    CoreConfig config;
+    config.mram_parity = false;
+    config.fast_step = fast_step;
+    return config;
+  }
+  MetalSystem traced;
+  MetalSystem reference;
+  std::vector<Retire> traced_retires, reference_retires;
+};
 
+TEST(PredecodeInvalidationTest, CodeCorruptionAndLoaderWriteInvalidateMramDecodes) {
+  // The code-segment mutators move the generation: with parity off a flip
+  // behind the write path (add -> sub at bit 30) must replace the warm
+  // decode, and a loader WriteCodeWord restoring the word must replace it
+  // again — traced exactly as per cycle.
+  CounterPair pair;
   constexpr uint32_t kAddWord = kMramCodeBase + 4;
-  auto drive = [](MetalSystem& s, bool check_decodes) -> RunResult {
+  auto drive = [](MetalSystem& s) -> RunResult {
+    EXPECT_OK(s.Boot());
     Mram& mram = s.core().mram();
-    s.Run(1500);  // invocations fill the predecode cache
-    const uint32_t add_raw = *mram.FetchWord(kAddWord);
+    s.Run(1500);  // the mroutine is hot
+    const uint32_t add_raw = *mram.PeekCodeWord(kAddWord);
     uint64_t gen = mram.generation();
     EXPECT_TRUE(mram.CorruptCodeWord(4, 0xFFFFFFFFu, 1u << 30));
     EXPECT_GT(mram.generation(), gen);
-    if (check_decodes) {
-      EXPECT_EQ(s.core().predecode().Peek(kAddWord, mram.generation()), nullptr);
-    }
-    s.Run(1500);  // the corrupted decode is fetched, cached and executed
-    if (check_decodes) {
-      const Decoded* sub = s.core().predecode().Peek(kAddWord, mram.generation());
-      EXPECT_NE(sub, nullptr);
-      if (sub != nullptr) {
-        EXPECT_EQ(sub->raw, add_raw ^ (1u << 30));
-      }
-    }
+    s.Run(1500);  // the corrupted word is fetched, decoded and executed
     gen = mram.generation();
     EXPECT_TRUE(mram.WriteCodeWord(4, add_raw));
     EXPECT_GT(mram.generation(), gen);
-    if (check_decodes) {
-      EXPECT_EQ(s.core().predecode().Peek(kAddWord, mram.generation()), nullptr);
-    }
     return s.Run(2'000'000);
   };
-  const RunResult ra = drive(cached, /*check_decodes=*/true);
-  const RunResult rb = drive(reference, /*check_decodes=*/false);
+  const RunResult ra = drive(pair.traced);
+  const RunResult rb = drive(pair.reference);
   EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
   // The sub ran for a while, then the restored add again.
   EXPECT_NE(ra.exit_code, 2800u);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(pair.traced_retires, pair.reference_retires);
 }
 
 TEST(PredecodeInvalidationTest, ScrubRestoresCorruptedDecodeIdentically) {
   // With parity off, a bit flipped behind the write path silently decodes to
-  // a DIFFERENT valid instruction (add -> sub at bit 30) and gets cached.
-  // MRAMSCRUB then restores the word from the shadow copy; the generation
-  // bump must invalidate the cached corrupt decode on both machines alike.
-  CoreConfig cached_config;
-  cached_config.mram_parity = false;
-  CoreConfig reference_config = ReferenceConfig();
-  reference_config.mram_parity = false;
-  MetalSystem cached(cached_config);
-  MetalSystem reference(reference_config);
-  for (MetalSystem* s : {&cached, &reference}) {
-    s->AddMcode(kCounterMcode);
-    ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
-    ASSERT_OK(s->Boot());
-  }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
-
+  // a DIFFERENT valid instruction (add -> sub at bit 30). MRAMSCRUB then
+  // restores the word from the shadow copy, and both machines must go back
+  // to the add at the same cycle.
+  CounterPair pair;
   auto drive = [](MetalSystem& s) -> RunResult {
-    s.Run(1500);  // invocations fill the predecode cache
+    EXPECT_OK(s.Boot());
+    s.Run(1500);  // the mroutine is hot
     // Flip `add t0, t0, a0` (second mroutine word) into `sub`.
     EXPECT_TRUE(s.core().mram().CorruptCodeWord(4, 0xFFFFFFFFu, 1u << 30));
-    s.Run(1500);  // the corrupted decode is fetched, cached and executed
+    s.Run(1500);  // the corrupted word is fetched, decoded and executed
     EXPECT_GT(s.core().mram().Scrub(), 0u);  // MRAMSCRUB restores + bumps gen
     return s.Run(2'000'000);
   };
-  const RunResult ra = drive(cached);
-  const RunResult rb = drive(reference);
+  const RunResult ra = drive(pair.traced);
+  const RunResult rb = drive(pair.reference);
   EXPECT_EQ(ra.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(rb.reason, RunResult::Reason::kHalted);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
   // The corruption must actually have been observed (sub ran for a while).
   EXPECT_NE(ra.exit_code, 2800u);
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(pair.traced_retires, pair.reference_retires);
 }
 
 TEST(PredecodeInvalidationTest, FaultEngineMramCodeFlipMatchesReference) {
-  CoreConfig cached_config;
-  cached_config.mram_parity = false;
-  CoreConfig reference_config = ReferenceConfig();
-  reference_config.mram_parity = false;
-  MetalSystem cached(cached_config);
-  MetalSystem reference(reference_config);
-  FaultEngine cached_engine(/*seed=*/7);
+  CounterPair pair;
+  FaultEngine traced_engine(/*seed=*/7);
   FaultEngine reference_engine(/*seed=*/7);
   // Pinned location and bit: add -> sub, mid-run, silently (parity off).
-  ASSERT_OK(cached_engine.AddSpec("mram-code@3000:at=4,bit=30"));
+  ASSERT_OK(traced_engine.AddSpec("mram-code@3000:at=4,bit=30"));
   ASSERT_OK(reference_engine.AddSpec("mram-code@3000:at=4,bit=30"));
-  cached.core().SetFaultEngine(&cached_engine);
-  reference.core().SetFaultEngine(&reference_engine);
-  for (MetalSystem* s : {&cached, &reference}) {
-    s->AddMcode(kCounterMcode);
-    ASSERT_OK(s->LoadProgramSource(kLongCounterProgram));
-  }
-  std::vector<Retire> a, b;
-  RecordRetires(cached.core(), &a);
-  RecordRetires(reference.core(), &b);
-  const RunResult ra = cached.Run(2'000'000);
-  const RunResult rb = reference.Run(2'000'000);
-  EXPECT_EQ(cached_engine.injections(), 1u);
+  pair.traced.core().SetFaultEngine(&traced_engine);
+  pair.reference.core().SetFaultEngine(&reference_engine);
+  const RunResult ra = pair.traced.Run(2'000'000);
+  const RunResult rb = pair.reference.Run(2'000'000);
+  EXPECT_EQ(traced_engine.injections(), 1u);
   EXPECT_EQ(ra.reason, rb.reason);
   EXPECT_EQ(ra.exit_code, rb.exit_code);
   EXPECT_NE(ra.exit_code, 2800u);  // the flip changed the result on both
-  ExpectSameRetires(a, b);
+  ExpectSameRetires(pair.traced_retires, pair.reference_retires);
 }
 
 TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
-  // Restore must resume with the saved predecode contents (or an invalidated
-  // cache — either way, identical behavior): the continuation retire stream
-  // of the restored machine must equal the uninterrupted one.
-  Core original;  // defaults: predecode on, fast_step on
+  // The continuation retire stream of a restored machine (whose trace cache
+  // starts cold) must equal the uninterrupted one.
+  Core original;  // defaults: fast_step on
   ASSERT_OK(original.LoadProgram(MustAssemble(kMixedProgram)));
-  original.Run(1234);  // mid-loop, predecode warm
+  original.Run(1234);  // mid-loop, traces warm
   const std::vector<uint8_t> image = SaveSnapshot(original);
   const uint64_t digest_at_save = original.StateDigest(true);
 
@@ -888,9 +837,7 @@ TEST(PredecodeInvalidationTest, SnapshotRestoreMidLoopResumesIdentically) {
 
   // A snapshot taken under fast_step restores into a per-cycle core (the
   // config hash deliberately excludes fast_step) and resumes identically.
-  CoreConfig slow_config;
-  slow_config.fast_step = false;
-  Core slow(slow_config);
+  Core slow(ReferenceConfig());
   ASSERT_OK(RestoreSnapshot(slow, image));
   EXPECT_EQ(slow.StateDigest(true), digest_at_save);
   std::vector<Retire> rest_of_slow;
@@ -909,17 +856,14 @@ TEST(PredecodeTrapTest, UndecodableMroutineWordTrapsIdenticallyCachedAndNot) {
   // With parity disabled (--no-parity), a word zeroed behind the write path
   // is fetched silently and fails decode. Whether the word enters EX via the
   // decode-stage replacement chain (fast_transition) or via a redirected
-  // Metal-frontend fetch, and whether the decode came from the predecode
-  // cache or cold, the trap must be the same illegal-instruction exception.
-  auto run_one = [](bool predecode_on, bool fast_transition,
-                    std::vector<Retire>* retires, CoreStats* stats) -> RunResult {
+  // Metal-frontend fetch, and whether the machine steps traced or per cycle,
+  // the trap must be the same illegal-instruction exception.
+  auto run_one = [](bool fast_step, bool fast_transition, std::vector<Retire>* retires,
+                    CoreStats* stats) -> RunResult {
     CoreConfig config;
     config.mram_parity = false;
     config.fast_transition = fast_transition;
-    if (!predecode_on) {
-      config.predecode_entries = 0;
-      config.fast_step = false;
-    }
+    config.fast_step = fast_step;
     MetalSystem system(config);
     system.AddMcode(kCounterMcode);
     EXPECT_OK(system.LoadProgramSource(kCounterProgram));
@@ -933,20 +877,20 @@ TEST(PredecodeTrapTest, UndecodableMroutineWordTrapsIdenticallyCachedAndNot) {
   };
 
   for (const bool fast_transition : {true, false}) {
-    std::vector<Retire> cached_retires, reference_retires;
-    CoreStats cached_stats, reference_stats;
-    const RunResult cached =
-        run_one(/*predecode_on=*/true, fast_transition, &cached_retires, &cached_stats);
-    const RunResult reference = run_one(/*predecode_on=*/false, fast_transition,
-                                        &reference_retires, &reference_stats);
+    std::vector<Retire> traced_retires, reference_retires;
+    CoreStats traced_stats, reference_stats;
+    const RunResult traced =
+        run_one(/*fast_step=*/true, fast_transition, &traced_retires, &traced_stats);
+    const RunResult reference =
+        run_one(/*fast_step=*/false, fast_transition, &reference_retires, &reference_stats);
     // The undelegated illegal-instruction trap from Metal mode must surface
     // the same way on both machines, at the same point in the program.
-    EXPECT_EQ(cached.reason, reference.reason) << "fast_transition=" << fast_transition;
-    EXPECT_EQ(cached.exit_code, reference.exit_code);
-    EXPECT_EQ(cached.fatal_message, reference.fatal_message);
-    EXPECT_EQ(cached_stats.exceptions, reference_stats.exceptions);
-    EXPECT_EQ(cached_stats.machine_checks, reference_stats.machine_checks);
-    ExpectSameRetires(cached_retires, reference_retires);
+    EXPECT_EQ(traced.reason, reference.reason) << "fast_transition=" << fast_transition;
+    EXPECT_EQ(traced.exit_code, reference.exit_code);
+    EXPECT_EQ(traced.fatal_message, reference.fatal_message);
+    EXPECT_EQ(traced_stats.exceptions, reference_stats.exceptions);
+    EXPECT_EQ(traced_stats.machine_checks, reference_stats.machine_checks);
+    ExpectSameRetires(traced_retires, reference_retires);
   }
 }
 

@@ -102,15 +102,14 @@ run_fleet "$OUT/clean2"
 cmp "$OUT/clean/fleet.json" "$OUT/clean2/fleet.json"
 
 echo "== byte-identity: interrupted jobs match the uninterrupted control =="
-# Every component but the host-tier "predecode" and "superblock" metric
-# groups, which a resumed attempt starts cold (docs/performance.md).
+# Every component but the host-tier "superblock" metric group, which a
+# resumed attempt starts cold (docs/performance.md).
 for job in victim-kill victim-term victim-stop steady0 steady1 smoke00 smoke12; do
   python3 - "$OUT/chaos/jobs/$job/stats.json" "$OUT/clean/jobs/$job/stats.json" <<'EOF'
 import json, sys
 a, b = (json.load(open(path)) for path in sys.argv[1:])
 for stats in (a, b):
-    for component in ("predecode", "superblock"):
-        stats["metrics"].pop(component)
+    stats["metrics"].pop("superblock")
 assert a == b, f"{sys.argv[1]} differs beyond the host-tier counters"
 EOF
 done

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "isa/decode.h"
@@ -105,14 +106,66 @@ TEST_P(EncodeDecodeRoundTrip, RoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(AllInstructions, EncodeDecodeRoundTrip,
                          ::testing::ValuesIn(AllKinds()),
-                         [](const ::testing::TestParamInfo<InstrKind>& info) {
-                           return std::string(GetInstrInfo(info.param).mnemonic);
+                         [](const ::testing::TestParamInfo<InstrKind>& param_info) {
+                           return std::string(GetInstrInfo(param_info.param).mnemonic);
                          });
 
 TEST(DecodeTest, UnknownOpcodeIsIllegal) {
   EXPECT_EQ(DecodeInstr(0x00000000).kind, InstrKind::kIllegal);
   EXPECT_EQ(DecodeInstr(0xFFFFFFFF).kind, InstrKind::kIllegal);
   EXPECT_EQ(DecodeInstr(0x0000007F).kind, InstrKind::kIllegal);
+}
+
+void ExpectSameDecode(const Decoded& got, const Decoded& want) {
+  EXPECT_EQ(got.kind, want.kind) << std::hex << want.raw;
+  EXPECT_EQ(got.rd, want.rd) << std::hex << want.raw;
+  EXPECT_EQ(got.rs1, want.rs1) << std::hex << want.raw;
+  EXPECT_EQ(got.rs2, want.rs2) << std::hex << want.raw;
+  EXPECT_EQ(got.imm, want.imm) << std::hex << want.raw;
+  EXPECT_EQ(got.raw, want.raw);
+}
+
+TEST(DecodeMemoTest, MatchesDecodeInstrOnRandomCollidingAndZeroWords) {
+  // The memo table is thread-local: a fresh thread sees it as initialized,
+  // so every slot, including the one word 0 maps to, must already hold a
+  // correct decode of its tag.
+  std::thread([] {
+    ExpectSameDecode(Decoded{}, DecodeInstr(0));
+    ExpectSameDecode(DecodeMemoized(0), DecodeInstr(0));
+  }).join();
+
+  // Seeded random words, half of them with the opcode of a real instruction
+  // so that every decoder path is taken, each looked up twice.
+  Rng rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    uint32_t word = rng.Next32();
+    if ((i & 1) != 0) {
+      const auto kind = static_cast<InstrKind>(
+          rng.Range(1, static_cast<uint64_t>(InstrKind::kCount) - 1));
+      word = (word & ~0x7Fu) | GetInstrInfo(kind).opcode;
+    }
+    ExpectSameDecode(DecodeMemoized(word), DecodeInstr(word));
+    ExpectSameDecode(DecodeMemoized(word), DecodeInstr(word));
+  }
+
+  // Words that share a slot evict each other, word 0 included: alternating
+  // lookups must always return the decode of the word asked for.
+  const auto colliding_with = [&rng](uint32_t word) {
+    const uint32_t index = decode_internal::MemoIndex(word);
+    for (;;) {
+      const uint32_t other = rng.Next32();
+      if (other != word && decode_internal::MemoIndex(other) == index) {
+        return other;
+      }
+    }
+  };
+  for (uint32_t word : {0u, 0x00A50533u /* add a0, a0, a0 */, rng.Next32()}) {
+    const uint32_t other = colliding_with(word);
+    for (int round = 0; round < 3; ++round) {
+      ExpectSameDecode(DecodeMemoized(word), DecodeInstr(word));
+      ExpectSameDecode(DecodeMemoized(other), DecodeInstr(other));
+    }
+  }
 }
 
 TEST(DecodeTest, ImmediateBoundaries) {

@@ -326,10 +326,26 @@ TEST(CacheTest, InvalidateAll) {
 TEST(MramTest, CodeFetch) {
   Mram mram;
   EXPECT_TRUE(mram.WriteCodeWord(0, 0x12345678));
-  EXPECT_EQ(mram.FetchWord(kMramCodeBase), 0x12345678u);
-  EXPECT_FALSE(mram.FetchWord(kMramCodeBase - 4).has_value());
-  EXPECT_FALSE(mram.FetchWord(kMramCodeBase + kMramCodeSize).has_value());
-  EXPECT_FALSE(mram.FetchWord(kMramCodeBase + 2).has_value());  // misaligned
+  const Mram::CodeFetch fetch = mram.FetchCodeWord(kMramCodeBase);
+  EXPECT_EQ(fetch.word, 0x12345678u);
+  EXPECT_TRUE(fetch.parity_ok);
+  EXPECT_EQ(mram.stats().code_fetches, 1u);
+  EXPECT_EQ(mram.PeekCodeWord(kMramCodeBase), 0x12345678u);
+  EXPECT_FALSE(mram.PeekCodeWord(kMramCodeBase - 4).has_value());
+  EXPECT_FALSE(mram.PeekCodeWord(kMramCodeBase + kMramCodeSize).has_value());
+  EXPECT_FALSE(mram.PeekCodeWord(kMramCodeBase + 2).has_value());  // misaligned
+
+  // A flip behind the write path is fetched as stored, fails parity and is
+  // counted once per fetch; with parity off the same word passes.
+  EXPECT_TRUE(mram.CorruptCodeWord(0, 0xFFFFFFFFu, 1u));
+  const Mram::CodeFetch bad = mram.FetchCodeWord(kMramCodeBase);
+  EXPECT_EQ(bad.word, 0x12345679u);
+  EXPECT_FALSE(bad.parity_ok);
+  EXPECT_EQ(mram.stats().parity_errors, 1u);
+  mram.SetParityEnabled(false);
+  EXPECT_TRUE(mram.FetchCodeWord(kMramCodeBase).parity_ok);
+  EXPECT_EQ(mram.stats().parity_errors, 1u);
+  EXPECT_EQ(mram.stats().code_fetches, 3u);
 }
 
 TEST(MramTest, DataSegment) {

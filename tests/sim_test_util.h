@@ -23,19 +23,17 @@ inline int RunShell(const std::string& command) {
 }
 
 // `json` (a --stats-json document or a MetricRegistry dump) without the
-// host-tier "predecode" and "superblock" metric components. Those count
-// which host caches and execution tier served the run, so they differ
-// between stepping modes and across a restore (both caches start cold);
-// every other component is architectural and must match.
+// host-tier "superblock" metric component. It counts which execution tier
+// served the run, so it differs between stepping modes and across a restore
+// (the trace cache starts cold); every other component is architectural and
+// must match.
 inline std::string WithoutHostTierMetrics(std::string json) {
-  for (const char* component : {"\"predecode\":{", "\"superblock\":{"}) {
-    const size_t begin = json.find(component);
-    const size_t end = json.find('}', begin);
-    EXPECT_NE(end, std::string::npos) << component << " missing from " << json;
-    if (end == std::string::npos) {
-      continue;
-    }
-    // Both components are flat and never last: drop the trailing comma too.
+  const char* component = "\"superblock\":{";
+  const size_t begin = json.find(component);
+  const size_t end = json.find('}', begin);
+  EXPECT_NE(end, std::string::npos) << component << " missing from " << json;
+  if (end != std::string::npos) {
+    // The component is flat and never last: drop the trailing comma too.
     json.erase(begin, end + 2 - begin);
   }
   return json;

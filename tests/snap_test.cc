@@ -4,6 +4,7 @@
 // indistinguishable from the uninterrupted run (docs/determinism.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -99,15 +100,12 @@ TEST(CoreConfigHashTest, TimingFieldsChangeTheHash) {
   EXPECT_NE(CoreConfigHash(no_fast), CoreConfigHash(dram));
 }
 
-// The host-tier knobs are architecturally invisible and never serialized, so
-// snapshots are portable across them.
+// The host-tier stepping knob is architecturally invisible and never
+// serialized, so snapshots are portable across it.
 TEST(CoreConfigHashTest, HostTierKnobsLeaveTheHash) {
   const CoreConfig base;
-  CoreConfig no_predecode = base;
-  no_predecode.predecode_entries = 0;
   CoreConfig per_cycle = base;
   per_cycle.fast_step = false;
-  EXPECT_EQ(CoreConfigHash(base), CoreConfigHash(no_predecode));
   EXPECT_EQ(CoreConfigHash(base), CoreConfigHash(per_cycle));
 }
 
@@ -275,13 +273,12 @@ void CheckRoundTripAtCycle(const CoreConfig& config, uint64_t snap_cycle,
 
 TEST(SnapshotRoundTripTest, ResumesBitIdenticallyAtRandomCycles) {
   // Property test: seeded-random snapshot points across the run, under both
-  // the default config and DRAM-resident mroutines, and into a machine with
-  // no predecode cache stepping per cycle (host-tier state never travels).
+  // the default config and DRAM-resident mroutines, and into a machine
+  // stepping per cycle (host-tier state never travels).
   Rng rng(0xC0FFEE);
   CoreConfig dram;
   dram.mroutine_storage = MroutineStorage::kDramCached;
   CoreConfig bare;
-  bare.predecode_entries = 0;
   bare.fast_step = false;
   for (int i = 0; i < 6; ++i) {
     const uint64_t snap_cycle = rng.Range(1, 200);
@@ -410,14 +407,8 @@ TEST(DramRecordTest, LivePageCountMustNotExceedPageCount) {
   EXPECT_EQ(mem.Read32(0), 0x600DF00Du);
 }
 
-// A snapshot container (snapshot.h) around `core`'s state, with the DRAM
-// section replaced by `dram`.
-std::vector<uint8_t> SnapshotWithDram(const Core& core, const std::vector<uint8_t>& dram) {
-  SnapWriter state;
-  core.SaveState(state, /*include_dram=*/false);
-  std::vector<uint8_t> payload = state.TakeBytes();
-  payload.back() = 1;  // the include_dram flag, now followed by `dram`
-  payload.insert(payload.end(), dram.begin(), dram.end());
+// A snapshot container (snapshot.h) holding `payload` as `core`'s state.
+std::vector<uint8_t> SnapshotOfCoreState(const Core& core, const std::vector<uint8_t>& payload) {
   SnapWriter w;
   for (const char c : std::string("MSIMSNAP")) {
     w.U8(static_cast<uint8_t>(c));
@@ -429,6 +420,17 @@ std::vector<uint8_t> SnapshotWithDram(const Core& core, const std::vector<uint8_
   w.Str("core");
   w.Bytes(payload);
   return w.TakeBytes();
+}
+
+// A snapshot container around `core`'s state, with the DRAM section
+// replaced by `dram`.
+std::vector<uint8_t> SnapshotWithDram(const Core& core, const std::vector<uint8_t>& dram) {
+  SnapWriter state;
+  core.SaveState(state, /*include_dram=*/false);
+  std::vector<uint8_t> payload = state.TakeBytes();
+  payload.back() = 1;  // the include_dram flag, now followed by `dram`
+  payload.insert(payload.end(), dram.begin(), dram.end());
+  return SnapshotOfCoreState(core, payload);
 }
 
 // msim run --restore: a malformed DRAM page record is a bad input file, a
@@ -465,6 +467,85 @@ TEST(DramRecordTest, CliRestoreOfMalformedPageExitsUsage) {
     ASSERT_OK(WriteFileBytes(bad, bad_images[i]));
     EXPECT_EQ(RunShell(run + bad + " >/dev/null 2>&1"), kExitUsage) << "bad image " << i;
   }
+}
+
+// msim run --restore: an index the pipeline or the TLB uses unchecked
+// (the ID/EX replacement-chain length, the EX/MEM instruction kind, the TLB
+// round-robin victim) is rejected when out of range, a usage error (exit 2)
+// rather than an out-of-bounds access on the next step.
+TEST(SnapshotTest, RejectsOutOfRangeIndices) {
+  const std::string source = "_start:\n  li a0, 7\n  halt zero\n";
+  const std::string program = testing::TempDir() + "/index_fields.s";
+  {
+    std::ofstream out(program);
+    out << source;
+  }
+  MetalSystem system;  // msim run's default machine
+  ASSERT_OK(system.LoadProgramSource(source));
+  ASSERT_OK(system.Boot());
+  const Core& core = system.core();
+  SnapWriter state;
+  core.SaveState(state);
+  const std::vector<uint8_t> payload = state.TakeBytes();
+  ASSERT_EQ(SnapshotOfCoreState(core, payload), SaveSnapshot(core));
+
+  // Byte offsets in Core::SaveState's stream: 32 GPRs, the cycle, the fetch
+  // unit and its two slots, then the ID/EX latch up to chain_len; after the
+  // chain, the rest of ID/EX and the EX/MEM latch up to kind.
+  constexpr size_t kFetchSlot = 1 + 4 + 4 + 1 + 4 + 4;
+  constexpr size_t kChainLen =
+      32 * 4 + 8 + (4 + 1 + 1 + 4) + 2 * kFetchSlot + (1 + 4 + 4 + 1 + 1 + 1 + 4);
+  constexpr size_t kChainStep = 1 + 1 + 4 + 4;
+  constexpr size_t kExMemKind = kChainLen + 1 + 4 * kChainStep + (1 + 1 + 4 + 4) + (1 + 4);
+  // The stream ends with the TLB (capacity, entries, victim, ...) and the
+  // components after it; the victim follows the capacity and the entries.
+  Core& mutable_core = system.core();
+  SnapWriter tail;
+  mutable_core.mmu().tlb().SaveState(tail);
+  mutable_core.icache().SaveState(tail);
+  mutable_core.dcache().SaveState(tail);
+  mutable_core.intc().SaveState(tail);
+  mutable_core.timer().SaveState(tail);
+  mutable_core.nic().SaveState(tail);
+  mutable_core.console().SaveState(tail);
+  tail.Bool(true);
+  mutable_core.bus().dram().SaveState(tail);
+  ASSERT_LT(tail.bytes().size(), payload.size());
+  const size_t tlb_at = payload.size() - tail.bytes().size();
+  ASSERT_TRUE(std::equal(tail.bytes().begin(), tail.bytes().end(), payload.begin() + tlb_at));
+  const uint32_t capacity = mutable_core.mmu().tlb().capacity();
+  const size_t victim = tlb_at + 4 + capacity * (1 + 4 + 2 + 4);
+
+  const struct {
+    const char* field;
+    size_t offset;
+    size_t width;
+    uint32_t value;
+  } kPatches[] = {
+      {"chain length", kChainLen, 1, 5},
+      {"instruction kind", kExMemKind, 4, static_cast<uint32_t>(InstrKind::kCount)},
+      {"victim index", victim, 4, capacity},
+  };
+  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
+  for (const auto& patch : kPatches) {
+    SCOPED_TRACE(patch.field);
+    std::vector<uint8_t> bad = payload;
+    for (size_t i = 0; i < patch.width; ++i) {
+      bad[patch.offset + i] = static_cast<uint8_t>(patch.value >> (8 * i));
+    }
+    const std::vector<uint8_t> image = SnapshotOfCoreState(core, bad);
+    Core fresh(core.config());
+    const Status status = RestoreSnapshot(fresh, image);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(patch.field), std::string::npos) << status.message();
+    const std::string path = testing::TempDir() + "/index_fields_bad.msnap";
+    ASSERT_OK(WriteFileBytes(path, image));
+    EXPECT_EQ(RunShell(run + path + " >/dev/null 2>&1"), kExitUsage);
+  }
+  // Positive control: the unpatched image restores and runs.
+  const std::string good = testing::TempDir() + "/index_fields_good.msnap";
+  ASSERT_OK(WriteFileBytes(good, SnapshotOfCoreState(core, payload)));
+  EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -343,10 +343,9 @@ constexpr const char* kTimerHandler = R"(
 // The StepFast parity acceptance check: a traced run and a per-cycle run
 // must produce identical spans, counters and histogram buckets — interrupts,
 // menters and traps included. Any metric hook the trace tier bypassed would
-// show up as a diff here. The host-tier "predecode" and "superblock"
-// counters are mode-dependent by nature (the executor only runs inside
-// StepFast, and its fetches bypass the predecode cache), so those two
-// components are the only allowed difference.
+// show up as a diff here. The host-tier "superblock" counters are
+// mode-dependent by nature (the executor only runs inside StepFast), so that
+// component is the only allowed difference.
 TEST(SpanSinkCoreTest, FastStepAndPerCycleEmitIdenticalStatistics) {
   const auto run = [](bool fast_step) {
     CoreConfig config;

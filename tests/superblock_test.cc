@@ -1,8 +1,8 @@
 // Superblock translation tier (cpu/superblock.h, docs/performance.md).
 //
-// The tier is "invisible by construction", one rung above the predecode
-// cache: N cycles through chained trace execution must leave machine state
-// byte-identical to N Core::StepCycle calls. The tests mirror predecode_test.cc's structure —
+// The tier is "invisible by construction": N cycles through chained trace
+// execution must leave machine state byte-identical to N Core::StepCycle
+// calls. The tests mirror faststep_test.cc's structure —
 // digest matrices at awkward sync points, an invalidation matrix against
 // every coherence source, and snapshot round trips — with the superblock
 // cache's own counters checked on the side so none of the parity checks can
@@ -441,7 +441,7 @@ TEST(SuperblockInvalidationTest, TlbEvictionForcesMidTraceSlowExit) {
   EXPECT_GT(traced.core().superblocks().stats().mem_slow_exits, 0u);
 }
 
-// Accumulates into MRAM data with mld/mst (same mroutine as predecode_test):
+// Accumulates into MRAM data with mld/mst (same mroutine as faststep_test):
 // MRAM activity alongside hot DRAM traces.
 constexpr const char* kCounterMcode = R"(
     .mentry 1, count_add
@@ -851,9 +851,9 @@ std::string MetricsJson(const Core& core) {
 }
 
 TEST(SuperblockSnapshotTest, RestoreStartsHostCachesColdWithArchitecturalStatsIntact) {
-  // Neither host-tier cache travels in a snapshot: the restored core starts
-  // with no trace and no predecoded word, and still ends with exactly the
-  // straight run's architectural counters.
+  // The trace cache does not travel in a snapshot: the restored core starts
+  // with no trace, and still ends with exactly the straight run's
+  // architectural counters.
   Core straight;  // defaults: fast_step on
   const Program program = MustAssemble(kMixedProgram);
   ASSERT_OK(straight.LoadProgram(program));
@@ -865,12 +865,8 @@ TEST(SuperblockSnapshotTest, RestoreStartsHostCachesColdWithArchitecturalStatsIn
   ASSERT_OK(RestoreSnapshot(restored, image));
   for (const auto& [name, addr] : program.symbols) {
     EXPECT_EQ(restored.superblocks().Lookup(addr, /*metal=*/false), nullptr) << name;
-    EXPECT_EQ(restored.predecode().Peek(addr, restored.bus().dram().write_generation()),
-              nullptr)
-        << name;
   }
   EXPECT_EQ(restored.superblocks().stats().builds, 0u);
-  EXPECT_EQ(restored.predecode().stats().hits, 0u);
 
   const RunResult rs = straight.Run(2'000'000);
   const RunResult rr = restored.Run(2'000'000);

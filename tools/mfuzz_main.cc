@@ -321,9 +321,9 @@ GeneratedCase Generate(uint64_t seed, bool timer) {
       }
       case 4: {  // store aliasing the code segment: the target words sit
                  // behind the program counter (nothing branches back to
-                 // _start), so executed semantics are unchanged — but the
-                 // predecode cache (write generation) and any superblock
-                 // trace built over those words (page stamp) must notice.
+                 // _start), so executed semantics are unchanged — but any
+                 // superblock trace built over those words (page stamp)
+                 // must notice.
         static const struct {
           const char* op;
           unsigned width;
