@@ -412,11 +412,11 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   uint64_t load_dispatch_cycle = ~uint64_t{0};
   uint8_t ex_load_rd = ex_load_rd_;
 
-  // The running segment's physical code pages (equal for a one-page run),
-  // set at every segment entry; kNoCodePage for a Metal segment, whose code
-  // no store reaches. sb_exact turns on the per-fetch DRAM check for the
-  // rest of the segment once a store to one of them is latched or
-  // completes: only then can a word the segment still fetches change.
+  // The running trace's physical code pages (equal for a one-page run), set
+  // at every trace entry; kNoCodePage for a Metal trace, whose code no store
+  // reaches. sb_exact turns on the per-fetch DRAM check for the rest of the
+  // trace once a store to one of them is latched: only then can a word the
+  // trace still fetches change.
   constexpr uint32_t kNoCodePage = ~0u;
   uint32_t code_page0 = kNoCodePage;
   uint32_t code_page1 = kNoCodePage;
@@ -458,40 +458,38 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   };
 
   const uint32_t sb_icache_line = config_.icache_line_size;
-  // Segment readiness sweep, run once per trace-segment entry. Every fetch
-  // inside a normal-mode segment must be a faultless, 1-cycle icache hit;
-  // neither the icache (hits do not allocate, D-side traffic never touches
-  // it) nor the translation of the segment's pages (Metal-only mutations)
-  // can change in-trace, so one sweep stands in for a per-fetch
-  // Probe/Translate. Under paging, the pages must additionally be resident,
-  // executable, key-readable and map at ONE common delta (the build-time
-  // slot addresses are virtual; `*delta` rebases them). A Metal segment
-  // needs none of this: the MRAM fetch port has no icache and no
-  // translation.
+  // Trace readiness sweep, run once per trace entry. Every fetch inside a
+  // normal-mode trace must be a faultless, 1-cycle icache hit; neither the
+  // icache (hits do not allocate, D-side traffic never touches it) nor the
+  // translation of the trace's pages (Metal-only mutations) can change
+  // in-trace, so one sweep stands in for a per-fetch Probe/Translate. Under
+  // paging, the pages must additionally be resident, executable,
+  // key-readable and map at ONE common delta (the build-time slot addresses
+  // are virtual; `*delta` rebases them). A Metal trace needs none of this:
+  // the MRAM fetch port has no icache and no translation.
   //
   // Then the ready prefix is validated against its code store
   // (SuperblockCache::SegmentCurrent, which invalidates the trace if a word
-  // changed), and the segment becomes the running one: its code pages are
+  // changed), and the trace becomes the running one: its code pages are
   // recorded and the exact fetch check is off.
   //
   // Returns the number of LEADING slots that are ready (0 rejects the
-  // segment). The executor runs the segment truncated to that prefix —
-  // byte-exact, because a truncated segment is indistinguishable from a
-  // shorter trace: the fetch guard exits before the first cold word, and
+  // trace). The executor runs the trace truncated to that prefix —
+  // byte-exact, because a truncated trace is indistinguishable from a
+  // shorter one: the fetch guard exits before the first cold word, and
   // StepCycle takes the same cycles to the same probe/translate failure.
   // Truncation matters: a trace's cold suffix (a fall-through path the
   // guest has not reached) must not keep its hot prefix — e.g. a loop body
   // ending in a strongly taken back edge — out of the executor. Out of line:
-  // it runs once per segment entry, and inlining its three call sites only
+  // it runs once per trace entry, and inlining its three call sites only
   // grows the executor.
-  auto sb_seg_ready = [&](Superblock& sb, SbSegment& seg,
-                          uint32_t* delta) __attribute__((noinline)) -> uint32_t {
+  auto sb_seg_ready = [&](Superblock& sb, uint32_t* delta) __attribute__((noinline)) -> uint32_t {
     uint32_t d = 0;
-    uint32_t vlimit = seg.start + 4 * seg.len;
+    uint32_t vlimit = sb.start + 4 * sb.len;
     if (translate) {
       bool have_d = false;
-      for (uint32_t page = seg.start & ~4095u; page < vlimit; page += 4096u) {
-        const uint32_t va = page < seg.start ? seg.start : page;
+      for (uint32_t page = sb.start & ~4095u; page < vlimit; page += 4096u) {
+        const uint32_t va = page < sb.start ? sb.start : page;
         const uint32_t vend = page + 4096u < vlimit ? page + 4096u : vlimit;
         const TranslateResult tr =
             mmu_.ProbeTranslate(va, AccessType::kFetch, asid, keyperm);
@@ -508,23 +506,23 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
       }
     }
     if (!metal) {
-      const uint32_t first = seg.start + d - ((seg.start + d) % sb_icache_line);
+      const uint32_t first = sb.start + d - ((sb.start + d) % sb_icache_line);
       for (uint32_t a = first; a < vlimit + d; a += sb_icache_line) {
         if (!icache_.Probe(a)) {
           const uint32_t va = a - d;
-          vlimit = va < seg.start ? seg.start : va;
+          vlimit = va < sb.start ? sb.start : va;
           break;
         }
       }
     }
-    const uint32_t ready = (vlimit - seg.start) / 4;
-    if (ready < kSuperblockMinLen || !superblocks_.SegmentCurrent(sb, seg, ready, d, code)) {
+    const uint32_t ready = (vlimit - sb.start) / 4;
+    if (ready < kSuperblockMinLen || !superblocks_.SegmentCurrent(sb, ready, d, code)) {
       return 0;
     }
     *delta = d;
     if (!metal) {
-      code_page0 = seg.page[0];
-      code_page1 = seg.page[1];
+      code_page0 = sb.page[0];
+      code_page1 = sb.page[1];
     }
     sb_exact = false;
     return ready;
@@ -532,21 +530,20 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 
   // Pipeline adoption: the entry prologue for a non-empty pipeline, the
   // inverse of sb_writeback_latches. The latches must hold consecutive words
-  // of one ready trace segment, in the call's mode, as plain ops: EX (when
-  // valid) is executable slot e, ID slot e + 1, a valid skid buffer slot
-  // e + 2 (depth 1), and the fetch pc the slot after those. With EX empty
-  // (a refill cycle or a load-use bubble) ID's slot is e + 1 = 0 or later.
-  // The segment is the one the last trace run stopped in at this cycle
-  // (sb_resume_), else the root of the trace at EX's (or ID's) pc, looked up
-  // or built as at a refill. ex_mem_, live or stale, becomes the pending MEM
-  // op: a live one must be a DRAM (or, in Metal mode, MRAM data) access of
-  // the call's mode that the executor's MEM slice completes exactly, and a
-  // multi-cycle one commits its frozen window through sb_freeze_fetch, as a
-  // dispatched miss does. Returns the segment and e, or a null trace after
-  // counting a refusal. Out of line: it runs once per call.
+  // of one ready trace, in the call's mode, as plain ops: EX (when valid) is
+  // executable slot e, ID slot e + 1, a valid skid buffer slot e + 2
+  // (depth 1), and the fetch pc the slot after those. With EX empty (a
+  // refill cycle or a load-use bubble) ID's slot is e + 1 = 0 or later. The
+  // trace is the one the last trace run stopped in at this cycle
+  // (sb_resume_), else the trace at EX's (or ID's) pc, looked up or built as
+  // at a refill. ex_mem_, live or stale, becomes the pending MEM op: a live
+  // one must be a DRAM (or, in Metal mode, MRAM data) access of the call's
+  // mode that the executor's MEM slice completes exactly, and a multi-cycle
+  // one commits its frozen window through sb_freeze_fetch, as a dispatched
+  // miss does. Returns the trace and e, or a null trace after counting a
+  // refusal. Out of line: it runs once per call.
   struct SbAdoption {
     Superblock* sb = nullptr;
-    SbSegment* seg = nullptr;
     uint32_t ready = 0;
     uint32_t delta = 0;
     int32_t e = 0;
@@ -558,7 +555,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     const bool window = mem.valid && mem.wait > 1;
     // `memo`: remember the refused pc, so the next cycle's call at the same
     // pc (EX or MEM held, nothing else moved) refuses without a second
-    // lookup, build walk or segment probe.
+    // lookup, build walk or readiness sweep.
     const auto refuse = [&](bool memo) -> SbAdoption {
       superblocks_.CountRefusal(SbRefusal::kPipeline);
       if (memo) {
@@ -586,35 +583,20 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
       return refuse(true);
     }
     SbAdoption a;
-    if (sb_resume_.cycle == cycle_ && sb_resume_.sb != nullptr && sb_resume_.sb->valid &&
-        sb_resume_.sb->metal == metal) {
-      for (SbSegment& seg : sb_resume_.sb->segs) {
-        if (seg.base == sb_resume_.base) {
-          a.sb = sb_resume_.sb;
-          a.seg = &seg;
-        }
-      }
-    }
+    const bool resume = sb_resume_.cycle == cycle_ && sb_resume_.sb != nullptr &&
+                        sb_resume_.sb->valid && sb_resume_.sb->metal == metal;
+    a.sb = resume ? sb_resume_.sb : superblocks_.LookupOrBuild(entry_pc, metal, code);
     if (a.sb == nullptr) {
-      a.sb = superblocks_.Lookup(entry_pc, metal);
-      if (a.sb == nullptr) {
-        a.sb = superblocks_.Build(entry_pc, metal, code);
-      } else if (a.sb->grow_pending) {
-        superblocks_.MaybeGrow(*a.sb, code);
-      }
-      if (a.sb == nullptr) {
-        return refuse(true);
-      }
-      a.seg = &a.sb->segs[0];
+      return refuse(true);
     }
-    a.ready = sb_seg_ready(*a.sb, *a.seg, &a.delta);
-    const uint32_t offset = entry_pc - a.seg->start;
+    a.ready = sb_seg_ready(*a.sb, &a.delta);
+    const uint32_t offset = entry_pc - a.sb->start;
     if (a.ready < kSuperblockMinLen || offset % 4 != 0 || offset / 4 >= a.ready) {
       return refuse(true);
     }
-    const SbSlot* slots = a.sb->slots.data() + a.seg->base;
+    const SbSlot* slots = a.sb->slots.data();
     const int32_t len = static_cast<int32_t>(a.ready);
-    const int32_t exec_len = static_cast<int32_t>(std::min(a.seg->exec_len, a.ready));
+    const int32_t exec_len = static_cast<int32_t>(std::min(a.sb->exec_len, a.ready));
     const int32_t depth = fetch_buffer_.valid ? 1 : 0;
     a.e = static_cast<int32_t>(offset / 4) - (ex ? 0 : 1);
     const auto holds = [&](int32_t i, uint32_t latch_pc, uint32_t raw) {
@@ -623,7 +605,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     if ((ex && (a.e >= exec_len || slots[a.e].d.raw != id_ex_.d.raw)) ||
         !holds(a.e + 1, if_id_.pc, if_id_.raw) ||
         (depth != 0 && !holds(a.e + 2, fetch_buffer_.pc, fetch_buffer_.raw)) ||
-        fetch_pc_ != a.seg->start + 4 * static_cast<uint32_t>(a.e + 2 + depth)) {
+        fetch_pc_ != a.sb->start + 4 * static_cast<uint32_t>(a.e + 2 + depth)) {
       return refuse(true);
     }
     // A multi-cycle op commits its frozen window in one step, as after an
@@ -635,7 +617,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     if (window && (code_store || (depth == 0 && a.e + (ex ? 2 : 3) >= len))) {
       return refuse(true);
     }
-    // A store into the segment's code still to land: the exact fetch check
+    // A store into the trace's code still to land: the exact fetch check
     // merges it, as for an in-trace store.
     sb_exact |= code_store;
     return a;
@@ -654,7 +636,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 // into EX (slot e + 1) is past the executable run: that cycle, and the
 // fetch-only word it would shift into EX, are left to StepCycle.
 //
-// Fetched words need no check while the segment's code pages are unchanged
+// Fetched words need no check while the trace's code pages are unchanged
 // since its entry validation. Once a store to one of them is latched
 // (sb_exact), every fetch re-reads its word. A store completing this cycle
 // lands before IF (MEM runs first), so its bytes are merged into the word:
@@ -730,10 +712,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 // StageMem's DRAM and MRAM-data paths: consuming drops `valid` (the wait is
 // 0, the payload stale in place), the access goes through the same
 // DramLoad/DramStore or Mram port, and the op retires with the MEM-stage
-// kRetire event ordering. A completed DRAM store to the running segment's
-// code pages turns on the exact fetch check; it matters after a tree
-// transition, which validates the new segment before this cycle's store
-// lands.
+// kRetire event ordering.
 #define MSIM_SB_COMPLETE_PEND()                                          \
   do {                                                                   \
     if (sb_pend.valid && --sb_pend.wait == 0) {                          \
@@ -751,7 +730,6 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
       } else if (sb_pend.is_store) {                                     \
         (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr,               \
                         sb_pend.store_value);                            \
-        sb_exact |= sb_code_page(sb_pend.paddr);                         \
       } else {                                                           \
         const uint32_t sb_ld =                                           \
             DramLoad(bus_, sb_pend.kind, sb_pend.paddr).value_or(0);     \
@@ -771,7 +749,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 // translating — and the load-use shadow updated for loads. store_value is
 // latched for loads too (StartMemOp reads rs2 unconditionally), keeping the
 // written-back ex_mem_ payload byte-identical. A store to the running
-// segment's code pages turns on the exact fetch check before the cycle that
+// trace's code pages turns on the exact fetch check before the cycle that
 // completes it.
 #define MSIM_SB_MEM_DISPATCH(mem_target)                                 \
   do {                                                                   \
@@ -904,14 +882,12 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   })
 #define MSIM_SB_Nop(k) MSIM_SB_STRAIGHT(k, (void)0)
 
-// A conditional branch: taken resolves via sb_taken_cond (bias counters and
-// possible tree transition) with no fetch — the speculative fall-through
-// word is squashed, exactly as per-cycle; not-taken is a straight-line
-// cycle with no writeback. Operands read the CURRENT register file, before
-// this cycle's MEM slice: a pending load completing this cycle never feeds
-// them (stall_after inserts the bubble, and sb_load_use leaves the cycle
-// after a frozen window to StepCycle). Bias counters freeze once the slot
-// is linked or refused.
+// A conditional branch: taken commits via sb_taken_cond with no fetch — the
+// speculative fall-through word is squashed, exactly as per-cycle; not-taken
+// is a straight-line cycle with no writeback. Operands read the CURRENT
+// register file, before this cycle's MEM slice: a pending load completing
+// this cycle never feeds them (stall_after inserts the bubble, and
+// sb_load_use leaves the cycle after a frozen window to StepCycle).
 #define MSIM_SB_Branch(k)                                                \
   sb_x_##k : {                                                           \
     if (BranchTaken(InstrKind::k, MSIM_SB_A, MSIM_SB_B)) {               \
@@ -921,9 +897,6 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     MSIM_SB_FETCH_OR_EXIT();                                             \
     ++cycle_;                                                            \
     MSIM_SB_COMPLETE_PEND();                                             \
-    if (es->taken_seg == kSbSegUnlinked) {                               \
-      ++es->nottaken_n;                                                  \
-    }                                                                    \
     MSIM_SB_RETIRE(*es);                                                 \
     last_redirect = false;                                               \
     MSIM_SB_COMMIT_FETCH();                                              \
@@ -959,7 +932,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 #define MSIM_SB_TARGET_Mem(k) sb_x_mem
 #define MSIM_SB_TARGET_Mram(k) sb_x_mram
 
-  // Executor state. The slot window: `slots` is the running segment's first
+  // Executor state. The slot window: `slots` is the running trace's first
   // slot, `len` its ready slots, `exec_len` the executable ones, and
   // `fdelta` the physical rebase of their addresses (0 when unpaged,
   // identity-mapped or Metal). `e` is the slot position of the EX stage this
@@ -1003,9 +976,9 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     }
     superblocks_.CountAdoption();
     sb = adopted.sb;
-    slots = sb->slots.data() + adopted.seg->base;
+    slots = sb->slots.data();
     len = static_cast<int32_t>(adopted.ready);
-    exec_len = static_cast<int32_t>(std::min(adopted.seg->exec_len, adopted.ready));
+    exec_len = static_cast<int32_t>(std::min(sb->exec_len, adopted.ready));
     fdelta = adopted.delta;
     e = adopted.e;
     depth = fetch_buffer_.valid ? 1 : 0;
@@ -1029,18 +1002,9 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     // the whole call (see above), and no interrupt can become pending before
     // the horizon.
     {
-      sb = superblocks_.Lookup(pc, metal);
-      if (sb == nullptr) {
-        sb = superblocks_.Build(pc, metal, code);
-      } else if (sb->grow_pending) {
-        // Deferred tree growth (a biased branch observed by an earlier
-        // executor run) applies only at trace entry: the walk reallocates
-        // slot storage, which must never happen while executor slot
-        // pointers are live.
-        superblocks_.MaybeGrow(*sb, code);
-      }
+      sb = superblocks_.LookupOrBuild(pc, metal, code);
       uint32_t entry_delta = 0;
-      const uint32_t entry_len = sb != nullptr ? sb_seg_ready(*sb, sb->segs[0], &entry_delta) : 0;
+      const uint32_t entry_len = sb != nullptr ? sb_seg_ready(*sb, &entry_delta) : 0;
       if (entry_len < kSuperblockMinLen) {
         break;  // no ready trace at the refill pc: per-cycle stepping takes over
       }
@@ -1131,10 +1095,8 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     // then miss_wait - 1 frozen cycles committed in one step, up to the
     // budget and the horizon (sb_freeze_fetch). At depth 0 the skid slot the
     // first frozen cycle fetches must be ready. With the exact fetch check
-    // on, a store into the running segment's code, or a degenerate miss
+    // on, a store into the running trace's code, or a degenerate miss
     // latency below two cycles, StepCycle takes the miss instead.
-    // (A store completing in the dispatch cycle cannot turn the check on:
-    // its own dispatch in this segment already did.)
     const uint32_t miss_wait = dcache_.miss_latency();
     if (sb_miss &&
         (miss_wait < 2 || sb_exact || (sb_st && sb_code_page(sb_pa)) ||
@@ -1227,45 +1189,8 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     goto sb_next;
 
   sb_taken_cond:
-    // Taken conditional branch: bias bookkeeping and tree transitions.
-    if (es->taken_seg >= 1) {
-      // The hot side was inlined as a tree segment. Entering it is the
-      // same committed redirect cycle, continued in the new segment
-      // without leaving the executor. The segment is validated before
-      // this cycle's pending store lands; MSIM_SB_COMPLETE_PEND checks that
-      // store against the new segment's code pages.
-      SbSegment& sb_tseg = sb->segs[es->taken_seg];
-      uint32_t sb_tdelta = 0;
-      const uint32_t sb_tlen = sb_seg_ready(*sb, sb_tseg, &sb_tdelta);
-      if (sb_tlen >= kSuperblockMinLen) {
-        ++cycle_;
-        MSIM_SB_COMPLETE_PEND();
-        ++stats_.control_flushes;
-        RedirectFetch(sb_tgt);
-        MSIM_SB_RETIRE(*es);
-        last_redirect = true;
-        pc = fetch_pc_;
-        superblocks_.CountTreeTransition();
-        slots = sb->slots.data() + sb_tseg.base;
-        len = static_cast<int32_t>(sb_tlen);
-        exec_len = sb_tseg.exec_len < sb_tlen
-                       ? static_cast<int32_t>(sb_tseg.exec_len)
-                       : len;
-        fdelta = sb_tdelta;
-        e = -2;
-        depth = 0;  // the redirect drained any live skid
-        goto sb_next;
-      }
-    } else if (es->taken_seg == kSbSegUnlinked) {
-      ++es->taken_n;
-      if (es->taken_n >= kSbGrowMinTaken &&
-          es->nottaken_n * 8 <= es->taken_n && !sb->grow_pending) {
-        // Strongly biased: request growth. Applied at the next
-        // trace-entry point, never mid-execution (see the loop top).
-        sb->grow_pending = true;
-        sb->grow_slot = static_cast<uint32_t>(es - sb->slots.data());
-      }
-    }
+    // Taken conditional branch: the cycle commits its MEM slice, then
+    // redirects exactly as a jump does.
     ++cycle_;
     MSIM_SB_COMPLETE_PEND();
   sb_taken_commit:
@@ -1282,8 +1207,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     {
       Superblock* sb_nt = superblocks_.Lookup(pc, metal);
       uint32_t sb_nt_delta = 0;
-      const uint32_t sb_nt_len =
-          sb_nt != nullptr ? sb_seg_ready(*sb_nt, sb_nt->segs[0], &sb_nt_delta) : 0;
+      const uint32_t sb_nt_len = sb_nt != nullptr ? sb_seg_ready(*sb_nt, &sb_nt_delta) : 0;
       if (sb_nt_len >= kSuperblockMinLen) {
         // Chain: the branch target starts another cached trace. Stale
         // payload pointers stay valid — invalidation never frees slot
@@ -1314,8 +1238,8 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     superblocks_.CountMemSlowExit();
     goto sb_exit_uncommitted;
   sb_exit_stale:
-    // A store to the running segment's code pages — THIS trace's own,
-    // possibly still pending — changed a word it fetches. Invalidate
+    // A store to the running trace's code pages — possibly still pending —
+    // changed a word it fetches. Invalidate
     // before the fetching cycle commits.
     superblocks_.Invalidate(*sb);
   sb_exit_uncommitted:
@@ -1326,7 +1250,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     sb_writeback_latches(sh_ex, sh_id, sh_buf, e >= 0 && !ex_empty,
                          e + 1 >= 0 && e + 1 < len, depth != 0);
     superblocks_.CreditInstructions(retired - sb_entry_retired, metal);
-    sb_resume_ = {sb, static_cast<uint32_t>(slots - sb->slots.data()), cycle_};
+    sb_resume_ = {sb, cycle_};
     break;
   }
 

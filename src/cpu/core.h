@@ -427,14 +427,13 @@ class Core {
 
   // Host-tier memos of StepFast's pipeline adoption (RunTraces); neither is
   // machine state, and a restore clears both. sb_resume_ is where the last
-  // trace run stopped uncommitted: the trace, its running segment's slot
-  // base and the cycle. A call at that same cycle (the next Run chunk)
-  // resumes that segment instead of building a trace at a mid-trace pc.
+  // trace run stopped uncommitted: the trace and the cycle. A call at that
+  // same cycle (the next Run chunk) resumes that trace instead of building
+  // one at a mid-trace pc.
   // sb_refused_ is the pc of the last refused adoption and its cycle: a
   // call at the same pc one cycle later (EX or MEM held) refuses at once.
   struct SbResumePoint {
     Superblock* sb = nullptr;
-    uint32_t base = 0;
     uint64_t cycle = ~uint64_t{0};
   } sb_resume_;
   struct SbRefusedEntry {

@@ -66,7 +66,7 @@ namespace {
 // A word the fetch unit could pull speculatively: aligned and below the MMIO
 // aperture (which also excludes the MRAM code range at 0xFFFF0000). Physical
 // bounds are checked separately on the RESOLVED address — with paging on the
-// two differ. The icache probe is dynamic and runs at every segment entry
+// two differ. The icache probe is dynamic and runs at every trace entry
 // instead (Core::StepFast).
 bool FetchableVa(uint32_t addr) { return (addr & 3) == 0 && addr < kMmioBase; }
 
@@ -78,11 +78,11 @@ bool FetchablePa(uint32_t paddr, uint32_t dram_size) {
 // one costs the per-cycle load-use stall plus a bubble, and the executor
 // models exactly that (core.cc). Static because the dynamic StageId hazard
 // check is a pure function of two adjacent instructions.
-void ComputeStallAfter(std::vector<SbSlot>& slots, uint32_t base, uint32_t exec_len) {
+void ComputeStallAfter(std::vector<SbSlot>& slots, uint32_t exec_len) {
   for (uint32_t i = 0; i + 1 < exec_len; ++i) {
-    SbSlot& slot = slots[base + i];
-    slot.stall_after = slot.d.info().is_load && slot.d.rd != 0 &&
-                       InstrReadsGpr(slots[base + i + 1].d, slot.d.rd);
+    SbSlot& slot = slots[i];
+    slot.stall_after =
+        slot.d.info().is_load && slot.d.rd != 0 && InstrReadsGpr(slots[i + 1].d, slot.d.rd);
   }
 }
 
@@ -98,24 +98,23 @@ SbSlot MakeSlot(uint32_t raw, uint32_t pc) {
   return slot;
 }
 
-// Records that the leading `checked` slots of `seg` match DRAM at `delta`
+// Records that the leading `checked` slots of `sb` match DRAM at `delta`
 // under the pages' current stamps, or MRAM under its current generation.
-void RecordChecked(SbSegment& seg, bool metal, uint32_t checked, uint32_t delta,
-                   const SbCode& code) {
-  seg.checked = checked;
-  seg.delta = delta;
-  if (metal) {
-    seg.stamp[0] = code.mram.generation();
+void RecordChecked(Superblock& sb, uint32_t checked, uint32_t delta, const SbCode& code) {
+  sb.checked = checked;
+  sb.delta = delta;
+  if (sb.metal) {
+    sb.stamp[0] = code.mram.generation();
     return;
   }
-  const uint32_t first = seg.start + delta;
-  seg.page[0] = first >> PhysicalMemory::kPageBits;
-  seg.page[1] = (first + 4 * (checked - 1)) >> PhysicalMemory::kPageBits;
-  seg.stamp[0] = code.dram.page_stamp(seg.page[0]);
-  seg.stamp[1] = code.dram.page_stamp(seg.page[1]);
+  const uint32_t first = sb.start + delta;
+  sb.page[0] = first >> PhysicalMemory::kPageBits;
+  sb.page[1] = (first + 4 * (checked - 1)) >> PhysicalMemory::kPageBits;
+  sb.stamp[0] = code.dram.page_stamp(sb.page[0]);
+  sb.stamp[1] = code.dram.page_stamp(sb.page[1]);
 }
 
-// The raw word the segment slot at `addr` holds now: MRAM code (nullopt on a
+// The raw word the trace slot at `addr` holds now: MRAM code (nullopt on a
 // parity failure) for a Metal trace, DRAM at `addr + delta` otherwise.
 std::optional<uint32_t> CodeWord(bool metal, uint32_t addr, uint32_t delta,
                                  const SbCode& code) {
@@ -146,15 +145,15 @@ SuperblockCache::SuperblockCache(bool enabled) {
 }
 
 uint32_t SuperblockCache::WalkSegment(uint32_t start, bool metal, const SbCode& code,
-                                      std::vector<SbSlot>* slots, SbSegment* seg) const {
-  const uint32_t base = static_cast<uint32_t>(slots->size());
+                                      uint32_t* delta) {
+  scratch_.clear();
   uint32_t addr = start;
-  // A segment spans at most one virtual-to-physical delta: the executor
-  // translates the segment entry once (a consistent delta re-probed per
-  // page) and fetches slot words at addr + delta, so a page run mapped with
-  // a different offset ends the walk. Identity mapping when paging is off.
-  // A Metal segment reads the MRAM code segment untranslated (delta 0).
-  uint32_t delta = 0;
+  // A trace spans at most one virtual-to-physical delta: the executor
+  // translates the trace entry once (a consistent delta re-probed per page)
+  // and fetches slot words at addr + delta, so a page run mapped with a
+  // different offset ends the walk. Identity mapping when paging is off. A
+  // Metal trace reads the MRAM code segment untranslated (delta 0).
+  *delta = 0;
   bool have_delta = false;
   auto fetch = [&](uint32_t va) -> std::optional<uint32_t> {
     if (metal) {
@@ -165,15 +164,15 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, bool metal, const SbCode& 
       return std::nullopt;
     }
     if (!have_delta) {
-      delta = pa - va;
+      *delta = pa - va;
       have_delta = true;
     }
-    if (pa - va != delta) {
+    if (pa - va != *delta) {
       return std::nullopt;
     }
     return code.dram.Read32(pa);
   };
-  while (slots->size() - base < kSuperblockMaxLen) {
+  while (scratch_.size() < kSuperblockMaxLen) {
     const auto word = fetch(addr);
     if (!word) {
       break;
@@ -182,20 +181,19 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, bool metal, const SbCode& 
     if (!TraceSafeInstr(slot.d.kind, metal)) {
       break;
     }
-    slots->push_back(slot);
+    scratch_.push_back(slot);
     addr += 4;
     if (slot.d.info().is_jump) {
       break;
     }
   }
-  const uint32_t exec_len = static_cast<uint32_t>(slots->size()) - base;
+  const uint32_t exec_len = static_cast<uint32_t>(scratch_.size());
   if (exec_len < kSuperblockMinLen) {
-    slots->resize(base);
     return 0;
   }
   // Fetch-only tail: the words the pipeline pulls speculatively while the
   // final slots execute (see Superblock::len). Two words even for a
-  // jump-terminated segment: under a live load-use skid (depth 1) the
+  // jump-terminated trace: under a live load-use skid (depth 1) the
   // frontend runs one fetch ahead, reaching exec_len + 1 on the cycle
   // before the jump dispatches.
   for (uint32_t i = 0; i < 2; ++i) {
@@ -203,30 +201,24 @@ uint32_t SuperblockCache::WalkSegment(uint32_t start, bool metal, const SbCode& 
     if (!word) {
       break;
     }
-    slots->push_back(MakeSlot(*word, addr));  // never dispatched
+    scratch_.push_back(MakeSlot(*word, addr));  // never dispatched
     addr += 4;
   }
-  ComputeStallAfter(*slots, base, exec_len);
-  seg->start = start;
-  seg->base = base;
-  seg->exec_len = exec_len;
-  seg->len = static_cast<uint32_t>(slots->size()) - base;
-  RecordChecked(*seg, metal, seg->len, delta, code);
+  ComputeStallAfter(scratch_, exec_len);
   return exec_len;
 }
 
-bool SuperblockCache::Revalidate(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
+bool SuperblockCache::Revalidate(Superblock& sb, uint32_t ready, uint32_t delta,
                                  const SbCode& code) {
   ++stats_.revalidations;
-  const SbSlot* slots = sb.slots.data() + seg.base;
   for (uint32_t i = 0; i < ready; ++i) {
-    const auto word = CodeWord(sb.metal, slots[i].addr, delta, code);
-    if (!word || *word != slots[i].d.raw) {
+    const auto word = CodeWord(sb.metal, sb.slots[i].addr, delta, code);
+    if (!word || *word != sb.slots[i].d.raw) {
       Invalidate(sb);
       return false;
     }
   }
-  RecordChecked(seg, sb.metal, ready, delta, code);
+  RecordChecked(sb, ready, delta, code);
   return true;
 }
 
@@ -234,9 +226,8 @@ Superblock* SuperblockCache::Build(uint32_t start, bool metal, const SbCode& cod
   if (traces_.empty()) {
     return nullptr;
   }
-  scratch_.clear();
-  SbSegment seg;
-  const uint32_t exec_len = WalkSegment(start, metal, code, &scratch_, &seg);
+  uint32_t delta = 0;
+  const uint32_t exec_len = WalkSegment(start, metal, code, &delta);
   if (exec_len == 0) {
     return nullptr;
   }
@@ -248,40 +239,11 @@ Superblock* SuperblockCache::Build(uint32_t start, bool metal, const SbCode& cod
   sb.metal = metal;
   sb.start = start;
   sb.exec_len = exec_len;
-  sb.len = seg.len;
+  sb.len = static_cast<uint32_t>(scratch_.size());
   sb.slots.assign(scratch_.begin(), scratch_.end());
-  sb.segs.assign(1, seg);
-  sb.grow_pending = false;
-  sb.grow_slot = 0;
+  RecordChecked(sb, sb.len, delta, code);
   ++stats_.builds;
   return &sb;
-}
-
-void SuperblockCache::MaybeGrow(Superblock& sb, const SbCode& code) {
-  if (!sb.grow_pending) {
-    return;
-  }
-  sb.grow_pending = false;
-  const uint32_t slot_index = sb.grow_slot;
-  if (slot_index >= sb.slots.size() ||
-      sb.slots[slot_index].taken_seg != kSbSegUnlinked) {
-    return;
-  }
-  if (sb.segs.size() - 1 >= kSuperblockMaxTrees) {
-    // Over budget: freeze the branch's counters so it never re-arms growth.
-    sb.slots[slot_index].taken_seg = kSbSegNoGrow;
-    return;
-  }
-  // WalkSegment may reallocate sb.slots: no slot references survive it.
-  SbSegment seg;
-  if (WalkSegment(sb.slots[slot_index].target, sb.metal, code, &sb.slots, &seg) == 0) {
-    sb.slots[slot_index].taken_seg = kSbSegNoGrow;
-    return;
-  }
-  const uint32_t seg_index = static_cast<uint32_t>(sb.segs.size());
-  sb.segs.push_back(seg);
-  sb.slots[slot_index].taken_seg = static_cast<int16_t>(seg_index);
-  ++stats_.tree_grows;
 }
 
 void SuperblockCache::InvalidateAll() {
@@ -317,12 +279,8 @@ void SuperblockCache::RegisterMetrics(MetricRegistry& registry) const {
                     "memory slots dispatched on the in-trace fast path");
   registry.Register("superblock", "mem_slow_exits", &stats_.mem_slow_exits,
                     "trace exits forced by a slow-path memory op");
-  registry.Register("superblock", "tree_grows", &stats_.tree_grows,
-                    "biased-branch successor segments built");
-  registry.Register("superblock", "tree_transitions", &stats_.tree_transitions,
-                    "taken branches that stayed in-trace via a tree segment");
   registry.Register("superblock", "revalidations", &stats_.revalidations,
-                    "segment entries that re-read code after a code page, the MRAM "
+                    "trace entries that re-read code after a code page, the MRAM "
                     "generation or the translation moved");
   registry.Register("superblock", "metal_instructions", &stats_.metal_instructions,
                     "instructions retired inside Metal (MRAM) traces");

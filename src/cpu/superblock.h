@@ -23,7 +23,7 @@
 // MSIM_TRACE_KINDS below, the list of kinds it admits, so a new trace-safe
 // kind of an existing class needs one row there.
 //
-// Beyond plain ALU/branch work, traces carry three more kinds of slot:
+// Beyond plain ALU/branch work, traces carry two more kinds of slot:
 //   * Memory-op slots. Loads, stores and plw/psw join traces. A memory slot
 //     takes the fast path when the access is DRAM-targeted (never MMIO) and,
 //     for a translated access, TLB-resident with the required permission.
@@ -40,15 +40,6 @@
 //     against the MRAM data segment. A misaligned or out-of-range offset, or
 //     an mld of a word that fails parity, exits uncommitted so the per-cycle
 //     stages raise the fault or the machine check.
-//   * Trace trees. Conditional branch slots carry taken/not-taken counters;
-//     when a branch is observed strongly biased toward taken, the hot
-//     successor is built as an additional SEGMENT of the same superblock
-//     (SbSegment) and the branch links to it, so the taken edge replays
-//     in-trace (the architectural two-cycle flush still happens — trees buy
-//     immunity from trace-cache conflict eviction and skip the per-chain
-//     cache lookup, not pipeline cycles). Growth is bounded by
-//     kSuperblockMaxTrees and happens only outside the executor (slot
-//     storage may reallocate).
 //
 // Byte-exactness is the contract: N cycles through a superblock leave
 // machine state byte-identical to N Core::StepCycle calls (enforced by
@@ -56,34 +47,38 @@
 // superblock_test digest matrices). Three mechanisms carry the contract:
 //   * Entry guards. StepFast starts a trace on an empty pipeline (both
 //     latches invalid, MEM and the fetch unit idle — the refill state), or
-//     adopts latches that hold consecutive words of one ready trace segment
-//     (a live MEM op becoming the trace's pending op), with no mode
-//     transition or fetch in flight, no fault engine, machine check or armed
-//     bus fault, and the device-event horizon ahead. Normal mode also needs
+//     adopts latches that hold consecutive words of one ready trace (a live
+//     MEM op becoming the trace's pending op), with no mode transition or
+//     fetch in flight, no fault engine, machine check or armed bus fault,
+//     and the device-event horizon ahead. Normal mode also needs
 //     no armed intercept and no pending interrupt, every icache line
-//     spanning the entered segment resident and — with paging on — a single
-//     consistent virtual-to-physical delta for the segment's pages. Metal
+//     spanning the entered trace resident and — with paging on — a single
+//     consistent virtual-to-physical delta for the trace's pages. Metal
 //     mode needs MRAM-resident mroutines with a one-cycle fetch port, and
 //     clamps its cycle budget to the watchdog's. The guards hold for a whole
 //     StepFast call: a call runs traces of one mode only, memory slots never
 //     reach MMIO, Metal traces never translate, and wcr (which moves paging,
 //     interrupt enables and MRAM code) never joins a trace.
-//   * Per-page validation. A normal-mode segment spans at most two physical
+//   * Per-page validation. A normal-mode trace spans at most two physical
 //     pages (kSuperblockMaxLen + 2 words) and records their
 //     PhysicalMemory::page_stamp values, the translation delta and how many
-//     leading slots were last compared against DRAM; a Metal segment
-//     records Mram::generation() instead. Every segment entry (trace entry,
-//     chain, tree transition) checks the stamps and the delta; only when one
-//     moved does it re-read the ready prefix, and a changed word invalidates
-//     the trace before any cycle commits (SuperblockCache::SegmentCurrent).
-//     Fetches inside a segment do no per-word work.
-//   * Stores into the running segment. A store whose page is one of the
-//     running segment's code pages turns on the exact fetch check for the
-//     rest of that segment: each fetch re-reads its word and merges a
-//     store completing that cycle into it BEFORE the cycle commits, so
+//     leading slots were last compared against DRAM; a Metal trace records
+//     Mram::generation() instead. Every trace entry (refill, chain,
+//     adoption) checks the stamps and the delta; only when one moved does it
+//     re-read the ready prefix, and a changed word invalidates the trace
+//     before any cycle commits (SuperblockCache::SegmentCurrent). A refill
+//     or a chain validates after every earlier store has landed (a chain
+//     after its branch cycle's MEM slice). Fetches inside a trace do no
+//     per-word work.
+//   * Stores into the running trace. A store whose page is one of the
+//     running trace's code pages turns on the exact fetch check for the
+//     rest of that trace: each fetch re-reads its word and merges a store
+//     completing that cycle into it BEFORE the cycle commits, so
 //     self-modifying code exits and invalidates exactly where a per-cycle
-//     run would first fetch the new word. Any other store costs one page
-//     compare. No store reaches MRAM code, so Metal segments never need it.
+//     run would first fetch the new word. The check turns on when such a
+//     store is dispatched, or at adoption when the adopted MEM op is one.
+//     Any other store costs one page compare. No store reaches MRAM code,
+//     so Metal traces never need it.
 //
 // Trace state is NOT architectural state and is never serialized: like
 // CoreConfig::fast_step, the tier is invisible, snapshots stay portable
@@ -156,68 +151,41 @@ inline bool TraceSafeInstr(InstrKind kind, bool metal) {
 // statically to mark load slots whose successor stalls (SbSlot::stall_after).
 bool InstrReadsGpr(const Decoded& d, uint8_t reg);
 
-// Branch-slot tree-link states (SbSlot::taken_seg).
-inline constexpr int16_t kSbSegUnlinked = -1;  // counting; may still grow
-inline constexpr int16_t kSbSegNoGrow = -2;    // growth tried/refused: stop counting
-
 struct SbSlot {
   Decoded d;  // dispatched on d.kind; operands read from d
   // Load slot whose rd the NEXT slot reads: dispatching it costs the
   // load-use stall cycle plus a bubble, computed at build time (the dynamic
   // StageId check is a pure function of two adjacent slots).
   bool stall_after = false;
-  // Conditional branches: segment index inlining the taken successor, or a
-  // kSbSeg* state. Never 0 (the root segment is entered only via Lookup).
-  int16_t taken_seg = kSbSegUnlinked;
-  uint32_t taken_n = 0;     // taken-branch bias counters; frozen once linked
-  uint32_t nottaken_n = 0;
   uint32_t target = 0;  // conditional branches: JumpTarget, folded at build
-  uint32_t addr = 0;    // the word's virtual address within its segment;
-                        // d.raw is revalidated per code page
-};
-
-// One straight-line run of a trace tree. Segment 0 is the root (the trace's
-// only Lookup entry point); segments >= 1 are grown taken-branch successors
-// entered exclusively through their linking branch slot's taken edge.
-struct SbSegment {
-  uint32_t start = 0;     // virtual address of the segment's first slot
-  uint32_t base = 0;      // index of that slot in Superblock::slots
-  uint32_t exec_len = 0;  // executable slots (>= kSuperblockMinLen)
-  uint32_t len = 0;       // total slots including the fetch-only tail
-  // Per-page validation state (SuperblockCache::SegmentCurrent): the
-  // leading `checked` slots matched DRAM at virtual-to-physical delta
-  // `delta` while physical pages page[0] and page[1] (equal for a one-page
-  // run) carried stamps stamp[0] and stamp[1]. A Metal segment matched MRAM
-  // while Mram::generation() was stamp[0] (delta and pages are 0).
-  uint32_t checked = 0;
-  uint32_t delta = 0;
-  uint32_t page[2] = {0, 0};
-  uint64_t stamp[2] = {0, 0};
+  uint32_t addr = 0;    // the word's virtual address; d.raw is revalidated
+                        // per code page
 };
 
 struct Superblock {
   bool valid = false;
   bool metal = false;     // Metal trace: MRAM code, Metal-mode semantics
-  uint32_t start = 0;     // root segment start; the only Lookup entry point
-  uint32_t exec_len = 0;  // root segment executable slots (mirror of segs[0])
-  // Root segment total slots including up to two trailing FETCH-ONLY slots:
-  // the pipeline fetches two words past the last executable slot before a
-  // terminal branch resolves (one speculative fall-through fetch per
-  // unresolved stage), and recording those words lets the hot taken-branch
-  // back edge of a loop execute fully in-trace. Fetch-only slots carry
-  // addr/raw/d only; the executor exits before one would reach EX.
+  uint32_t start = 0;     // virtual address of slots[0]; the Lookup key
+  uint32_t exec_len = 0;  // executable slots (>= kSuperblockMinLen)
+  // Total slots including up to two trailing FETCH-ONLY slots: the pipeline
+  // fetches two words past the last executable slot before a terminal
+  // branch resolves (one speculative fall-through fetch per unresolved
+  // stage), and recording those words lets the hot taken-branch back edge
+  // of a loop execute fully in-trace. Fetch-only slots carry addr/raw/d
+  // only; the executor exits before one would reach EX.
   uint32_t len = 0;
-  // Flat slot storage for every segment (segs[i] spans
-  // [segs[i].base, segs[i].base + segs[i].len)). Reallocates only outside
-  // the executor (Build/MaybeGrow are never called while slot pointers are
-  // live).
+  // Per-page validation state (SuperblockCache::SegmentCurrent): the
+  // leading `checked` slots matched DRAM at virtual-to-physical delta
+  // `delta` while physical pages page[0] and page[1] (equal for a one-page
+  // run) carried stamps stamp[0] and stamp[1]. A Metal trace matched MRAM
+  // while Mram::generation() was stamp[0] (delta and pages are 0).
+  uint32_t checked = 0;
+  uint32_t delta = 0;
+  uint32_t page[2] = {0, 0};
+  uint64_t stamp[2] = {0, 0};
+  // The `len` slots. Reallocates only in Build, never while the executor
+  // holds slot pointers.
   std::vector<SbSlot> slots;
-  std::vector<SbSegment> segs;
-  // Deferred tree growth: a biased branch was observed at flat slot index
-  // grow_slot; MaybeGrow (called at trace entry and chain points, never
-  // inside a running segment) builds the successor segment.
-  bool grow_pending = false;
-  uint32_t grow_slot = 0;
 };
 
 // The StepFast entry guards that refuse a tier entry, each counted in
@@ -254,16 +222,14 @@ struct SuperblockStats {
   // trace out").
   uint64_t mem_fast_hits = 0;   // memory slots dispatched on the fast path
   uint64_t mem_slow_exits = 0;  // trace exits forced by a slow-path memory op
-  uint64_t tree_grows = 0;        // successor segments built
-  uint64_t tree_transitions = 0;  // taken branches that stayed in-trace via a segment
-  uint64_t revalidations = 0;  // segment entries that re-read code (stamp or delta moved)
+  uint64_t revalidations = 0;  // trace entries that re-read code (stamp or delta moved)
   uint64_t metal_instructions = 0;  // the part of `instructions` retired in Metal traces
   uint64_t miss_freezes = 0;        // dcache misses whose MEM stall stayed in-trace
   // StepFast calls refused at an entry guard, by guard (SbRefusal).
   std::array<uint64_t, static_cast<size_t>(SbRefusal::kCount)> refusals{};
 };
 
-// Fetch-address resolver for the build walk and segment entry: maps a
+// Fetch-address resolver for the build walk and trace entry: maps a
 // virtual word address to the physical address raw words live at. Identity
 // when mmu is null (paging off). Pure: never counts, never traces.
 struct SbAddrSpace {
@@ -274,7 +240,7 @@ struct SbAddrSpace {
   bool Resolve(uint32_t vaddr, uint32_t* paddr) const;
 };
 
-// Where the build walk and segment validation read raw code words: DRAM
+// Where the build walk and trace validation read raw code words: DRAM
 // through `as` for normal-mode traces, the MRAM code segment
 // (Mram::PeekCodeWord, untranslated) for Metal traces.
 struct SbCode {
@@ -284,9 +250,9 @@ struct SbCode {
 };
 
 // Direct-mapped trace cache, indexed by start address. Deterministic by
-// construction: build-on-first-miss with overwrite eviction and
-// entry-point-only growth, so cache contents are a pure function of the
-// execution history since the last load or restore.
+// construction: build-on-first-miss with overwrite eviction, so cache
+// contents are a pure function of the execution history since the last
+// load or restore.
 class SuperblockCache {
  public:
   // Geometry is fixed (kSuperblockEntries); `enabled` off constructs an
@@ -312,35 +278,33 @@ class SuperblockCache {
   // instructions exists there. A Metal trace starts and stays in the MRAM
   // code segment, a normal-mode trace in DRAM. The walk is side-effect-free
   // on machine state: raw words come from PhysicalMemory::Read32 through
-  // `code.as` (current translation; a single consistent delta per segment)
-  // or from Mram::PeekCodeWord, and the segment records the page stamps or
+  // `code.as` (current translation; a single consistent delta per trace)
+  // or from Mram::PeekCodeWord, and the trace records the page stamps or
   // the MRAM generation it read them under. A failed walk stops at the
   // first offending word — re-probing an unsafe target costs O(1) decodes.
   Superblock* Build(uint32_t start, bool metal, const SbCode& code);
 
-  // Applies a pending tree growth: builds the successor segment at the
-  // biased branch's target and links the branch to it. Bounded by
-  // kSuperblockMaxTrees grown segments per trace; a refused or failed growth
-  // marks the branch kSbSegNoGrow so it is never retried. Reallocates
-  // sb.slots — must not be called while executor slot pointers are live.
-  void MaybeGrow(Superblock& sb, const SbCode& code);
+  // The trace entry at a refill point or an adopted pipeline: the cached
+  // trace at `pc`, else a freshly built one (nullptr if none exists there).
+  Superblock* LookupOrBuild(uint32_t pc, bool metal, const SbCode& code) {
+    Superblock* sb = Lookup(pc, metal);
+    return sb != nullptr ? sb : Build(pc, metal, code);
+  }
 
-  // Segment-entry validation: true if the leading `ready` slots of `seg`
-  // (a segment of `sb`) still hold the words DRAM has at `delta`, or MRAM
-  // has for a Metal trace. Free while the recorded delta and page stamps
-  // (MRAM generation) hold and `ready` is within the checked prefix;
-  // otherwise re-reads the prefix, counts a revalidation and records the
-  // current stamps. A changed or unreadable word invalidates `sb` and
-  // returns false.
-  bool SegmentCurrent(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
-                      const SbCode& code) {
-    if (ready <= seg.checked && delta == seg.delta &&
-        (sb.metal ? code.mram.generation() == seg.stamp[0]
-                  : code.dram.page_stamp(seg.page[0]) == seg.stamp[0] &&
-                        code.dram.page_stamp(seg.page[1]) == seg.stamp[1])) [[likely]] {
+  // Trace-entry validation: true if the leading `ready` slots of `sb` still
+  // hold the words DRAM has at `delta`, or MRAM has for a Metal trace. Free
+  // while the recorded delta and page stamps (MRAM generation) hold and
+  // `ready` is within the checked prefix; otherwise re-reads the prefix,
+  // counts a revalidation and records the current stamps. A changed or
+  // unreadable word invalidates `sb` and returns false.
+  bool SegmentCurrent(Superblock& sb, uint32_t ready, uint32_t delta, const SbCode& code) {
+    if (ready <= sb.checked && delta == sb.delta &&
+        (sb.metal ? code.mram.generation() == sb.stamp[0]
+                  : code.dram.page_stamp(sb.page[0]) == sb.stamp[0] &&
+                        code.dram.page_stamp(sb.page[1]) == sb.stamp[1])) [[likely]] {
       return true;
     }
-    return Revalidate(sb, seg, ready, delta, code);
+    return Revalidate(sb, ready, delta, code);
   }
 
   // Kills one stale trace (a raw word no longer matches DRAM).
@@ -363,7 +327,6 @@ class SuperblockCache {
   }
   void CountCycles(uint64_t n) { stats_.cycles += n; }
   void CountChain() { ++stats_.chains; }
-  void CountTreeTransition() { ++stats_.tree_transitions; }
   void CountMemFastHit() { ++stats_.mem_fast_hits; }
   void CountMemSlowExit() { ++stats_.mem_slow_exits; }
   void CountMissFreeze() { ++stats_.miss_freezes; }
@@ -382,14 +345,11 @@ class SuperblockCache {
  private:
   uint32_t Index(uint32_t addr) const { return (addr >> 2) & mask_; }
 
-  // Shared straight-line walk for Build (root segment) and MaybeGrow
-  // (successor segments): appends the run starting at `start` to `slots`,
-  // returning the executable length (0 if shorter than kSuperblockMinLen).
-  // Fills in `seg`'s validation state for its first `checked` slots.
-  uint32_t WalkSegment(uint32_t start, bool metal, const SbCode& code,
-                       std::vector<SbSlot>* slots, SbSegment* seg) const;
-  bool Revalidate(Superblock& sb, SbSegment& seg, uint32_t ready, uint32_t delta,
-                  const SbCode& code);
+  // Build's straight-line walk: fills scratch_ with the run starting at
+  // `start` and returns its executable length (0 if shorter than
+  // kSuperblockMinLen), with the run's virtual-to-physical delta in *delta.
+  uint32_t WalkSegment(uint32_t start, bool metal, const SbCode& code, uint32_t* delta);
+  bool Revalidate(Superblock& sb, uint32_t ready, uint32_t delta, const SbCode& code);
 
   std::vector<Superblock> traces_;
   uint32_t mask_ = 0;
@@ -403,15 +363,9 @@ inline constexpr uint32_t kSuperblockEntries = 1024;
 // Refilling the two pipeline latches costs two in-trace cycles before the
 // first slot reaches EX, so a shorter trace could never execute anything.
 inline constexpr uint32_t kSuperblockMinLen = 2;
-// Maximum executable instructions per trace segment. With the two-word
-// fetch-only tail a segment spans at most 66 words, so at most two pages.
+// Maximum executable instructions per trace. With the two-word fetch-only
+// tail a trace spans at most 66 words, so at most two pages.
 inline constexpr uint32_t kSuperblockMaxLen = 64;
-// Maximum tree segments grown past strongly biased conditional branches,
-// per trace.
-inline constexpr uint32_t kSuperblockMaxTrees = 8;
-// Bias threshold: a branch grows its taken successor once taken at least
-// this often AND at least 8x more often than not taken.
-inline constexpr uint32_t kSbGrowMinTaken = 16;
 
 }  // namespace msim
 

@@ -90,7 +90,7 @@ class Mram {
     }
   }
 
-  // Side-effect-free code read for the superblock build walk and segment
+  // Side-effect-free code read for the superblock build walk and trace
   // revalidation (cpu/superblock.h): the stored word, or nullopt when `addr`
   // is outside the code segment or misaligned, or the word fails parity.
   // Counts nothing and emits no event.
@@ -104,8 +104,8 @@ class Mram {
 
   // Monotonic mutation counter covering the CODE segment: bumped by loader
   // code writes, code corruption behind the write path, scrubs, Clear and
-  // RestoreState. Metal superblock traces (cpu/superblock.h) stamp their
-  // segments with it, so any code mutation forces a rebuild before a traced
+  // RestoreState. Metal superblock traces (cpu/superblock.h) stamp
+  // themselves with it, so any code mutation forces a rebuild before a traced
   // decode is trusted again. Data-segment writes (mst) and data corruption
   // leave it alone: no decode depends on data, and every mld re-checks data
   // parity itself.

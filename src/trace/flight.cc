@@ -1,15 +1,10 @@
 #include "trace/flight.h"
 
-#include <algorithm>
+#include <string>
 
-#include "snap/snapstream.h"
 #include "trace/json.h"
 
 namespace msim {
-
-FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-  buffer_.reserve(std::min<size_t>(capacity_, kDefaultCapacity));
-}
 
 bool FlightRecorder::Records(TraceEventKind kind) {
   switch (kind) {
@@ -28,40 +23,10 @@ bool FlightRecorder::Records(TraceEventKind kind) {
   }
 }
 
-void FlightRecorder::OnEvent(const TraceEvent& event) {
-  if (!Records(event.kind)) {
-    return;
-  }
-  ++total_;
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
-    return;
-  }
-  buffer_[next_] = event;
-  next_ = (next_ + 1) % capacity_;
-  ++dropped_;
-}
-
-std::vector<TraceEvent> FlightRecorder::Events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(buffer_.size());
-  for (size_t i = 0; i < buffer_.size(); ++i) {
-    out.push_back(buffer_[(next_ + i) % buffer_.size()]);
-  }
-  return out;
-}
-
-void FlightRecorder::Clear() {
-  buffer_.clear();
-  next_ = 0;
-  total_ = 0;
-  dropped_ = 0;
-}
-
 void FlightRecorder::AppendJson(JsonWriter& json) const {
-  json.Field("capacity", static_cast<uint64_t>(capacity_));
-  json.Field("total", total_);
-  json.Field("dropped", dropped_);
+  json.Field("capacity", static_cast<uint64_t>(capacity()));
+  json.Field("total", total());
+  json.Field("dropped", dropped());
   json.BeginArray("events");
   for (const TraceEvent& event : Events()) {
     json.BeginObject();
@@ -76,48 +41,12 @@ void FlightRecorder::AppendJson(JsonWriter& json) const {
   json.EndArray();
 }
 
-void FlightRecorder::SaveState(SnapWriter& w) const {
-  w.U64(static_cast<uint64_t>(capacity_));
-  w.U64(total_);
-  w.U64(dropped_);
-  const std::vector<TraceEvent> events = Events();
-  w.U64(static_cast<uint64_t>(events.size()));
-  for (const TraceEvent& event : events) {
-    w.U8(static_cast<uint8_t>(event.kind));
-    w.Bool(event.metal);
-    w.U64(event.cycle);
-    w.U32(event.pc);
-    w.U32(event.arg0);
-    w.U32(event.arg1);
-  }
-}
-
 Status FlightRecorder::RestoreState(SnapReader& r) {
-  const uint64_t capacity = r.U64();
-  if (capacity == 0 || capacity > (1u << 20)) {
-    return InvalidArgument("flight recorder snapshot: implausible capacity");
+  const Status status = ring_.RestoreState(r, kMaxCapacity);
+  if (!status.ok()) {
+    return InvalidArgument("flight recorder: " + status.message());
   }
-  capacity_ = static_cast<size_t>(capacity);
-  total_ = r.U64();
-  dropped_ = r.U64();
-  const uint64_t count = r.U64();
-  if (count > capacity) {
-    return InvalidArgument("flight recorder snapshot: count exceeds capacity");
-  }
-  buffer_.clear();
-  next_ = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    TraceEvent event;
-    event.kind = static_cast<TraceEventKind>(r.U8() %
-                                             static_cast<uint8_t>(TraceEventKind::kCount));
-    event.metal = r.Bool();
-    event.cycle = r.U64();
-    event.pc = r.U32();
-    event.arg0 = r.U32();
-    event.arg1 = r.U32();
-    buffer_.push_back(event);
-  }
-  return r.ToStatus("flight recorder");
+  return status;
 }
 
 }  // namespace msim

@@ -94,9 +94,9 @@ void RingBufferSink::SaveState(SnapWriter& w) const {
   }
 }
 
-Status RingBufferSink::RestoreState(SnapReader& r) {
+Status RingBufferSink::RestoreState(SnapReader& r, uint64_t max_capacity) {
   const uint64_t capacity = r.U64();
-  if (capacity == 0 || capacity > (1u << 24)) {
+  if (capacity == 0 || capacity > max_capacity) {
     return InvalidArgument("trace ring snapshot: implausible capacity");
   }
   capacity_ = static_cast<size_t>(capacity);
@@ -108,7 +108,9 @@ Status RingBufferSink::RestoreState(SnapReader& r) {
   }
   buffer_.clear();
   next_ = 0;
-  for (uint64_t i = 0; i < count; ++i) {
+  // Stops at the first short read: a count the section's bytes cannot hold
+  // allocates no more events than the section carries.
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
     TraceEvent event;
     event.kind = static_cast<TraceEventKind>(r.U8() %
                                              static_cast<uint8_t>(TraceEventKind::kCount));

@@ -73,15 +73,18 @@ class RingBufferSink : public TraceSink {
 
   // Events in emission order (oldest first).
   std::vector<TraceEvent> Events() const;
+  size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
   uint64_t total() const { return total_; }
   void Clear();
 
   // Checkpoint/restore (src/snap): the retained window rides in snapshots so
   // a restored run's crash-dump trace matches the straight run's byte for
-  // byte even when part of the window predates the restore point.
+  // byte even when part of the window predates the restore point. Restore
+  // rejects a capacity of 0 or above `max_capacity`, and a count above the
+  // capacity.
   void SaveState(SnapWriter& w) const;
-  Status RestoreState(SnapReader& r);
+  Status RestoreState(SnapReader& r, uint64_t max_capacity = uint64_t{1} << 24);
 
  private:
   std::vector<TraceEvent> buffer_;

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "snap/snapshot.h"
 #include "snap/snapstream.h"
+#include "support/exit_codes.h"
 #include "tests/sim_test_util.h"
 #include "trace/json.h"
 
@@ -108,25 +112,82 @@ TEST(FlightRecorderTest, SaveRestoreIsByteIdentical) {
   EXPECT_EQ(events.back().cycle, 8u);
 }
 
-TEST(FlightRecorderTest, RestoreRejectsImplausibleState) {
-  {
+// Flight sections a restore must reject: capacity 0, a capacity above
+// kMaxCapacity (which a plain RingBufferSink would accept), and a count
+// above the capacity.
+std::vector<std::vector<uint8_t>> ImplausibleFlightSections() {
+  std::vector<std::vector<uint8_t>> sections;
+  for (const auto& [capacity, count] :
+       {std::pair<uint64_t, uint64_t>{0, 0}, {FlightRecorder::kMaxCapacity + 1, 0}, {2, 5}}) {
     SnapWriter w;
-    w.U64(0);  // capacity 0
-    const std::vector<uint8_t> bytes = w.TakeBytes();
+    w.U64(capacity);
+    w.U64(9);  // total
+    w.U64(0);  // dropped
+    w.U64(count);
+    sections.push_back(w.TakeBytes());
+  }
+  return sections;
+}
+
+TEST(FlightRecorderTest, RestoreRejectsImplausibleState) {
+  for (const std::vector<uint8_t>& bytes : ImplausibleFlightSections()) {
     FlightRecorder flight;
     SnapReader r(bytes);
     EXPECT_FALSE(flight.RestoreState(r).ok());
   }
+  // The over-capacity section is well formed for a trace ring.
+  const std::vector<uint8_t> over_capacity = ImplausibleFlightSections()[1];
+  RingBufferSink ring;
+  SnapReader r(over_capacity);
+  EXPECT_OK(ring.RestoreState(r));
+}
+
+TEST(FlightRecorderTest, TruncatedRestoreReadsNoMoreEventsThanItCarries) {
+  // A section that claims a full ring but carries one event: the restore
+  // fails at the first short read instead of filling the claimed count.
+  SnapWriter w;
+  w.U64(FlightRecorder::kMaxCapacity);  // capacity
+  w.U64(FlightRecorder::kMaxCapacity);  // total
+  w.U64(0);                             // dropped
+  w.U64(FlightRecorder::kMaxCapacity);  // count
+  w.U8(static_cast<uint8_t>(TraceEventKind::kRetire));
+  w.Bool(false);
+  w.U64(1);
+  w.U32(0);
+  w.U32(0);
+  w.U32(0);
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  FlightRecorder flight;
+  SnapReader r(bytes);
+  EXPECT_FALSE(flight.RestoreState(r).ok());
+  EXPECT_LE(flight.Events().size(), 2u);
+}
+
+// msim run --restore: an implausible flight section is a bad input file, a
+// usage error (exit 2).
+TEST(FlightRecorderTest, CliRestoreOfImplausibleFlightSectionExitsUsage) {
+  const std::string source = "_start:\n  halt zero\n";
+  const std::string program = testing::TempDir() + "/flight_restore.s";
   {
-    SnapWriter w;
-    w.U64(2);   // capacity
-    w.U64(9);   // total
-    w.U64(0);   // dropped
-    w.U64(5);   // count > capacity
-    const std::vector<uint8_t> bytes = w.TakeBytes();
-    FlightRecorder flight;
-    SnapReader r(bytes);
-    EXPECT_FALSE(flight.RestoreState(r).ok());
+    std::ofstream out(program);
+    out << source;
+  }
+  MetalSystem system;  // msim run's default machine
+  ASSERT_OK(system.LoadProgramSource(source));
+  ASSERT_OK(system.Boot());
+  const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
+  FlightRecorder flight;
+  SnapWriter good_section;
+  flight.SaveState(good_section);
+  const std::string good = testing::TempDir() + "/flight_restore_good.msnap";
+  ASSERT_OK(SaveSnapshotFile(system.core(), good, {{"flight", good_section.TakeBytes()}}));
+  EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);
+  const std::vector<std::vector<uint8_t>> sections = ImplausibleFlightSections();
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const std::string bad =
+        testing::TempDir() + "/flight_restore_bad" + std::to_string(i) + ".msnap";
+    ASSERT_OK(SaveSnapshotFile(system.core(), bad, {{"flight", sections[i]}}));
+    EXPECT_EQ(RunShell(run + bad + " >/dev/null 2>&1"), kExitUsage) << "bad section " << i;
   }
 }
 

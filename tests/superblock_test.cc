@@ -232,7 +232,7 @@ TEST(SuperblockTest, ByteExactWithTimerInterruptsAcrossHorizons) {
   EXPECT_GT(traced.superblocks().stats().chains, 0u);
 }
 
-// A loop body of 150 straight-line instructions: longer than one segment.
+// A loop body of 150 straight-line instructions: longer than one trace.
 std::string LongStraightLineProgram() {
   std::string source = "_start:\n  li s0, 20\nloop:\n";
   for (int i = 0; i < 150; ++i) {
@@ -258,10 +258,11 @@ TEST(SuperblockTest, SegmentsAreBoundedByMaxLen) {
   ExpectSameRetires(a, b);
   const Superblock* sb = traced.superblocks().Lookup(program.symbols.at("loop"), /*metal=*/false);
   ASSERT_NE(sb, nullptr);
+  // One run per trace: the executable slots plus at most the two-word
+  // fetch-only tail, all in `slots`.
   EXPECT_EQ(sb->exec_len, kSuperblockMaxLen);
-  for (const SbSegment& seg : sb->segs) {
-    EXPECT_LE(seg.exec_len, kSuperblockMaxLen);
-  }
+  EXPECT_LE(sb->len, kSuperblockMaxLen + 2);
+  EXPECT_EQ(sb->slots.size(), sb->len);
   EXPECT_GT(traced.superblocks().stats().executions, 0u);
 }
 
@@ -539,7 +540,7 @@ TEST(SuperblockInvalidationTest, FaultEngineAttachDisablesTraceExecution) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-page validation: segment entries check code-page stamps, and re-read
+// Per-page validation: trace entries check code-page stamps, and re-read
 // DRAM only when a stamp or the translation moved.
 // ---------------------------------------------------------------------------
 
@@ -686,12 +687,13 @@ TEST(SuperblockPageValidationTest, InTraceStoreToAnotherTracesPageThenChain) {
   EXPECT_GT(stats.invalidations, 0u);
 }
 
-// The strongly taken `bnez s0, far` grows `far` into a tree segment on its
-// own page. The `sw` just before it stores into that page on every
-// iteration: the original word until s0 reaches 20, then the patch. The
-// tree transition validates `far` before the pending store lands, so the
-// store itself must turn on the exact fetch check in the new segment.
-constexpr const char* kTreeStoreProgram = R"(
+// The taken `bnez s0, far` chains into the trace at `far`, on its own page.
+// The `sw` just before the branch stores into that page on every iteration:
+// the original word until s0 reaches 20, then the patch. The store lands in
+// the branch cycle's MEM slice, before the chain validates `far`, so the
+// chain sees the moved page stamp: `far` revalidates and survives on the
+// early iterations and is killed by the patching one.
+constexpr const char* kChainStoreProgram = R"(
   _start:
     la t0, tslot
     la t1, patch
@@ -703,7 +705,7 @@ constexpr const char* kTreeStoreProgram = R"(
     j loop
   patch:
     addi s1, s1, 7
-    .org 0x1e00           # the root near the end of its page ...
+    .org 0x1e00           # the loop near the end of its page ...
   loop:
     addi s0, s0, -1
     addi s1, s1, 1
@@ -720,17 +722,16 @@ constexpr const char* kTreeStoreProgram = R"(
     j loop
 )";
 
-TEST(SuperblockPageValidationTest, StoreToTreeSegmentPageBeforeTakenTransition) {
-  // Growth applies only at a trace entry from the per-cycle path, so odd
-  // chunk sizes make the executor exit and re-enter at changing points.
+TEST(SuperblockPageValidationTest, StoreToChainTargetPageBeforeTakenChain) {
+  // Odd chunk sizes make the executor exit and re-enter at changing points.
   const std::vector<uint64_t> chunks(80, 13);
-  const SuperblockStats stats = RunAgainstPerCycle(MustAssemble(kTreeStoreProgram), chunks);
-  EXPECT_GT(stats.tree_grows, 0u);
-  EXPECT_GT(stats.tree_transitions, 0u);
+  const SuperblockStats stats = RunAgainstPerCycle(MustAssemble(kChainStoreProgram), chunks);
+  EXPECT_GT(stats.chains, 0u);
+  EXPECT_GT(stats.revalidations, 0u);
   EXPECT_GT(stats.invalidations, 0u);
 }
 
-// A store into the running segment, `distance` words ahead of itself, on the
+// A store into the running trace, `distance` words ahead of itself, on the
 // one iteration that falls through to it. From distance 3 on, the patched
 // word is fetched in the very cycle the store completes (or later), so the
 // exact fetch check must already be on when the store is latched.
@@ -776,7 +777,7 @@ TEST(SuperblockPageValidationTest, StoreIntoRunningSegmentAtEveryFetchDistance) 
 }
 
 // Loads and stores stay on the data page: no code-page stamp moves, so no
-// segment entry ever re-reads DRAM.
+// trace entry ever re-reads DRAM.
 constexpr const char* kDataOnlyStoreProgram = R"(
   _start:
     la t0, buf
@@ -983,8 +984,7 @@ TEST(MetalTraceTest, PageTableWalkerMissFreezeMatchesPerCycle) {
 }
 
 // An mroutine loop at a refill point: the loop body (from `again`) is a
-// Metal trace entered at every taken back edge, which is biased enough to
-// grow a tree segment.
+// Metal trace that its taken back edge chains into.
 constexpr const char* kMramLoopMcode = R"(
     .mentry 1, accumulate
     .mentry 2, mcheck_recover
@@ -1031,7 +1031,7 @@ void SetUpMramLoop(MetalSystem& s) {
 TEST(MetalTraceTest, RcrCycleAndInstretInsideTraceMatchPerCycle) {
   const SuperblockStats stats = RunAgainstPerCycle(CoreConfig{}, SetUpMramLoop, kMetalChunks);
   EXPECT_GT(stats.metal_instructions, 0u);
-  EXPECT_GT(stats.tree_transitions, 0u);
+  EXPECT_GT(stats.chains, 0u);
 }
 
 TEST(MetalTraceTest, CorruptDataWordBeforeInTraceMldMachineChecksPerCycle) {
