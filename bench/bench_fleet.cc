@@ -17,8 +17,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -54,6 +56,24 @@ uint64_t NowMs() {
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
 }
+
+// Owns the bench's scratch directory and removes it, with the job outputs
+// in it, on every return path.
+class RemovedOnExit {
+ public:
+  explicit RemovedOnExit(std::string path) : path_(std::move(path)) {}
+  ~RemovedOnExit() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  RemovedOnExit(const RemovedOnExit&) = delete;
+  RemovedOnExit& operator=(const RemovedOnExit&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string WriteProgram(const std::string& dir, const char* name, const char* text) {
   const std::string path = dir + "/" + name;
@@ -114,7 +134,12 @@ int main(int argc, char** argv) {
   }
 
   char tmpl[] = "/tmp/bench_fleet_XXXXXX";
-  const std::string dir = ::mkdtemp(tmpl);
+  if (::mkdtemp(tmpl) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const RemovedOnExit work_dir(tmpl);
+  const std::string& dir = work_dir.path();
   const std::string short_prog = WriteProgram(dir, "short.s", kShortProgram);
   const std::string long_prog = WriteProgram(dir, "long.s", kLongProgram);
 

@@ -15,10 +15,12 @@
 // bench/baseline_simspeed.json.
 //
 // BM_FreshMachineCheckpoint is the odd one out: it measures whole machines
-// per second, the per-machine fixed cost a fault-campaign trial pays.
+// per second, the per-machine fixed cost a fault-campaign trial pays. The
+// BM_TlbLookup* rows time one layer alone: TLB lookups per second.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -34,7 +36,9 @@
 #include "ext/cpt.h"
 #include "ext/stm.h"
 #include "metal/system.h"
+#include "mmu/tlb.h"
 #include "snap/snapshot.h"
+#include "support/rng.h"
 
 namespace msim {
 namespace {
@@ -349,6 +353,64 @@ void BM_FreshMachineCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_FreshMachineCheckpoint)->Unit(benchmark::kMicrosecond);
 
+// The TLB probe behind every translated access, which the paper's custom
+// page tables (§3.2) keep full: Lookup on a full 32-entry TLB, either of the
+// resident pages (hits) or of the other 32 pages of the same 4 MiB region
+// (misses). The vaddrs come from a run-time table in a scattered order, so
+// no lookup folds away.
+class TlbLookupLoop {
+ public:
+  static constexpr uint32_t kEntries = 32;
+
+  explicit TlbLookupLoop(bool hit) : tlb_(kEntries) {
+    for (uint32_t i = 0; i < kEntries; ++i) {
+      const uint32_t page = (i * 7) % (2 * kEntries);  // 32 distinct of 64
+      tlb_.Insert(Vaddr(page), MakePte(0x01000000 + i * kPageSize, kPteR | kPteW), kAsid);
+    }
+    Rng rng(hit ? 1 : 2);
+    for (uint32_t& vaddr : vaddrs_) {
+      const uint32_t i = static_cast<uint32_t>(rng.Below(kEntries));
+      // Pages (i * 7) % 64 are resident; (i * 7 + 1) % 64 are not (7 is odd).
+      vaddr = Vaddr((i * 7 + (hit ? 0 : 1)) % (2 * kEntries)) + 4 * static_cast<uint32_t>(i);
+    }
+  }
+
+  // Runs `n` lookups; returns the XOR of the hit PTEs.
+  uint32_t Run(uint64_t n) {
+    uint32_t sum = 0;
+    for (uint64_t k = 0; k < n; ++k) {
+      const TlbEntry* entry = tlb_.Lookup(vaddrs_[k % vaddrs_.size()], kAsid);
+      sum ^= entry != nullptr ? entry->pte : 0;
+    }
+    return sum;
+  }
+
+ private:
+  static constexpr uint16_t kAsid = 1;
+  static uint32_t Vaddr(uint32_t page) { return 0x00800000 + page * kPageSize; }
+
+  Tlb tlb_;
+  std::array<uint32_t, 1024> vaddrs_{};
+};
+
+void BM_TlbLookupHit(benchmark::State& state) {
+  TlbLookupLoop loop(/*hit=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.Run(1024));
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_TlbLookupHit);
+
+void BM_TlbLookupMiss(benchmark::State& state) {
+  TlbLookupLoop loop(/*hit=*/false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.Run(1024));
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_TlbLookupMiss);
+
 void BM_Assembler(benchmark::State& state) {
   std::string source = "_start:\n";
   for (int i = 0; i < 1000; ++i) {
@@ -419,6 +481,23 @@ double MeasureMachinesPerSec(int reps) {
   return best;
 }
 
+// Best-of-`reps` lookups per second of TlbLookupLoop, each rep 2M lookups.
+double MeasureTlbLookupsPerSec(bool hit, int reps) {
+  constexpr uint64_t kLookups = 2'000'000;
+  TlbLookupLoop loop(hit);
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(loop.Run(kLookups));
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (seconds > 0.0) {
+      best = std::max(best, static_cast<double>(kLookups) / seconds);
+    }
+  }
+  return best;
+}
+
 // A guest (a MetalSystem booted by `boot`: a plain program, or one with
 // mroutines and extensions) under fast_step on and off. Reps alternate the
 // two configs, and the ratio is the median of the per-pair ratios: a shared
@@ -482,6 +561,8 @@ int RunBenchReport(int argc, char** argv) {
   const FastStepRates intercept = MeasureFastStepPairs(BootInterceptLoop, 3 * kReps);
   const FastStepRates pagetable = MeasureFastStepPairs(BootPageTableLoop, 3 * kReps);
   const double machines = MeasureMachinesPerSec(5);
+  const double tlb_hits = MeasureTlbLookupsPerSec(/*hit=*/true, kReps);
+  const double tlb_misses = MeasureTlbLookupsPerSec(/*hit=*/false, kReps);
   std::printf("BM_AluLoop                %12.0f sim-instr/s (traced)\n", fast);
   std::printf("BM_AluLoopStepCycle       %12.0f sim-instr/s (fast_step off)\n", slow);
   std::printf("BM_AluLoopObserved        %12.0f sim-instr/s (traced + span sink)\n",
@@ -503,6 +584,8 @@ int RunBenchReport(int argc, char** argv) {
   std::printf("BM_PageTableLoopStepCycle %12.0f sim-instr/s (fast_step off)\n", pagetable.slow);
   std::printf("BM_FreshMachineCheckpoint %12.0f machines/s (build, run, save, restore, digest)\n",
               machines);
+  std::printf("BM_TlbLookupHit           %12.0f lookups/s (full 32-entry TLB)\n", tlb_hits);
+  std::printf("BM_TlbLookupMiss          %12.0f lookups/s (full 32-entry TLB)\n", tlb_misses);
   std::printf("speedup (fast/stepcycle)  %12.2fx\n", slow > 0.0 ? fast / slow : 0.0);
   std::printf("speedup (memloop traced/stepcycle) %6.2fx (median pair)\n", memcopy.speedup);
   std::printf("speedup (intercept fast/stepcycle) %6.2fx (median pair)\n", intercept.speedup);
@@ -519,6 +602,8 @@ int RunBenchReport(int argc, char** argv) {
   report.AddRow("BM_PageTableLoop").Field("sim_instr_per_sec", pagetable.fast);
   report.AddRow("BM_PageTableLoopStepCycle").Field("sim_instr_per_sec", pagetable.slow);
   report.AddRow("BM_FreshMachineCheckpoint").Field("machines_per_sec", machines);
+  report.AddRow("BM_TlbLookupHit").Field("lookups_per_sec", tlb_hits);
+  report.AddRow("BM_TlbLookupMiss").Field("lookups_per_sec", tlb_misses);
   report.AddRow("speedup").Field("fast_over_stepcycle", slow > 0.0 ? fast / slow : 0.0);
   report.AddRow("memloop_superblock_speedup").Field("traced_over_stepcycle", memcopy.speedup);
   report.AddRow("intercept_faststep_speedup").Field("fast_over_stepcycle", intercept.speedup);

@@ -32,57 +32,23 @@ MmioDevice* Bus::Find(uint32_t paddr, uint32_t* offset) {
   return nullptr;
 }
 
-std::optional<uint32_t> Bus::Read32(uint32_t paddr) {
-  if (IsMmio(paddr)) {
-    uint32_t offset = 0;
-    MmioDevice* device = Find(paddr, &offset);
-    if (device == nullptr) {
-      return std::nullopt;
-    }
-    return device->Read32(offset);
-  }
-  return dram_.Read32(paddr);
-}
-
-bool Bus::Write32(uint32_t paddr, uint32_t value) {
-  if (IsMmio(paddr)) {
-    uint32_t offset = 0;
-    MmioDevice* device = Find(paddr, &offset);
-    if (device == nullptr) {
-      return false;
-    }
-    device->Write32(offset, value);
-    return true;
-  }
-  return dram_.Write32(paddr, value);
-}
-
-std::optional<uint16_t> Bus::Read16(uint32_t paddr) {
-  if (IsMmio(paddr)) {
+std::optional<uint32_t> Bus::MmioRead32(uint32_t paddr) {
+  uint32_t offset = 0;
+  MmioDevice* device = Find(paddr, &offset);
+  if (device == nullptr) {
     return std::nullopt;
   }
-  return dram_.Read16(paddr);
+  return device->Read32(offset);
 }
 
-std::optional<uint8_t> Bus::Read8(uint32_t paddr) {
-  if (IsMmio(paddr)) {
-    return std::nullopt;
-  }
-  return dram_.Read8(paddr);
-}
-
-bool Bus::Write16(uint32_t paddr, uint16_t value) {
-  if (IsMmio(paddr)) {
+bool Bus::MmioWrite32(uint32_t paddr, uint32_t value) {
+  uint32_t offset = 0;
+  MmioDevice* device = Find(paddr, &offset);
+  if (device == nullptr) {
     return false;
   }
-  return dram_.Write16(paddr, value);
-}
-
-bool Bus::Write8(uint32_t paddr, uint8_t value) {
-  if (IsMmio(paddr)) {
-    return false;
-  }
-  return dram_.Write8(paddr, value);
+  device->Write32(offset, value);
+  return true;
 }
 
 void Bus::TickDevices(uint64_t cycle, InterruptController& intc) {

@@ -60,13 +60,26 @@ class Bus {
   Status AttachDevice(uint32_t base, MmioDevice* device);
 
   // Word access routed to DRAM or a device. nullopt/false = bus error.
-  std::optional<uint32_t> Read32(uint32_t paddr);
-  bool Write32(uint32_t paddr, uint32_t value);
+  // DRAM is taken inline; only MMIO goes out of line.
+  std::optional<uint32_t> Read32(uint32_t paddr) {
+    return IsMmio(paddr) ? MmioRead32(paddr) : dram_.Read32(paddr);
+  }
+  bool Write32(uint32_t paddr, uint32_t value) {
+    return IsMmio(paddr) ? MmioWrite32(paddr, value) : dram_.Write32(paddr, value);
+  }
   // Sub-word accesses are DRAM-only (devices are word-oriented).
-  std::optional<uint16_t> Read16(uint32_t paddr);
-  std::optional<uint8_t> Read8(uint32_t paddr);
-  bool Write16(uint32_t paddr, uint16_t value);
-  bool Write8(uint32_t paddr, uint8_t value);
+  std::optional<uint16_t> Read16(uint32_t paddr) {
+    return IsMmio(paddr) ? std::nullopt : dram_.Read16(paddr);
+  }
+  std::optional<uint8_t> Read8(uint32_t paddr) {
+    return IsMmio(paddr) ? std::nullopt : dram_.Read8(paddr);
+  }
+  bool Write16(uint32_t paddr, uint16_t value) {
+    return !IsMmio(paddr) && dram_.Write16(paddr, value);
+  }
+  bool Write8(uint32_t paddr, uint8_t value) {
+    return !IsMmio(paddr) && dram_.Write8(paddr, value);
+  }
 
   bool IsMmio(uint32_t paddr) const { return paddr >= kMmioBase; }
 
@@ -83,6 +96,8 @@ class Bus {
     MmioDevice* device = nullptr;
   };
   MmioDevice* Find(uint32_t paddr, uint32_t* offset);
+  std::optional<uint32_t> MmioRead32(uint32_t paddr);
+  bool MmioWrite32(uint32_t paddr, uint32_t value);
 
   PhysicalMemory dram_;
   std::vector<Mapping> mappings_;

@@ -1,35 +1,26 @@
 #include "mem/cache.h"
 
-#include <cassert>
+#include <bit>
 
 #include "snap/snapstream.h"
 #include "support/bits.h"
+#include "support/strings.h"
 
 namespace msim {
 
 Cache::Cache(uint32_t num_lines, uint32_t line_size, uint32_t hit_latency, uint32_t miss_latency)
     : num_lines_(num_lines),
-      line_size_(line_size),
+      line_shift_(static_cast<uint32_t>(std::countr_zero(line_size))),
+      tag_shift_(line_shift_ + static_cast<uint32_t>(std::countr_zero(num_lines))),
       hit_latency_(hit_latency),
       miss_latency_(miss_latency),
       lines_(num_lines) {
-  assert(IsPowerOfTwo(num_lines) && IsPowerOfTwo(line_size));
-}
-
-uint32_t Cache::Access(uint32_t paddr) {
-  Line& line = lines_[IndexOf(paddr)];
-  const uint32_t tag = TagOf(paddr);
-  if (line.valid && line.tag == tag) {
-    ++stats_.hits;
-    return hit_latency_;
+  if (!IsPowerOfTwo(num_lines) || !IsPowerOfTwo(line_size)) {
+    internal::ResultFatal(
+        "cache geometry",
+        StrFormat("%u lines of %u bytes; both must be non-zero powers of two", num_lines,
+                  line_size));
   }
-  ++stats_.misses;
-  if (tracer_ != nullptr) {
-    tracer_->Emit(miss_kind_, paddr);
-  }
-  line.valid = true;
-  line.tag = tag;
-  return miss_latency_;
 }
 
 void Cache::RegisterMetrics(MetricRegistry& registry, const std::string& component) const {

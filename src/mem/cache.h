@@ -30,12 +30,28 @@ struct CacheStats {
 
 class Cache {
  public:
-  // num_lines and line_size must be powers of two.
+  // num_lines and line_size must be powers of two; any other geometry is a
+  // fatal error in every build type, since the shift indexing below would
+  // silently model a different cache.
   Cache(uint32_t num_lines, uint32_t line_size, uint32_t hit_latency, uint32_t miss_latency);
 
   // Performs a (timing-only) access; returns the latency in cycles and
   // updates tags and statistics.
-  uint32_t Access(uint32_t paddr);
+  uint32_t Access(uint32_t paddr) {
+    Line& line = lines_[IndexOf(paddr)];
+    const uint32_t tag = TagOf(paddr);
+    if (line.valid && line.tag == tag) {
+      ++stats_.hits;
+      return hit_latency_;
+    }
+    ++stats_.misses;
+    if (tracer_ != nullptr) {
+      tracer_->Emit(miss_kind_, paddr);
+    }
+    line.valid = true;
+    line.tag = tag;
+    return miss_latency_;
+  }
 
   // True if the line holding paddr is currently resident (no state change).
   // Inline: the hot-path stepper (Core::StepFast) probes once per cycle.
@@ -87,11 +103,16 @@ class Cache {
     uint32_t tag = 0;
   };
 
-  uint32_t IndexOf(uint32_t paddr) const { return (paddr / line_size_) & (num_lines_ - 1); }
-  uint32_t TagOf(uint32_t paddr) const { return paddr / line_size_ / num_lines_; }
+  // paddr / line_size % num_lines and paddr / line_size / num_lines. The tag
+  // shift may reach 32 (a tag of 0), hence the 64-bit shift.
+  uint32_t IndexOf(uint32_t paddr) const { return (paddr >> line_shift_) & (num_lines_ - 1); }
+  uint32_t TagOf(uint32_t paddr) const {
+    return static_cast<uint32_t>(uint64_t{paddr} >> tag_shift_);
+  }
 
   uint32_t num_lines_;
-  uint32_t line_size_;
+  uint32_t line_shift_;  // log2(line size)
+  uint32_t tag_shift_;   // log2(line size) + log2(num_lines)
   uint32_t hit_latency_;
   uint32_t miss_latency_;
   std::vector<Line> lines_;

@@ -15,10 +15,6 @@ Mram::Mram()
       code_parity_(kMramCodeSize / 4, 0),
       data_parity_(kMramDataSize / 4, 0) {}
 
-void Mram::StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word) {
-  std::memcpy(&segment[offset], &word, 4);
-}
-
 std::optional<uint32_t> Mram::PeekCodeWord(uint32_t addr) const {
   if (!InCodeRange(addr) || (addr & 3) != 0) {
     return std::nullopt;
@@ -29,10 +25,6 @@ std::optional<uint32_t> Mram::PeekCodeWord(uint32_t addr) const {
     return std::nullopt;
   }
   return word;
-}
-
-bool Mram::DataParityOk(uint32_t offset) const {
-  return !parity_enabled_ || WordParity(LoadWord(data_, offset)) == data_parity_[offset / 4];
 }
 
 bool Mram::WriteCodeWord(uint32_t offset, uint32_t word) {
@@ -46,34 +38,8 @@ bool Mram::WriteCodeWord(uint32_t offset, uint32_t word) {
   return true;
 }
 
-std::optional<uint32_t> Mram::ReadData32(uint32_t offset) const {
-  if (offset + 4 > data_.size() || offset + 4 < offset) {
-    return std::nullopt;
-  }
-  ++stats_.data_reads;
-  if (tracer_ != nullptr) {
-    tracer_->Emit(TraceEventKind::kMramAccess, offset, /*arg0=*/1, /*arg1=*/0, /*metal=*/true);
-  }
-  return LoadWord(data_, offset);
-}
-
-bool Mram::WriteData32(uint32_t offset, uint32_t value) {
-  if (offset + 4 > data_.size() || offset + 4 < offset) {
-    return false;
-  }
-  ++stats_.data_writes;
-  if (tracer_ != nullptr) {
-    tracer_->Emit(TraceEventKind::kMramAccess, offset, /*arg0=*/2, /*arg1=*/0, /*metal=*/true);
-  }
-  StoreWord(data_, offset, value);
-  StoreWord(data_shadow_, offset, value);
-  data_parity_[offset / 4] = WordParity(value);
-  return true;
-}
-
 bool Mram::DataParityError(uint32_t offset) const {
-  if (offset + 4 > data_.size() || offset + 4 < offset || (offset & 3) != 0 ||
-      DataParityOk(offset)) {
+  if (!InDataRange(offset) || (offset & 3) != 0 || DataParityOk(offset)) {
     return false;
   }
   ++stats_.parity_errors;

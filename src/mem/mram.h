@@ -100,7 +100,9 @@ class Mram {
   // range and aligned): false only when parity is enabled and the word fails
   // it. Unlike DataParityError it counts nothing; the trace executor uses it
   // to leave a failing mld to the per-cycle MEM stage.
-  bool DataParityOk(uint32_t offset) const;
+  bool DataParityOk(uint32_t offset) const {
+    return !parity_enabled_ || WordParity(LoadWord(data_, offset)) == data_parity_[offset / 4];
+  }
 
   // Monotonic mutation counter covering the CODE segment: bumped by loader
   // code writes, code corruption behind the write path, scrubs, Clear and
@@ -114,9 +116,31 @@ class Mram {
   // Loader-side write into the code segment (offset from kMramCodeBase).
   bool WriteCodeWord(uint32_t offset, uint32_t word);
 
-  // Data segment, addressed by byte offset (mld/mst).
-  std::optional<uint32_t> ReadData32(uint32_t offset) const;
-  bool WriteData32(uint32_t offset, uint32_t value);
+  // Data segment, addressed by byte offset (mld/mst). Inline: both tiers
+  // call these once per mld/mst.
+  std::optional<uint32_t> ReadData32(uint32_t offset) const {
+    if (!InDataRange(offset)) {
+      return std::nullopt;
+    }
+    ++stats_.data_reads;
+    if (tracer_ != nullptr) {
+      tracer_->Emit(TraceEventKind::kMramAccess, offset, /*arg0=*/1, /*arg1=*/0, /*metal=*/true);
+    }
+    return LoadWord(data_, offset);
+  }
+  bool WriteData32(uint32_t offset, uint32_t value) {
+    if (!InDataRange(offset)) {
+      return false;
+    }
+    ++stats_.data_writes;
+    if (tracer_ != nullptr) {
+      tracer_->Emit(TraceEventKind::kMramAccess, offset, /*arg0=*/2, /*arg1=*/0, /*metal=*/true);
+    }
+    StoreWord(data_, offset, value);
+    StoreWord(data_shadow_, offset, value);
+    data_parity_[offset / 4] = WordParity(value);
+    return true;
+  }
 
   // --- reliability model ---
   void SetParityEnabled(bool enabled) { parity_enabled_ = enabled; }
@@ -158,7 +182,13 @@ class Mram {
   // Returned as bool so that GCC folds it into an inline parity test
   // instead of a popcount library call.
   static bool WordParity(uint32_t word) { return (std::popcount(word) & 1) != 0; }
-  void StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word);
+  static void StoreWord(std::vector<uint8_t>& segment, uint32_t offset, uint32_t word) {
+    std::memcpy(&segment[offset], &word, 4);
+  }
+  // A word access at byte `offset` lies inside the data segment.
+  static bool InDataRange(uint32_t offset) {
+    return offset + 4 <= kMramDataSize && offset + 4 >= offset;
+  }
 
   std::vector<uint8_t> code_;
   std::vector<uint8_t> data_;

@@ -10,8 +10,8 @@
 #ifndef MSIM_MMU_TLB_H_
 #define MSIM_MMU_TLB_H_
 
+#include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "support/result.h"
@@ -65,6 +65,16 @@ struct TlbStats {
   uint64_t insertions = 0;
 };
 
+// The entries live in one array scanned in ascending slot order: the first
+// valid entry that matches wins, and round-robin replacement picks victims by
+// slot. A hash index answers that scan in O(1): bucket (vpn, page size)
+// holds a bitmask of the slots whose entry it keys, one word per 64 slots,
+// so a lookup ORs the two buckets a vaddr can hit (its 4 KiB and its 4 MiB
+// page) and tests the candidates in ascending slot order — exactly the
+// linear scan's first match, with hash collisions only adding candidates the
+// full match rejects. A second bitmask marks the free slots for Insert.
+// Every mutation keeps both in step with the entry array; neither is
+// serialized (RestoreState rebuilds them).
 class Tlb {
  public:
   explicit Tlb(uint32_t num_entries = 32);
@@ -73,13 +83,20 @@ class Tlb {
 
   // Looks up vaddr for `asid`; returns the matching entry or nullptr. Updates
   // hit/miss statistics.
-  const TlbEntry* Lookup(uint32_t vaddr, uint16_t asid);
+  const TlbEntry* Lookup(uint32_t vaddr, uint16_t asid) {
+    const TlbEntry* entry = PeekLookup(vaddr, asid);
+    ++(entry != nullptr ? stats_.hits : stats_.misses);
+    return entry;
+  }
 
   // Side-effect-free twin of Lookup for speculative fast paths
   // (Core::StepFast): identical match, no statistics. Lookup's only mutation
   // is the hit/miss counters (replacement state moves on Insert alone), so
   // PeekLookup + CreditHits for the committed hits is exactly equivalent.
-  const TlbEntry* PeekLookup(uint32_t vaddr, uint16_t asid) const;
+  const TlbEntry* PeekLookup(uint32_t vaddr, uint16_t asid) const {
+    const uint32_t slot = FindMatch(vaddr, asid);
+    return slot != kNoSlot ? &entries_[slot] : nullptr;
+  }
 
   // Replays hit counts committed against PeekLookup-based fast paths.
   void CreditHits(uint64_t n) { stats_.hits += n; }
@@ -89,7 +106,10 @@ class Tlb {
   void Insert(uint32_t vaddr, uint32_t pte, uint16_t asid);
 
   // Probe without statistics (tlbrd): PTE or 0.
-  uint32_t Probe(uint32_t vaddr, uint16_t asid) const;
+  uint32_t Probe(uint32_t vaddr, uint16_t asid) const {
+    const TlbEntry* entry = PeekLookup(vaddr, asid);
+    return entry != nullptr ? entry->pte : 0;
+  }
 
   // Invalidates entries mapping vaddr under `asid` (global entries included).
   void InvalidateVaddr(uint32_t vaddr, uint16_t asid);
@@ -124,11 +144,60 @@ class Tlb {
   }
 
  private:
-  bool Matches(const TlbEntry& entry, uint32_t vaddr, uint16_t asid) const;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // The bucket an entry of page number `vpn` and size `superpage` is
+  // indexed under (Fibonacci hashing of the (vpn, size) key).
+  uint32_t BucketOf(uint32_t vpn, bool superpage) const {
+    return ((vpn << 1 | static_cast<uint32_t>(superpage)) * 0x9E3779B9u) >> bucket_shift_;
+  }
+  const uint64_t* BucketWords(uint32_t bucket) const { return index_.data() + bucket * words_; }
+
+  // The one finder: the first slot, in ascending order, among those indexed
+  // under `bucket_a` or `bucket_b` whose entry satisfies `match`; kNoSlot if
+  // none. Only valid entries are indexed.
+  template <typename Match>
+  uint32_t FindSlot(uint32_t bucket_a, uint32_t bucket_b, Match match) const {
+    const uint64_t* a = BucketWords(bucket_a);
+    const uint64_t* b = BucketWords(bucket_b);
+    for (uint32_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = a[w] | b[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t slot = w * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+        if (match(entries_[slot])) {
+          return slot;
+        }
+      }
+    }
+    return kNoSlot;
+  }
+
+  // The slot whose entry translates vaddr for `asid` (Lookup's match).
+  uint32_t FindMatch(uint32_t vaddr, uint16_t asid) const {
+    return FindSlot(BucketOf(vaddr >> kPageShift, false), BucketOf(vaddr >> kSuperPageShift, true),
+                    [vaddr, asid](const TlbEntry& entry) {
+                      const uint32_t shift = entry.superpage() ? kSuperPageShift : kPageShift;
+                      return (entry.global() || entry.asid == asid) &&
+                             entry.vpn == (vaddr >> shift);
+                    });
+  }
+
+  // Index maintenance: `slot` enters (its entry just became valid) or leaves
+  // (its entry is about to become invalid or change key) the index.
+  void IndexSlot(uint32_t slot);
+  void UnindexSlot(uint32_t slot);
+  // Marks `slot` invalid and drops it from the index; its fields stay, as
+  // SaveState writes them.
+  void Invalidate(uint32_t slot);
+  // Rebuilds both bitmasks from the entry array.
+  void Reindex();
 
   std::vector<TlbEntry> entries_;
   uint32_t next_victim_ = 0;
   TlbStats stats_;
+  uint32_t words_;                // bitmask words per bucket: ceil(capacity / 64)
+  uint32_t bucket_shift_;         // 32 - log2(bucket count)
+  std::vector<uint64_t> index_;   // bucket-major slot bitmasks
+  std::vector<uint64_t> free_;    // slot bitmask of invalid entries
 };
 
 }  // namespace msim

@@ -47,6 +47,18 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "unknown";
 }
 
+void Tracer::EmitToSink(TraceEventKind kind, uint32_t pc, uint32_t arg0, uint32_t arg1,
+                        bool metal) {
+  TraceEvent event;
+  event.kind = kind;
+  event.metal = metal;
+  event.cycle = cycle_ != nullptr ? *cycle_ : 0;
+  event.pc = pc;
+  event.arg0 = arg0;
+  event.arg1 = arg1;
+  sink_->OnEvent(event);
+}
+
 RingBufferSink::RingBufferSink(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
   buffer_.reserve(std::min<size_t>(capacity_, 4096));
 }

@@ -124,22 +124,19 @@ class Tracer {
   void Detach() { sink_ = nullptr; }
   bool enabled() const { return sink_ != nullptr; }
 
+  // Only the null-sink test is inline: building the event and calling the
+  // sink stay out of the instrumented hot loops (and their registers).
   void Emit(TraceEventKind kind, uint32_t pc, uint32_t arg0 = 0, uint32_t arg1 = 0,
             bool metal = false) {
-    if (sink_ == nullptr) {
-      return;
+    if (sink_ != nullptr) [[unlikely]] {
+      EmitToSink(kind, pc, arg0, arg1, metal);
     }
-    TraceEvent event;
-    event.kind = kind;
-    event.metal = metal;
-    event.cycle = cycle_ != nullptr ? *cycle_ : 0;
-    event.pc = pc;
-    event.arg0 = arg0;
-    event.arg1 = arg1;
-    sink_->OnEvent(event);
   }
 
  private:
+  [[gnu::noinline, gnu::cold]] void EmitToSink(TraceEventKind kind, uint32_t pc, uint32_t arg0,
+                                               uint32_t arg1, bool metal);
+
   TraceSink* sink_ = nullptr;
   const uint64_t* cycle_ = nullptr;
 };

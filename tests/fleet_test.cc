@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,12 +23,28 @@
 namespace msim {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/fleet_test_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
+// A fresh mkdtemp directory, removed with everything in it when the guard
+// goes out of scope, so a test run leaves nothing behind in /tmp.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/fleet_test_XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    path_ = dir != nullptr ? dir : "";
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void WriteText(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc);
@@ -197,7 +214,8 @@ TEST(ChaosTest, ParsesSpecs) {
 }
 
 TEST(SnapshotDiscoveryTest, SkipsCorruptAndOrdersByCycle) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   WriteText(dir + "/checkpoint-200.msnap", "not a snapshot");
   WriteText(dir + "/checkpoint-100.msnap", "also garbage");
   WriteText(dir + "/unrelated.txt", "ignored");
@@ -211,7 +229,8 @@ TEST(SnapshotDiscoveryTest, SkipsCorruptAndOrdersByCycle) {
 }
 
 TEST(FleetTest, RetriesCrashesUntilSuccess) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "flaky", "crash-until 2")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -225,7 +244,8 @@ TEST(FleetTest, RetriesCrashesUntilSuccess) {
 }
 
 TEST(FleetTest, ExhaustsRetryBudgetAndHarvestsRepro) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "doomed", "crash-until 99")};
   jobs[0].retries = 1;
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
@@ -244,7 +264,8 @@ TEST(FleetTest, ExhaustsRetryBudgetAndHarvestsRepro) {
 }
 
 TEST(FleetTest, HarvestsCrashDump) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "faulty", "dump")};
   jobs[0].retries = 0;
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
@@ -256,7 +277,8 @@ TEST(FleetTest, HarvestsCrashDump) {
 }
 
 TEST(FleetTest, GuestTimeoutIsTerminalWithoutRetry) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "slow", "exit 12")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -265,7 +287,8 @@ TEST(FleetTest, GuestTimeoutIsTerminalWithoutRetry) {
 }
 
 TEST(FleetTest, UsageErrorIsTerminalWithoutRetry) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "broken", "exit 2")};
   FleetSupervisor fleet(std::move(jobs), FakeWorkerOptions(dir + "/out"));
   ASSERT_TRUE(fleet.Run().ok());
@@ -274,7 +297,8 @@ TEST(FleetTest, UsageErrorIsTerminalWithoutRetry) {
 }
 
 TEST(FleetTest, DeadlineKillsHungWorker) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "wedged", "hang-until 99")};
   jobs[0].retries = 0;
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -286,7 +310,8 @@ TEST(FleetTest, DeadlineKillsHungWorker) {
 }
 
 TEST(FleetTest, HangDetectorRecoversViaRetry) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   // First attempt wedges with no heartbeat progress; the retry succeeds.
   std::vector<JobSpec> jobs = {FakeJob(dir, "stuck", "hang-until 1")};
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -301,7 +326,8 @@ TEST(FleetTest, HangDetectorRecoversViaRetry) {
 
 TEST(FleetTest, FleetJsonIsDeterministicAcrossWorkerCounts) {
   const auto run = [](uint64_t workers) {
-    const std::string dir = MakeTempDir();
+    const TempDir temp_dir;
+    const std::string& dir = temp_dir.path();
     std::vector<JobSpec> jobs;
     for (int i = 0; i < 5; ++i) {
       jobs.push_back(FakeJob(dir, "job" + std::to_string(i), "ok " + std::to_string(100 + i)));
@@ -325,7 +351,8 @@ TEST(FleetTest, FleetJsonIsDeterministicAcrossWorkerCounts) {
 }
 
 TEST(FleetTest, MemoryPressureEvictsAndResumes) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   std::vector<JobSpec> jobs = {FakeJob(dir, "big0", "evict-wait"),
                                FakeJob(dir, "big1", "evict-wait")};
   FleetOptions options = FakeWorkerOptions(dir + "/out");
@@ -346,7 +373,8 @@ TEST(FleetTest, MemoryPressureEvictsAndResumes) {
 // run outside the host-tier cache counters — the core promise of
 // checkpoint-restart retries.
 TEST(FleetRealMsimTest, CrashResumeStatsAreByteIdentical) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   const std::string program = dir + "/loop.s";
   WriteText(program,
             "_start:\n"
@@ -397,7 +425,8 @@ TEST(FleetRealMsimTest, CrashResumeStatsAreByteIdentical) {
 }
 
 TEST(FleetRealMsimTest, GracefulEvictionWritesFinalCheckpoint) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   const std::string program = dir + "/loop.s";
   WriteText(program,
             "_start:\n"
@@ -437,7 +466,8 @@ TEST(FleetRealMsimTest, GracefulEvictionWritesFinalCheckpoint) {
 // and overflow exit 2, never a silent 0 or a saturated value.
 
 TEST(MsimdCliTest, RejectsMalformedNumericFlags) {
-  const std::string dir = MakeTempDir();
+  const TempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   const std::string manifest = dir + "/fleet.ini";
   WriteText(manifest, "[job noop]\nprogram = " + dir + "/noop.s\n");
   WriteText(dir + "/noop.s", "_start:\n  halt zero\n");

@@ -323,6 +323,24 @@ TEST(CacheTest, InvalidateAll) {
   EXPECT_EQ(cache.Access(0), 20u);
 }
 
+// A line count times line size of 2^32 puts the tag shift at 32: every
+// address has tag 0, as paddr / line_size / num_lines gives.
+TEST(CacheTest, FullAddressSpaceGeometryHasZeroTag) {
+  Cache cache(2, 1u << 31, 1, 20);
+  EXPECT_EQ(cache.Access(0), 20u);
+  EXPECT_EQ(cache.Access(0x7FFFFFFC), 1u);  // line 0
+  EXPECT_EQ(cache.Access(0x80000000), 20u);
+  EXPECT_EQ(cache.Access(0xFFFFFFFC), 1u);  // line 1
+}
+
+// Shift indexing models only power-of-two geometry, so anything else is
+// fatal in every build type rather than an assert that Release drops.
+TEST(CacheDeathTest, NonPowerOfTwoGeometryIsFatal) {
+  EXPECT_DEATH(Cache(48, 64, 1, 20), "cache geometry: 48 lines of 64 bytes");
+  EXPECT_DEATH(Cache(64, 24, 1, 20), "cache geometry: 64 lines of 24 bytes");
+  EXPECT_DEATH(Cache(0, 64, 1, 20), "cache geometry");
+}
+
 TEST(MramTest, CodeFetch) {
   Mram mram;
   EXPECT_TRUE(mram.WriteCodeWord(0, 0x12345678));
