@@ -412,6 +412,33 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   uint64_t load_dispatch_cycle = ~uint64_t{0};
   uint8_t ex_load_rd = ex_load_rd_;
 
+  // MEM-stage completion of the pending op, the executor's only copy of the
+  // memory ports. Semantics are StageMem's DRAM and MRAM-data paths:
+  // consuming drops `valid` (the wait is 0, the payload stale in place), the
+  // access goes through the same DramLoad/DramStore or Mram port, and the
+  // op retires with the MEM-stage kRetire event ordering. The caller counts
+  // the retirement. Out of line: every committed cycle's MEM slice can
+  // complete an op, and one copy keeps the ports inline in it.
+  const auto sb_complete = [this, &sb_pend]() __attribute__((noinline)) {
+    sb_pend.valid = false;
+    uint32_t loaded = 0;
+    if (metal && sb_pend.target == MemOp::Target::kMramData) {
+      if (sb_pend.is_store) {
+        (void)mram_.WriteData32(sb_pend.paddr, sb_pend.store_value);
+      } else {
+        loaded = mram_.ReadData32(sb_pend.paddr).value_or(0);
+      }
+    } else if (sb_pend.is_store) {
+      (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr, sb_pend.store_value);
+    } else {
+      loaded = DramLoad(bus_, sb_pend.kind, sb_pend.paddr).value_or(0);
+    }
+    if (!sb_pend.is_store && sb_pend.rd != 0) {
+      regs_[sb_pend.rd] = loaded;
+    }
+    Retire(sb_pend.pc, sb_pend.raw, metal);
+  };
+
   // The running trace's physical code pages (equal for a one-page run), set
   // at every trace entry; kNoCodePage for a Metal trace, whose code no store
   // reaches. sb_exact turns on the per-fetch DRAM check for the rest of the
@@ -423,7 +450,25 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   bool sb_exact = false;
   const auto sb_code_page = [&](uint32_t paddr) {
     const uint32_t page = paddr >> PhysicalMemory::kPageBits;
-    return page == code_page0 || page == code_page1;
+    return !metal && (page == code_page0 || page == code_page1);
+  };
+  // The exact fetch check of slot `s` at physical address `fpa`: true if
+  // the word there no longer matches the slot. A store completing this cycle
+  // lands before IF (MEM runs first), so its bytes are merged into the word.
+  // Out of line: it runs only once sb_exact is on.
+  const auto sb_fetch_stale = [this, &sb_pend](const SbSlot& s, uint32_t fpa)
+                                  __attribute__((noinline)) {
+    const auto word = bus_.dram().Read32(fpa);
+    if (!word) {
+      return true;
+    }
+    uint32_t w = *word;
+    if (sb_pend.valid && sb_pend.wait == 1 && sb_pend.is_store && (sb_pend.paddr & ~3u) == fpa) {
+      const uint32_t shift = (sb_pend.paddr & 3u) * 8;
+      const uint32_t mask = ~0u >> (32 - 8 * GetInstrInfo(sb_pend.kind).mem_size);
+      w = (w & ~(mask << shift)) | ((sb_pend.store_value & mask) << shift);
+    }
+    return w != s.d.raw;
   };
 
   // Trace exit: writes the executor's latch shadows into the member latches
@@ -638,35 +683,18 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 //
 // Fetched words need no check while the trace's code pages are unchanged
 // since its entry validation. Once a store to one of them is latched
-// (sb_exact), every fetch re-reads its word. A store completing this cycle
-// lands before IF (MEM runs first), so its bytes are merged into the word:
-// a store into the executing trace's own words (self-modifying code)
-// invalidates the trace and exits before the cycle commits.
+// (sb_exact), every fetch re-reads its word (sb_fetch_stale): a store into
+// the executing trace's own words (self-modifying code) invalidates the
+// trace and exits before the cycle commits.
 #define MSIM_SB_FETCH_OR_EXIT()                                          \
   do {                                                                   \
     const int32_t sb_f = e + 2 + depth;                                  \
     if (e + 1 >= exec_len || sb_f >= len) {                              \
       goto sb_exit_uncommitted;                                          \
     }                                                                    \
-    if (sb_exact) [[unlikely]] {                                         \
-      const SbSlot& sb_fs = slots[sb_f];                                 \
-      const uint32_t sb_fpa = sb_fs.addr + fdelta;                       \
-      const auto sb_word = bus_.dram().Read32(sb_fpa);                   \
-      if (!sb_word) {                                                    \
-        goto sb_exit_stale;                                              \
-      }                                                                  \
-      uint32_t sb_w = *sb_word;                                          \
-      if (sb_pend.valid && sb_pend.wait == 1 && sb_pend.is_store &&      \
-          (sb_pend.paddr & ~3u) == sb_fpa) {                             \
-        const uint32_t sb_sh = (sb_pend.paddr & 3u) * 8;                 \
-        const uint32_t sb_m =                                            \
-            ~0u >> (32 - 8 * GetInstrInfo(sb_pend.kind).mem_size);       \
-        sb_w = (sb_w & ~(sb_m << sb_sh)) |                               \
-               ((sb_pend.store_value & sb_m) << sb_sh);                  \
-      }                                                                  \
-      if (sb_w != sb_fs.d.raw) {                                         \
-        goto sb_exit_stale;                                              \
-      }                                                                  \
+    if (!metal && sb_exact &&                                            \
+        sb_fetch_stale(slots[sb_f], slots[sb_f].addr + fdelta)) [[unlikely]] { \
+      goto sb_exit_stale;                                                \
     }                                                                    \
   } while (0)
 
@@ -707,142 +735,14 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   } while (0)
 
 // Top-of-cycle MEM stage: counts the pending memory op down and completes it
-// at 0. StageMem runs before every other stage, so this expands right after
-// each ++cycle_, BEFORE the cycle's EX work and events. Semantics are
-// StageMem's DRAM and MRAM-data paths: consuming drops `valid` (the wait is
-// 0, the payload stale in place), the access goes through the same
-// DramLoad/DramStore or Mram port, and the op retires with the MEM-stage
-// kRetire event ordering.
+// at 0 (sb_complete). StageMem runs before every other stage, so this
+// expands right after each ++cycle_, BEFORE the cycle's EX work and events.
 #define MSIM_SB_COMPLETE_PEND()                                          \
   do {                                                                   \
     if (sb_pend.valid && --sb_pend.wait == 0) {                          \
-      sb_pend.valid = false;                                             \
-      if (metal && sb_pend.target == MemOp::Target::kMramData) {         \
-        if (sb_pend.is_store) {                                          \
-          (void)mram_.WriteData32(sb_pend.paddr, sb_pend.store_value);   \
-        } else {                                                         \
-          const uint32_t sb_ld =                                         \
-              mram_.ReadData32(sb_pend.paddr).value_or(0);               \
-          if (sb_pend.rd != 0) {                                         \
-            regs_[sb_pend.rd] = sb_ld;                                   \
-          }                                                              \
-        }                                                                \
-      } else if (sb_pend.is_store) {                                     \
-        (void)DramStore(bus_, sb_pend.kind, sb_pend.paddr,               \
-                        sb_pend.store_value);                            \
-      } else {                                                           \
-        const uint32_t sb_ld =                                           \
-            DramLoad(bus_, sb_pend.kind, sb_pend.paddr).value_or(0);     \
-        if (sb_pend.rd != 0) {                                           \
-          regs_[sb_pend.rd] = sb_ld;                                     \
-        }                                                                \
-      }                                                                  \
+      sb_complete();                                                     \
       ++retired;                                                         \
-      Retire(sb_pend.pc, sb_pend.raw, metal);                            \
     }                                                                    \
-  } while (0)
-
-// EX-stage commit of a memory slot's fast path (sb_x_mem, sb_x_mram): the
-// pre-checked access becomes the pending MEM op, with StartMemOp's counter
-// effects replayed — a dcache hit (credited in bulk) or, for a miss, the
-// dcache_.Access call that counts it and fills the line, and a TLB hit when
-// translating — and the load-use shadow updated for loads. store_value is
-// latched for loads too (StartMemOp reads rs2 unconditionally), keeping the
-// written-back ex_mem_ payload byte-identical. A store to the running
-// trace's code pages turns on the exact fetch check before the cycle that
-// completes it.
-#define MSIM_SB_MEM_DISPATCH(mem_target)                                 \
-  do {                                                                   \
-    uint32_t sb_wait = 1;                                                \
-    if (sb_miss) [[unlikely]] {                                          \
-      sb_wait = dcache_.Access(sb_pa);                                   \
-      superblocks_.CountMissFreeze();                                    \
-    } else {                                                             \
-      superblocks_.CountMemFastHit();                                    \
-      if ((mem_target) == MemOp::Target::kDram) {                        \
-        ++dcache_hits;                                                   \
-      }                                                                  \
-    }                                                                    \
-    if (translate) {                                                     \
-      ++tlb_hits;                                                        \
-    }                                                                    \
-    sb_pend.valid = true;                                                \
-    sb_pend.pc = es->addr;                                               \
-    sb_pend.kind = es->d.kind;                                           \
-    sb_pend.metal = metal;                                               \
-    sb_pend.is_store = sb_st;                                            \
-    sb_pend.vaddr = sb_va;                                               \
-    sb_pend.paddr = sb_pa;                                               \
-    sb_pend.store_value = MSIM_SB_B;                                     \
-    sb_pend.raw = es->d.raw;                                             \
-    sb_pend.rd = es->d.rd;                                               \
-    sb_pend.wait = sb_wait;                                              \
-    sb_pend.target = (mem_target);                                       \
-    sb_mem_any = true;                                                   \
-    if (sb_st) {                                                         \
-      sb_exact |= sb_code_page(sb_pa);                                   \
-    } else {                                                             \
-      load_dispatch_cycle = cycle_;                                      \
-      ex_load_rd = es->d.rd;                                             \
-    }                                                                    \
-  } while (0)
-
-// The dispatch of a pre-checked memory slot (sb_x_mem, sb_x_mram), using
-// the label's block-local sb_st/sb_va/sb_pa/sb_miss and the MemOp target
-// `mem_target`.
-//
-// Plain dispatch: the access becomes the pending MEM op and the frontend
-// keeps streaming. A miss then freezes the pipeline: its first frozen cycle
-// counts MEM down, EX holds its op (MEM is busy), ID holds, and a free skid
-// buffer takes one fetch; sb_freeze_fetch commits the window.
-//
-// Load-use stall (stall_after): the next slot reads this load's rd, so
-// StageId holds it and emits kStall. At depth 0 the cycle's fetch still
-// runs, parking its word in the skid buffer; at depth 1 the buffer is
-// already held and NO fetch starts (pc unchanged). Either way the next
-// cycle is a forced bubble (sb_ex_empty), which a missed load also freezes
-// after. The depth-1 stall needs a next executable slot, which stall_after
-// implies.
-#define MSIM_SB_MEM_GO(mem_target)                                       \
-  do {                                                                   \
-    if (!es->stall_after) {                                              \
-      MSIM_SB_FETCH_OR_EXIT();                                           \
-      ++cycle_;                                                          \
-      MSIM_SB_COMPLETE_PEND();                                           \
-      MSIM_SB_MEM_DISPATCH(mem_target);                                  \
-      last_redirect = false;                                             \
-      MSIM_SB_COMMIT_FETCH();                                            \
-      if (!sb_miss) {                                                    \
-        goto sb_next;                                                    \
-      }                                                                  \
-      goto sb_freeze_fetch;                                              \
-    }                                                                    \
-    if (depth == 0) {                                                    \
-      MSIM_SB_FETCH_OR_EXIT();                                           \
-      ++cycle_;                                                          \
-      MSIM_SB_COMPLETE_PEND();                                           \
-      MSIM_SB_MEM_DISPATCH(mem_target);                                  \
-      ++stats_.load_use_stalls;                                          \
-      tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0,      \
-                   metal);                                               \
-      const SbSlot& sb_fs = slots[e + 2];                                \
-      MSIM_SB_NOTE_FETCH(sb_fs);                                         \
-      sh_buf = &sb_fs;                                                   \
-      pc = sb_fs.addr + 4;                                               \
-      depth = 1;                                                         \
-      last_redirect = false;                                             \
-      goto sb_ex_empty;                                                    \
-    }                                                                    \
-    if (e + 1 >= exec_len) {                                             \
-      goto sb_exit_uncommitted;                                          \
-    }                                                                    \
-    ++cycle_;                                                            \
-    MSIM_SB_COMPLETE_PEND();                                             \
-    MSIM_SB_MEM_DISPATCH(mem_target);                                    \
-    ++stats_.load_use_stalls;                                            \
-    tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, metal); \
-    last_redirect = false;                                               \
-    goto sb_ex_empty;                                                      \
   } while (0)
 
 // Retire bookkeeping for an op of the call's mode (Core::Retire).
@@ -956,6 +856,12 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
   SbSlot* es = nullptr;
   uint32_t sb_tgt = 0;
   uint64_t sb_entry_retired = 0;
+  // The memory slot being dispatched (sb_x_mem, sb_x_mram -> sb_mem_go).
+  bool sb_st = false;
+  uint32_t sb_va = 0;
+  uint32_t sb_pa = 0;
+  bool sb_miss = false;
+  MemOp::Target sb_target = MemOp::Target::kDram;
 
   // Threaded dispatch: one indirect jump per instruction, indexed by the
   // slot's InstrKind. Kinds outside MSIM_TRACE_KINDS never reach a slot
@@ -1072,12 +978,12 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     // translates.
     const InstrInfo& sb_info = es->d.info();
     const uint32_t sb_size = sb_info.mem_size;
-    const bool sb_st = sb_info.is_store;
-    const uint32_t sb_va = MSIM_SB_A + MSIM_SB_IMM;
+    sb_st = sb_info.is_store;
+    sb_va = MSIM_SB_A + MSIM_SB_IMM;
     if ((sb_va & (sb_size - 1)) != 0) {
       goto sb_exit_mem_slow;
     }
-    uint32_t sb_pa = sb_va;
+    sb_pa = sb_va;
     if (translate) {
       const TranslateResult sb_tr = mmu_.ProbeTranslate(
           sb_va, sb_st ? AccessType::kStore : AccessType::kLoad, asid,
@@ -1090,7 +996,7 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     if (sb_pa >= kMmioBase || sb_pa + sb_size > dram_size) {
       goto sb_exit_mem_slow;
     }
-    const bool sb_miss = !dcache_.Probe(sb_pa);
+    sb_miss = !dcache_.Probe(sb_pa);
     // A dcache miss holds MEM for miss_wait cycles: the dispatch cycle,
     // then miss_wait - 1 frozen cycles committed in one step, up to the
     // budget and the horizon (sb_freeze_fetch). At depth 0 the skid slot the
@@ -1103,7 +1009,8 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
          (!es->stall_after && depth == 0 && e + 3 >= len))) [[unlikely]] {
       goto sb_exit_mem_slow;
     }
-    MSIM_SB_MEM_GO(MemOp::Target::kDram);
+    sb_target = MemOp::Target::kDram;
+    goto sb_mem_go;
   }
 
   sb_x_mram : {
@@ -1116,16 +1023,98 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
     // UNCOMMITTED for the per-cycle stages to raise. Nothing writes MRAM
     // data between this check and the completion but an mst completing
     // first, and an mst leaves good parity.
-    const bool sb_st = es->d.kind == InstrKind::kMst;
-    const uint32_t sb_va = MSIM_SB_A + MSIM_SB_IMM;
+    sb_st = es->d.kind == InstrKind::kMst;
+    sb_va = MSIM_SB_A + MSIM_SB_IMM;
     if ((sb_va & 3) != 0 || sb_va > kMramDataSize - 4 ||
         (!sb_st && !mram_.DataParityOk(sb_va))) {
       goto sb_exit_mem_slow;
     }
-    const uint32_t sb_pa = sb_va;
-    constexpr bool sb_miss = false;
-    MSIM_SB_MEM_GO(MemOp::Target::kMramData);
+    sb_pa = sb_va;
+    sb_miss = false;
+    sb_target = MemOp::Target::kMramData;
+    goto sb_mem_go;
   }
+
+  sb_mem_go:
+    // The dispatch of a pre-checked memory slot (sb_x_mem, sb_x_mram): the
+    // access becomes the pending MEM op, with StartMemOp's counter effects
+    // replayed — a dcache hit (credited in bulk) or, for a miss, the
+    // dcache_.Access call that counts it and fills the line, and a TLB hit
+    // when translating — and the load-use shadow updated for loads.
+    // store_value is latched for loads too (StartMemOp reads rs2
+    // unconditionally), keeping the written-back ex_mem_ payload
+    // byte-identical. A store to the running trace's code pages turns on the
+    // exact fetch check before the cycle that completes it.
+    //
+    // Plain dispatch: the frontend keeps streaming. A miss then freezes the
+    // pipeline: its first frozen cycle counts MEM down, EX holds its op (MEM
+    // is busy), ID holds, and a free skid buffer takes one fetch;
+    // sb_freeze_fetch commits the window.
+    //
+    // Load-use stall (stall_after): the next slot reads this load's rd, so
+    // StageId holds it and emits kStall. At depth 0 the cycle's fetch still
+    // runs, parking its word in the skid buffer; at depth 1 the buffer is
+    // already held and NO fetch starts (pc unchanged), so nothing is
+    // checked: the buffered slot e + 2 is ready, and stall_after puts slot
+    // e + 1 inside the executable run. Either way the next cycle is a forced
+    // bubble (sb_ex_empty), which a missed load also freezes after.
+    if (!es->stall_after || depth == 0) {
+      MSIM_SB_FETCH_OR_EXIT();
+    }
+    ++cycle_;
+    MSIM_SB_COMPLETE_PEND();
+    {
+      uint32_t sb_wait = 1;
+      if (sb_miss) [[unlikely]] {
+        sb_wait = dcache_.Access(sb_pa);
+        superblocks_.CountMissFreeze();
+      } else {
+        superblocks_.CountMemFastHit();
+        if (sb_target == MemOp::Target::kDram) {
+          ++dcache_hits;
+        }
+      }
+      if (translate) {
+        ++tlb_hits;
+      }
+      sb_pend.valid = true;
+      sb_pend.pc = es->addr;
+      sb_pend.kind = es->d.kind;
+      sb_pend.metal = metal;
+      sb_pend.is_store = sb_st;
+      sb_pend.vaddr = sb_va;
+      sb_pend.paddr = sb_pa;
+      sb_pend.store_value = MSIM_SB_B;
+      sb_pend.raw = es->d.raw;
+      sb_pend.rd = es->d.rd;
+      sb_pend.wait = sb_wait;
+      sb_pend.target = sb_target;
+      sb_mem_any = true;
+      if (sb_st) {
+        sb_exact |= sb_code_page(sb_pa);
+      } else {
+        load_dispatch_cycle = cycle_;
+        ex_load_rd = es->d.rd;
+      }
+    }
+    last_redirect = false;
+    if (!es->stall_after) {
+      MSIM_SB_COMMIT_FETCH();
+      if (!sb_miss) {
+        goto sb_next;
+      }
+      goto sb_freeze_fetch;
+    }
+    ++stats_.load_use_stalls;
+    tracer_.Emit(TraceEventKind::kStall, slots[e + 1].addr, 0, 0, metal);
+    if (depth == 0) {
+      const SbSlot& sb_fs = slots[e + 2];
+      MSIM_SB_NOTE_FETCH(sb_fs);
+      sh_buf = &sb_fs;
+      pc = sb_fs.addr + 4;
+      depth = 1;
+    }
+    goto sb_ex_empty;
 
   sb_ex_empty:
     // A cycle with EX empty and a MEM op possibly pending: the forced
@@ -1258,8 +1247,6 @@ uint64_t Core::RunTraces(uint64_t max_cycles, uint64_t max_retires) {
 #undef MSIM_SB_NOTE_FETCH
 #undef MSIM_SB_COMMIT_FETCH
 #undef MSIM_SB_COMPLETE_PEND
-#undef MSIM_SB_MEM_DISPATCH
-#undef MSIM_SB_MEM_GO
 #undef MSIM_SB_RETIRE
 #undef MSIM_SB_A
 #undef MSIM_SB_B
@@ -2436,6 +2423,15 @@ Status Core::RestoreState(SnapReader& r) {
   }
   if (ex_mem_.kind >= InstrKind::kCount) {
     return InvalidArgument("snapshot EX/MEM instruction kind is out of range");
+  }
+  // StageMem and the trace executor switch on the target, and the MRAM data
+  // ports and parity check index with the offset unchecked.
+  if (ex_mem_.target > MemOp::Target::kMramData) {
+    return InvalidArgument("snapshot EX/MEM target is out of range");
+  }
+  if (ex_mem_.valid && ex_mem_.target == MemOp::Target::kMramData &&
+      ((ex_mem_.paddr & 3) != 0 || ex_mem_.paddr > kMramDataSize - 4)) {
+    return InvalidArgument("snapshot EX/MEM MRAM data offset is out of range");
   }
 
   MSIM_RETURN_IF_ERROR(metal_.RestoreState(r));

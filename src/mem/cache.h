@@ -36,8 +36,9 @@ class Cache {
   Cache(uint32_t num_lines, uint32_t line_size, uint32_t hit_latency, uint32_t miss_latency);
 
   // Performs a (timing-only) access; returns the latency in cycles and
-  // updates tags and statistics.
-  uint32_t Access(uint32_t paddr) {
+  // updates tags and statistics. Always inline: every per-cycle fetch and
+  // memory op calls it.
+  [[gnu::always_inline]] uint32_t Access(uint32_t paddr) {
     Line& line = lines_[IndexOf(paddr)];
     const uint32_t tag = TagOf(paddr);
     if (line.valid && line.tag == tag) {

@@ -82,8 +82,9 @@ class Mram {
   // decoded slot: counts the code fetch and emits the same trace event
   // FetchCodeWord would, without touching the array. Keeps
   // mram.code_fetches and the kMramAccess trace stream identical between
-  // traced and per-cycle stepping.
-  void NoteCachedFetch(uint32_t addr) const {
+  // traced and per-cycle stepping. Always inline: a Metal trace commits one
+  // per cycle.
+  [[gnu::always_inline]] void NoteCachedFetch(uint32_t addr) const {
     ++stats_.code_fetches;
     if (tracer_ != nullptr) {
       tracer_->Emit(TraceEventKind::kMramAccess, addr, /*arg0=*/0, /*arg1=*/0, /*metal=*/true);

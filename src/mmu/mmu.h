@@ -51,9 +51,10 @@ class Mmu {
   // hit/miss counting and no kTlbMiss trace event. A fast path that commits
   // a translation replays the hit via tlb().CreditHits; one that observes
   // !ok must fall back to the per-cycle machinery, whose Translate call then
-  // counts the miss and emits the event.
-  TranslateResult ProbeTranslate(uint32_t vaddr, AccessType type, uint16_t asid,
-                                 uint32_t keyperm) const {
+  // counts the miss and emits the event. Always inline, down to the TLB
+  // finder: a normal-mode trace probes once per memory slot.
+  [[gnu::always_inline]] TranslateResult ProbeTranslate(uint32_t vaddr, AccessType type,
+                                                        uint16_t asid, uint32_t keyperm) const {
     const TlbEntry* entry = tlb_.PeekLookup(vaddr, asid);
     if (entry == nullptr) {
       return Miss(type);
@@ -75,8 +76,9 @@ class Mmu {
 
   // Shared post-lookup half of Translate/ProbeTranslate: permission and
   // page-key checks plus frame math for a resident entry.
-  static TranslateResult ResolveEntry(const TlbEntry& entry, uint32_t vaddr, AccessType type,
-                                      uint32_t keyperm) {
+  [[gnu::always_inline]] static TranslateResult ResolveEntry(const TlbEntry& entry,
+                                                             uint32_t vaddr, AccessType type,
+                                                             uint32_t keyperm) {
     TranslateResult result;
     const uint32_t pte = entry.pte;
     const bool allowed = (type == AccessType::kFetch && (pte & kPteX) != 0) ||

@@ -93,7 +93,7 @@ class Tlb {
   // (Core::StepFast): identical match, no statistics. Lookup's only mutation
   // is the hit/miss counters (replacement state moves on Insert alone), so
   // PeekLookup + CreditHits for the committed hits is exactly equivalent.
-  const TlbEntry* PeekLookup(uint32_t vaddr, uint16_t asid) const {
+  [[gnu::always_inline]] const TlbEntry* PeekLookup(uint32_t vaddr, uint16_t asid) const {
     const uint32_t slot = FindMatch(vaddr, asid);
     return slot != kNoSlot ? &entries_[slot] : nullptr;
   }
@@ -157,7 +157,8 @@ class Tlb {
   // under `bucket_a` or `bucket_b` whose entry satisfies `match`; kNoSlot if
   // none. Only valid entries are indexed.
   template <typename Match>
-  uint32_t FindSlot(uint32_t bucket_a, uint32_t bucket_b, Match match) const {
+  [[gnu::always_inline]] uint32_t FindSlot(uint32_t bucket_a, uint32_t bucket_b,
+                                           Match match) const {
     const uint64_t* a = BucketWords(bucket_a);
     const uint64_t* b = BucketWords(bucket_b);
     for (uint32_t w = 0; w < words_; ++w) {
@@ -172,7 +173,7 @@ class Tlb {
   }
 
   // The slot whose entry translates vaddr for `asid` (Lookup's match).
-  uint32_t FindMatch(uint32_t vaddr, uint16_t asid) const {
+  [[gnu::always_inline]] uint32_t FindMatch(uint32_t vaddr, uint16_t asid) const {
     return FindSlot(BucketOf(vaddr >> kPageShift, false), BucketOf(vaddr >> kSuperPageShift, true),
                     [vaddr, asid](const TlbEntry& entry) {
                       const uint32_t shift = entry.superpage() ? kSuperPageShift : kPageShift;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cpu/core.h"
+#include "mem/mram.h"
 #include "mem/phys_mem.h"
 #include "metal/system.h"
 #include "snap/replay.h"
@@ -470,9 +471,10 @@ TEST(DramRecordTest, CliRestoreOfMalformedPageExitsUsage) {
 }
 
 // msim run --restore: an index the pipeline or the TLB uses unchecked
-// (the ID/EX replacement-chain length, the EX/MEM instruction kind, the TLB
-// round-robin victim) is rejected when out of range, a usage error (exit 2)
-// rather than an out-of-bounds access on the next step.
+// (the ID/EX replacement-chain length, the EX/MEM instruction kind, target
+// and MRAM data offset, the TLB round-robin victim) is rejected when out of
+// range, a usage error (exit 2) rather than an out-of-bounds access on the
+// next step.
 TEST(SnapshotTest, RejectsOutOfRangeIndices) {
   const std::string source = "_start:\n  li a0, 7\n  halt zero\n";
   const std::string program = testing::TempDir() + "/index_fields.s";
@@ -491,12 +493,17 @@ TEST(SnapshotTest, RejectsOutOfRangeIndices) {
 
   // Byte offsets in Core::SaveState's stream: 32 GPRs, the cycle, the fetch
   // unit and its two slots, then the ID/EX latch up to chain_len; after the
-  // chain, the rest of ID/EX and the EX/MEM latch up to kind.
+  // chain, the rest of ID/EX and the EX/MEM latch (valid, pc, kind, metal,
+  // is_store, vaddr, paddr, store_value, raw, rd, wait, target).
   constexpr size_t kFetchSlot = 1 + 4 + 4 + 1 + 4 + 4;
   constexpr size_t kChainLen =
       32 * 4 + 8 + (4 + 1 + 1 + 4) + 2 * kFetchSlot + (1 + 4 + 4 + 1 + 1 + 1 + 4);
   constexpr size_t kChainStep = 1 + 1 + 4 + 4;
-  constexpr size_t kExMemKind = kChainLen + 1 + 4 * kChainStep + (1 + 1 + 4 + 4) + (1 + 4);
+  constexpr size_t kExMemValid = kChainLen + 1 + 4 * kChainStep + (1 + 1 + 4 + 4);
+  constexpr size_t kExMemKind = kExMemValid + 1 + 4;
+  constexpr size_t kExMemPaddr = kExMemKind + 4 + 1 + 1 + 4;
+  constexpr size_t kExMemWait = kExMemPaddr + 4 + 4 + 4 + 1;
+  constexpr size_t kExMemTarget = kExMemWait + 4;
   // The stream ends with the TLB (capacity, entries, victim, ...) and the
   // components after it; the victim follows the capacity and the entries.
   Core& mutable_core = system.core();
@@ -516,22 +523,41 @@ TEST(SnapshotTest, RejectsOutOfRangeIndices) {
   const uint32_t capacity = mutable_core.mmu().tlb().capacity();
   const size_t victim = tlb_at + 4 + capacity * (1 + 4 + 2 + 4);
 
-  const struct {
-    const char* field;
+  struct Edit {
     size_t offset;
     size_t width;
     uint32_t value;
+  };
+  // A live Metal-mode MRAM-data load (valid, kind mld, metal, wait 1,
+  // target kMramData) at the patched offset.
+  const auto mram_load = [&](uint32_t offset) {
+    return std::vector<Edit>{{kExMemValid, 1, 1},
+                             {kExMemKind, 4, static_cast<uint32_t>(InstrKind::kMld)},
+                             {kExMemKind + 4, 1, 1},
+                             {kExMemPaddr, 4, offset},
+                             {kExMemWait, 4, 1},
+                             {kExMemTarget, 1, 2}};
+  };
+  const struct {
+    const char* field;
+    std::vector<Edit> edits;
   } kPatches[] = {
-      {"chain length", kChainLen, 1, 5},
-      {"instruction kind", kExMemKind, 4, static_cast<uint32_t>(InstrKind::kCount)},
-      {"victim index", victim, 4, capacity},
+      {"chain length", {{kChainLen, 1, 5}}},
+      {"instruction kind", {{kExMemKind, 4, static_cast<uint32_t>(InstrKind::kCount)}}},
+      {"target", {{kExMemTarget, 1, 3}}},
+      {"MRAM data offset", mram_load(kMramDataSize)},
+      {"MRAM data offset", mram_load(kMramDataSize - 2)},
+      {"MRAM data offset", mram_load(6)},
+      {"victim index", {{victim, 4, capacity}}},
   };
   const std::string run = std::string(MSIM_CLI_PATH) + " run " + program + " --restore ";
   for (const auto& patch : kPatches) {
     SCOPED_TRACE(patch.field);
     std::vector<uint8_t> bad = payload;
-    for (size_t i = 0; i < patch.width; ++i) {
-      bad[patch.offset + i] = static_cast<uint8_t>(patch.value >> (8 * i));
+    for (const Edit& edit : patch.edits) {
+      for (size_t i = 0; i < edit.width; ++i) {
+        bad[edit.offset + i] = static_cast<uint8_t>(edit.value >> (8 * i));
+      }
     }
     const std::vector<uint8_t> image = SnapshotOfCoreState(core, bad);
     Core fresh(core.config());
@@ -542,7 +568,16 @@ TEST(SnapshotTest, RejectsOutOfRangeIndices) {
     ASSERT_OK(WriteFileBytes(path, image));
     EXPECT_EQ(RunShell(run + path + " >/dev/null 2>&1"), kExitUsage);
   }
-  // Positive control: the unpatched image restores and runs.
+  // Positive controls: the unpatched image, and one holding a valid MRAM
+  // data load at the last word, restore.
+  std::vector<uint8_t> last_word = payload;
+  for (const Edit& edit : mram_load(kMramDataSize - 4)) {
+    for (size_t i = 0; i < edit.width; ++i) {
+      last_word[edit.offset + i] = static_cast<uint8_t>(edit.value >> (8 * i));
+    }
+  }
+  Core fresh(core.config());
+  EXPECT_OK(RestoreSnapshot(fresh, SnapshotOfCoreState(core, last_word)));
   const std::string good = testing::TempDir() + "/index_fields_good.msnap";
   ASSERT_OK(WriteFileBytes(good, SnapshotOfCoreState(core, payload)));
   EXPECT_EQ(RunShell(run + good + " >/dev/null 2>&1"), kExitOk);

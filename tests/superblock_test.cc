@@ -1527,6 +1527,147 @@ TEST(LivePipelineEntryTest, WatchdogClampOnAnAdoptedMroutine) {
 }
 
 // ---------------------------------------------------------------------------
+// Memory slots, table-driven: every trace memory kind, crossed with a dcache
+// hit or miss, with and without a load-use stall after it, at skid depth 0
+// and 1, and entered fresh or adopted with whatever the pipeline holds
+// (a live pending op included). The traced machine's SaveState bytes must
+// equal a fast_step-off twin's at every cycle.
+// ---------------------------------------------------------------------------
+
+struct MemSlotCase {
+  const char* op;    // the slot under test; t0 is the load target
+  bool metal;        // inside an mroutine
+  bool miss;         // a fresh dcache line every iteration
+  bool stall_after;  // the next slot reads t0
+  bool depth1;       // a load-use stall first, so the slot runs with a live skid
+};
+
+std::string MemSlotLoop(const MemSlotCase& c) {
+  std::ostringstream loop;
+  loop << "    li s0, 4\n"
+       << "  loop:\n"
+       << "    addi t1, t1, 1\n";
+  if (c.depth1) {
+    loop << "    lw t4, 0(s3)\n"
+         << "    addi t4, t4, 1\n";
+  }
+  loop << "    " << c.op << "\n"
+       << (c.stall_after ? "    add t1, t1, t0\n" : "    addi t5, t5, 1\n")
+       << "    addi t5, t5, 2\n";
+  if (c.miss) {
+    loop << "    addi s2, s2, 64\n";
+  }
+  loop << "    addi s0, s0, -1\n"
+       << "    bnez s0, loop\n";
+  return loop.str();
+}
+
+void SetUpMemSlotCase(MetalSystem& s, const MemSlotCase& c) {
+  std::ostringstream program;
+  program << "  _start:\n"
+          << "    la s2, buf\n"
+          << "    la s3, buf\n"
+          << "    li t2, 0x89abcdef\n"
+          << "    lw t3, 0(s2)\n"  // warm the first line
+          << "    li t1, 0\n";
+  if (c.metal) {
+    program << "    menter 1\n";
+    s.AddMcode(".mentry 1, body\n  body:\n    li t0, 0x5a5a5a5a\n    mst t0, 8(zero)\n" +
+               MemSlotLoop(c) + "    mexit\n");
+  } else {
+    program << MemSlotLoop(c);
+  }
+  program << "    halt t1\n"
+          << "    .data\n"
+          << "  buf:\n";
+  for (int i = 0; i < 96; ++i) {
+    program << "    .word " << 0x80c0a0f0u + 0x01030507u * i << "\n";
+  }
+  ASSERT_OK(s.LoadProgramSource(program.str()));
+  ASSERT_OK(s.Boot());
+}
+
+std::vector<uint8_t> StateBytes(const Core& core) {
+  SnapWriter w;
+  core.SaveState(w, /*include_dram=*/true);
+  return w.TakeBytes();
+}
+
+TEST(MemorySlotTableTest, EveryKindMatchesPerCycleAtEveryCycle) {
+  std::vector<MemSlotCase> cases;
+  const auto add = [&](const char* op, bool metal, bool load, bool dram) {
+    for (bool miss : {false, true}) {
+      for (bool stall_after : {false, true}) {
+        for (bool depth1 : {false, true}) {
+          if ((miss && !dram) || (stall_after && !load)) {
+            continue;
+          }
+          cases.push_back({op, metal, miss, stall_after, depth1});
+        }
+      }
+    }
+  };
+  for (bool metal : {false, true}) {
+    for (const char* op : {"lb t0, 5(s2)", "lh t0, 6(s2)", "lw t0, 8(s2)", "lbu t0, 5(s2)",
+                           "lhu t0, 6(s2)"}) {
+      add(op, metal, true, true);
+    }
+    for (const char* op : {"sb t2, 5(s2)", "sh t2, 6(s2)", "sw t2, 8(s2)"}) {
+      add(op, metal, false, true);
+    }
+  }
+  // Metal-only kinds: the physical word ops and the MRAM data port.
+  add("plw t0, 8(s2)", true, true, true);
+  add("psw t2, 8(s2)", true, false, true);
+  add("mld t0, 8(zero)", true, true, false);
+  add("mst t2, 8(zero)", true, false, false);
+
+  for (const MemSlotCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.op << (c.metal ? " metal" : " normal")
+                                    << (c.miss ? " miss" : " hit")
+                                    << (c.stall_after ? " stall_after" : "")
+                                    << (c.depth1 ? " depth 1" : " depth 0"));
+    MetalSystem reference(PerCycleConfig());
+    SetUpMemSlotCase(reference, c);
+    std::vector<std::vector<uint8_t>> states{StateBytes(reference.core())};
+    while (!reference.core().halted() && states.size() < 5000) {
+      reference.core().StepCycle();
+      states.push_back(StateBytes(reference.core()));
+    }
+    ASSERT_TRUE(reference.core().halted());
+    const uint64_t end = states.size() - 1;
+    uint64_t fast_hits = 0;
+    uint64_t miss_freezes = 0;
+    uint64_t adoptions = 0;
+    for (uint64_t split = 0; split < end; ++split) {
+      // Fresh: one Run from the cold start, compared where it stops.
+      MetalSystem fresh;
+      SetUpMemSlotCase(fresh, c);
+      fresh.core().Run(split + 1);
+      ASSERT_EQ(StateBytes(fresh.core()), states[fresh.core().cycle()])
+          << "fresh entry, Run(" << split + 1 << ")";
+      // Adopted: per-cycle up to `split`, then one Run to the end.
+      MetalSystem adopted;
+      SetUpMemSlotCase(adopted, c);
+      for (uint64_t i = 0; i < split; ++i) {
+        adopted.core().StepCycle();
+      }
+      adopted.core().Run(end - split);
+      ASSERT_EQ(StateBytes(adopted.core()), states[adopted.core().cycle()])
+          << "adopted at cycle " << split;
+      fast_hits += fresh.core().superblocks().stats().mem_fast_hits;
+      miss_freezes += fresh.core().superblocks().stats().miss_freezes;
+      adoptions += adopted.core().superblocks().stats().adoptions;
+    }
+    EXPECT_GT(fast_hits, 0u);
+    if (c.miss) {
+      EXPECT_GT(miss_freezes, 0u);
+    }
+    EXPECT_GT(adoptions, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // CLI: fast_step is the one stepping flag; the removed tier flags and the
 // removed mfuzz oracle are usage errors (exit 2), never silently ignored.
 // ---------------------------------------------------------------------------
